@@ -3,7 +3,8 @@
 Subcommands: thm1, thm2, thm3, tuynman, coherent, crosscheck, calibrate.
 Exit codes: 0 = run completed with all declared assertions passing;
 1 = assertions failed (the report is still written); 2 = usage or
-expression parse error; 3 = capacity error or corrupted conventions ledger.
+expression parse error; 3 = capacity error, quadrature rule too weak for a
+requested level (UnderResolvedRuleError) or corrupted conventions ledger.
 
 Experiments refuse to run without a conventions ledger (see `btq calibrate`)
 unless --auto-calibrate is given.  BTQ_LEDGER overrides the ledger path.
@@ -20,7 +21,7 @@ import tempfile
 
 from . import calibration, lab
 from .errors import (CalibrationError, CapacityError, LedgerError,
-                     SymbolParseError)
+                     SymbolParseError, UnderResolvedRuleError)
 from .symbols import parse, sup_norm_argmax
 
 DEFAULT_MAX_LEVEL = 256
@@ -202,7 +203,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"btq: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapacityError, LedgerError) as exc:
+    except (CapacityError, LedgerError, UnderResolvedRuleError) as exc:
         hint = "; rerun `btq calibrate`" if isinstance(exc, LedgerError) else ""
         print(f"btq: {exc}{hint}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -164,7 +164,7 @@ def _try_fit(report, window):
 
 
 def thm1_run(f, levels, window=None, conventions=DEFAULT_CONVENTIONS,
-             resolution=96, margin=0, threads=1, seed=0):
+             resolution=96, margin=0, seed=0):
     """Sup-norm limit: ||T_f|| increases to ||f||_inf with an O(1/m) gap.
 
     measured = operator norm, reference = sup norm; asserts the upper bound
@@ -173,7 +173,7 @@ def thm1_run(f, levels, window=None, conventions=DEFAULT_CONVENTIONS,
     report = ConvergenceReport("thm1", f, conventions=conventions.as_dict(), seed=seed)
     ref = sup_norm(f, resolution)
     for m in levels:
-        t = toeplitz(f, m, margin=margin, threads=threads)
+        t = toeplitz(f, m, margin=margin)
         measured = operator_norm(t)
         report.rows.append(ConvergenceRow.make(m, measured, ref))
         report.check(f"upper_bound_m{m}", measured <= ref + 1e-9,
@@ -183,7 +183,7 @@ def thm1_run(f, levels, window=None, conventions=DEFAULT_CONVENTIONS,
 
 
 def thm2_run(f, g, levels, window=None, conventions=DEFAULT_CONVENTIONS,
-             margin=0, threads=1, seed=0):
+             margin=0, seed=0):
     """Commutator limit: ||m i [T_f, T_g] - T_{f,g}|| = O(1/m)."""
     report = ConvergenceReport("thm2", f, g, conventions=conventions.as_dict(),
                                seed=seed)
@@ -191,9 +191,9 @@ def thm2_run(f, g, levels, window=None, conventions=DEFAULT_CONVENTIONS,
     deg = max(f.degree, g.degree, fg.degree)
     for m in levels:
         table = basis_eval_grid(m, make_rule(m, deg, margin=margin))
-        tf = toeplitz(f, m, table=table, threads=threads)
-        tg = toeplitz(g, m, table=table, threads=threads)
-        tfg = toeplitz(fg, m, table=table, threads=threads)
+        tf = toeplitz(f, m, table=table)
+        tg = toeplitz(g, m, table=table)
+        tfg = toeplitz(fg, m, table=table)
         defect = (1j * m) * commutator(tf, tg) - tfg
         measured = operator_norm(QuantumOperator(m, defect.mat))
         report.rows.append(ConvergenceRow.make(m, measured, 0.0))
@@ -202,7 +202,7 @@ def thm2_run(f, g, levels, window=None, conventions=DEFAULT_CONVENTIONS,
 
 
 def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
-             conventions=DEFAULT_CONVENTIONS, margin=0, threads=1, seed=0):
+             conventions=DEFAULT_CONVENTIONS, margin=0, seed=0):
     """Star-product asymptotics at orders N=1,2.
 
     Returns {1: report, 2: report}: order N measures
@@ -219,10 +219,10 @@ def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
                              seed=seed)
     for m in levels:
         table = basis_eval_grid(m, make_rule(m, deg, margin=margin))
-        tf = toeplitz(f, m, table=table, threads=threads)
-        tg = toeplitz(g, m, table=table, threads=threads)
-        tc0 = toeplitz(c0, m, table=table, threads=threads)
-        tc1 = toeplitz(c1, m, table=table, threads=threads)
+        tf = toeplitz(f, m, table=table)
+        tg = toeplitz(g, m, table=table)
+        tc0 = toeplitz(c0, m, table=table)
+        tc1 = toeplitz(c1, m, table=table)
         r1 = tf.mat @ tg.mat - tc0.mat
         r2 = r1 - tc1.mat / m
         rep1.rows.append(ConvergenceRow.make(
@@ -240,8 +240,7 @@ def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
     return {1: rep1, 2: rep2}
 
 
-def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS, margin=0,
-                threads=1, seed=0):
+def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS, margin=0, seed=0):
     """Exact identity Q_f = i T_{f - Lap f/(2m)}: defects at quadrature scale.
 
     Checks defect <= 1e-8 (1 + ||Q_f||) per level; no rate fit (the relation
@@ -251,7 +250,7 @@ def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS, margin=0,
                                seed=seed)
     for m in levels:
         table = basis_eval_grid(m, make_rule(m, f.degree + 2, margin=margin))
-        q = prequantum(f, m, table=table, threads=threads)
+        q = prequantum(f, m, table=table)
         rhs = tuynman_rhs(f, m, conventions, table=table)
         defect = float(np.max(np.abs(q.mat - rhs.mat)))
         qnorm = operator_norm(q)
@@ -275,8 +274,7 @@ def _flip_point(p):
 
 
 def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS,
-                 resolution=96, margin=0, threads=1, seed=0,
-                 fit_gap=None):
+                 resolution=96, margin=0, seed=0, fit_gap=None):
     """Coherent-state expectations l_m = |<phi, T_f phi>|/<phi,phi> -> |f(x0)|.
 
     Checks the sandwich l_m <= ||T_f|| <= ||f||_inf + 1e-9 at every level;
@@ -296,7 +294,7 @@ def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS,
                                seed=seed)
     z0 = x0.z
     for m in levels:
-        t = toeplitz(f, m, margin=margin, threads=threads)
+        t = toeplitz(f, m, margin=margin)
         phi = coherent_state(m, z0)
         num = abs(complex(np.vdot(phi.coeffs, t.mat @ phi.coeffs)))
         den = float(np.real(np.vdot(phi.coeffs, phi.coeffs)))
@@ -319,24 +317,24 @@ def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS,
     return report
 
 
-def cross_check(f, m, margin=0, threads=1):
+def cross_check(f, m, margin=0):
     """Max pairwise entry defect of the three Toeplitz constructions."""
     rule = make_rule(m, f.degree, margin=margin)
     table = basis_eval_grid(m, rule)
-    a = toeplitz(f, m, table=table, threads=threads).mat
+    a = toeplitz(f, m, table=table).mat
     b = toeplitz_exact(f, m).mat
     c = kernel_matrix(f, m, table=table).mat
     return float(max(np.max(np.abs(a - b)), np.max(np.abs(a - c)),
                      np.max(np.abs(b - c))))
 
 
-def crosscheck_run(f, levels, margin=0, threads=1, seed=0,
+def crosscheck_run(f, levels, margin=0, seed=0,
                    conventions=DEFAULT_CONVENTIONS):
     """Oracle-equivalence harness over a level list (defect must be <=1e-10)."""
     report = ConvergenceReport("crosscheck", f, conventions=conventions.as_dict(),
                                seed=seed)
     for m in levels:
-        d = cross_check(f, m, margin=margin, threads=threads)
+        d = cross_check(f, m, margin=margin)
         report.rows.append(ConvergenceRow.make(m, d, 0.0))
         report.check(f"agreement_m{m}", d <= 1e-10, f"defect={d!r}")
     report.fit = None

@@ -1,8 +1,12 @@
 """Quantum operators at level m: Toeplitz matrices by three independent
 construction paths, geometric-quantization matrices, norms and commutators.
 
-Paths for T_f: (1) grid quadrature, assembling B^H diag(w f) B in fixed
-chunk order (bit-deterministic across thread counts); (2) exact radial
+Paths for T_f: (1) quadrature: the angular integral of every matrix
+element is an exact Kronecker delta, so (T_f)_{k+q,k} is the radial Gauss
+sum 2 pi sum_s w_s R_{k+q}(s) R_k(s) f_q(s) over the basis table, with f_q
+the angular Fourier coefficient of f taken by FFT on the rule's grid; only
+the band |q| <= deg f is assembled, by elementwise products and sums (no
+BLAS, so the bytes do not depend on any thread count); (2) exact radial
 moments, expanding the chart numerator of each monomial and integrating
 every z^a zbar^b (1+z zbar)^-(m+d) term as an exact Beta ratio -- no
 quadrature at all; (3) the explicit integral kernel, expanding
@@ -19,18 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - dependency is declared
-    from contextlib import nullcontext
-
-    def threadpool_limits(limits=None):
-        return nullcontext()
 
 from ._zpoly import chart_rational, zp_eval
 from .errors import LevelMismatchError, UnderResolvedRuleError
@@ -40,7 +35,6 @@ from .symbols import eval_ambient, laplace_beltrami
 
 BINARY_HEADER = b"BTQOPV01"
 _HERM_TOL = 1e-12
-_CHUNK = 4096
 
 
 class QuantumOperator:
@@ -127,32 +121,36 @@ def identity(m):
     return QuantumOperator(m, np.eye(m + 1, dtype=complex), hermitian=True)
 
 
-# -- deterministic chunked assembly -------------------------------------------
+# -- banded assembly on the radial table ---------------------------------------
 
 
-def weighted_pairing(left, wvals, right, threads=1, chunk=_CHUNK):
-    """left^H diag(wvals) right, accumulated over fixed node chunks.
+def _band_matrix(left, right, w, samples, band):
+    """mat[k+q, k] = sum_i w_i left[i, k+q] right[i, k] c_q(s_i) for |q| <= band.
 
-    Each chunk product runs on one BLAS thread and partial sums are reduced
-    in chunk order, so the result is bit-identical for any `threads`.
+    samples[i, l] is the integrand's angular factor at (s_i, phi_l) on the
+    rule's uniform phi grid; c_q(s_i) = int samples e^{-i q phi} dphi is
+    exact by FFT while the phi grid resolves every frequency involved.
+    Entries outside the band are exact zeros.
     """
-    n = left.shape[0]
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    n = left.shape[1]
+    coeffs = np.fft.fft(samples, axis=1) * (2.0 * math.pi / samples.shape[1])
+    mat = np.zeros((n, n), dtype=complex)
+    top = min(band, n - 1)
+    for q in range(-top, top + 1):
+        a, b = max(q, 0), max(-q, 0)  # band q starts at row a, column b
+        wc = w * coeffs[:, q]  # negative q indexes frequency q modulo n_phi
+        prod = left[:, a:n - b] * right[:, b:n - a]
+        vals = np.sum(wc[:, None] * prod, axis=0)
+        mat[np.arange(a, n - b), np.arange(b, n - a)] = vals
+    return mat
 
-    def part(bound):
-        lo, hi = bound
-        return left[lo:hi].conj().T @ (wvals[lo:hi, None] * right[lo:hi])
 
-    with threadpool_limits(limits=1):
-        if threads <= 1:
-            parts = [part(b) for b in bounds]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(part, bounds))
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
+def _ambient_grid(table):
+    """Ambient coordinates on the rule's grid, broadcasting to (n_s, n_phi)."""
+    s = table.s[:, None]
+    phi = table.rule.phi_nodes()[None, :]
+    rho = 2.0 * np.sqrt(s * (1.0 - s))
+    return rho * np.cos(phi), rho * np.sin(phi), 1.0 - 2.0 * s
 
 
 def _resolve_table(f_degree, m, rule=None, table=None, margin=0, extra_degree=0):
@@ -172,11 +170,11 @@ def _resolve_table(f_degree, m, rule=None, table=None, margin=0, extra_degree=0)
 # -- path 1: quadrature --------------------------------------------------------
 
 
-def toeplitz(f, m, rule=None, table=None, threads=1, margin=0):
+def toeplitz(f, m, rule=None, table=None, margin=0):
     """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>."""
     table = _resolve_table(f.degree, m, rule, table, margin)
-    fv = eval_ambient(f, table.x1, table.x2, table.x3)
-    mat = weighted_pairing(table.B, table.w * fv, table.B, threads=threads)
+    fv = eval_ambient(f, *_ambient_grid(table))
+    mat = _band_matrix(table.B, table.B, table.w, fv, f.degree)
     hermitian = None
     if f.is_real:
         scale = max(1.0, float(np.max(np.abs(mat))))
@@ -244,15 +242,6 @@ def toeplitz_exact(f, m):
 # -- path 3: integral kernel ---------------------------------------------------
 
 
-def _monomial_frame(table):
-    """Raw monomial values z^k (1+|z|^2)^(-m/2) at the nodes (no norms)."""
-    m = table.m
-    k = np.arange(m + 1)
-    mag = np.sqrt(table.s[:, None] ** k[None, :]
-                  * (1.0 - table.s)[:, None] ** (m - k)[None, :])
-    return mag * np.exp(1j * np.outer(table.phi, k))
-
-
 def kernel_apply(f, m, sec, rule=None, table=None):
     """Apply T_f to a section through the explicit integral kernel.
 
@@ -264,46 +253,49 @@ def kernel_apply(f, m, sec, rule=None, table=None):
     table = _resolve_table(f.degree, m, rule, table)
     if sec.m != m:
         raise ValueError("section level mismatch")
-    out = _kernel_image(f, table, sec.coeffs.reshape(-1, 1))[:, 0]
-    return SectionVector(m, out)
+    return SectionVector(m, _kernel_operator(f, table) @ sec.coeffs)
 
 
-def _kernel_image(f, table, coeff_cols):
+def _kernel_operator(f, table):
     m = table.m
-    norms = np.array([monomial_norm(m, k) for k in range(m + 1)])
-    frame = _monomial_frame(table)
-    raw = coeff_cols / np.sqrt(norms)[:, None]
-    vals = frame @ raw
-    fv = eval_ambient(f, table.x1, table.x2, table.x3)
-    integrals = frame.conj().T @ (table.w[:, None] * (fv[:, None] * vals))
-    comb = np.array([float(math.comb(m, k)) for k in range(m + 1)])
-    raw_out = ((m + 1) / (2.0 * math.pi)) * comb[:, None] * integrals
-    return raw_out * np.sqrt(norms)[:, None]
+    k = np.arange(m + 1)
+    sqrt_norms = np.sqrt([monomial_norm(m, kk) for kk in range(m + 1)])
+    s = table.s[:, None]
+    # raw monomial values |z^k| (1+|z|^2)^(-m/2) at the radial nodes (no norms)
+    frame = s ** (k / 2.0) * (1.0 - s) ** ((m - k) / 2.0)
+    fv = eval_ambient(f, *_ambient_grid(table))
+    integrals = _band_matrix(frame, frame, table.w, fv, f.degree)
+    comb = np.array([float(math.comb(m, kk)) for kk in range(m + 1)])
+    scale = ((m + 1) / (2.0 * math.pi)) * comb * sqrt_norms
+    return scale[:, None] * integrals / sqrt_norms[None, :]
 
 
 def kernel_matrix(f, m, rule=None, table=None):
     """T_f reconstructed column-by-column from the kernel path."""
     table = _resolve_table(f.degree, m, rule, table)
-    cols = _kernel_image(f, table, np.eye(m + 1, dtype=complex))
-    return QuantumOperator(m, cols)
+    return QuantumOperator(m, _kernel_operator(f, table))
 
 
 # -- geometric quantization ----------------------------------------------------
 
 
-def prequantum(f, m, rule=None, table=None, threads=1):
+def prequantum(f, m, rule=None, table=None):
     """Q_f = Pi P_f Pi with P_f = -(1/m) nabla_{X_f} + i f at level m.
 
     In the chart, for a holomorphic representative p:
     P_f p = (i/m)(1+z zbar)^2 (dzbar f)(dz p - m zbar p/(1+z zbar)) + i f p.
     Derivatives raise the integrand degree, hence the +2 exactness margin.
-    Anti-Hermitian (to quadrature accuracy) for real f.
+    dzbar shifts angular frequency by +1 and the factors zbar and 1/z by -1,
+    so both angular factors keep the harmonics |q| <= deg f and Q_f has the
+    band of T_f.  Anti-Hermitian (to quadrature accuracy) for real f.
     """
     table = _resolve_table(f.degree, m, rule, table, extra_degree=2)
     rat = chart_rational(f.terms)
     d = rat.pole
-    z, u, w, B = table.z, table.u, table.w, table.B
-    fv = eval_ambient(f, table.x1, table.x2, table.x3)
+    s = table.s[:, None]
+    z = np.sqrt(s / (1.0 - s)) * np.exp(1j * table.rule.phi_nodes())[None, :]
+    u = 1.0 / (1.0 - s)
+    fv = eval_ambient(f, *_ambient_grid(table))
     # dzbar f = G/u^(d+1) by the quotient rule; we need u * dzbar f = G/u^d
     gv = zp_eval(rat.dzbar().num, z)
     u_dzbar_f = gv if d == 0 else gv * u ** (-float(d))
@@ -312,9 +304,9 @@ def prequantum(f, m, rule=None, table=None, threads=1):
     else:
         col = np.zeros_like(z)
     base = 1j * (fv - np.conj(z) * u_dzbar_f)
+    B, w, band = table.B, table.w, f.degree
     k = np.arange(m + 1)
-    pe = B * base[:, None] + (B * col[:, None]) * k[None, :]
-    mat = weighted_pairing(B, w, pe, threads=threads)
+    mat = _band_matrix(B, B, w, base, band) + _band_matrix(B, B * k, w, col, band)
     return QuantumOperator(m, mat, hermitian=False)
 
 
@@ -329,44 +321,14 @@ def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS, rule=None, table=None):
 # -- norms and commutators -----------------------------------------------------
 
 
-def _power_norm(mat, tol=1e-13, max_iter=500_000, min_iter=16):
-    """sqrt of the top eigenvalue of A^H A by shifted power iteration.
-
-    Deterministic all-ones start; the positive shift (an upper bound on the
-    spectrum) keeps the iteration matrix definite so the first step never
-    annihilates the start vector.  Stops when the Rayleigh quotient moves by
-    less than tol relative per step.
-    """
-    n = mat.shape[0]
-    gram = mat.conj().T @ mat
-    shift = float(np.max(np.sum(np.abs(gram), axis=1)))
-    if shift == 0.0:
-        return 0.0
-    v = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-    rho_prev = None
-    for it in range(max_iter):
-        w = gram @ v + shift * v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        rho = float(np.real(np.vdot(v, gram @ v)))
-        if rho_prev is not None and it >= min_iter \
-                and abs(rho - rho_prev) <= tol * max(abs(rho), 1e-290):
-            rho_prev = rho
-            break
-        rho_prev = rho
-    return math.sqrt(max(rho_prev, 0.0))
-
-
 def operator_norm(op):
     """Largest singular value: Hermitian eigendecomposition when flagged,
-    else shifted power iteration on A^H A."""
+    else the LAPACK 2-norm (largest singular value)."""
     if op.hermitian:
         if op.m == 0:
             return float(abs(op.mat[0, 0]))
         return float(np.max(np.abs(np.linalg.eigvalsh(op.mat))))
-    return _power_norm(op.mat)
+    return float(np.linalg.norm(op.mat, 2))
 
 
 def commutator(a, b):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,3 +39,28 @@ def random_point(rng, radius=2.0):
 @pytest.fixture
 def rng():
     return np.random.RandomState(12345)
+
+
+_ASSEMBLE = """
+import sys, time
+from btq import basis_eval_grid, make_rule, parse, toeplitz
+f, m = parse(sys.argv[1]), int(sys.argv[2])
+t0 = time.monotonic()
+t = toeplitz(f, m, table=basis_eval_grid(m, make_rule(m, f.degree)))
+wall = time.monotonic() - t0
+sys.stdout.buffer.write(repr(wall).encode() + b"\\n" + t.mat.tobytes())
+"""
+
+
+def assemble_in_subprocess(expr, m, blas_threads):
+    """T_f (table plus assembly) in a fresh process whose BLAS and OpenMP
+    pools have blas_threads threads; returns (matrix bytes, wall seconds)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               OMP_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _ASSEMBLE, expr, str(m)],
+                          env=env, capture_output=True, check=True)
+    wall, _, payload = proc.stdout.partition(b"\n")
+    return payload, float(wall)

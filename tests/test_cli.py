@@ -121,6 +121,23 @@ def test_level_cap_is_capacity_error(workdir, capsys):
                 "--max-level", "300"]) == 0
 
 
+def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,
+                                                     monkeypatch):
+    from btq import lab
+    from btq.errors import UnderResolvedRuleError
+
+    def refuse(m, rule, validate=True):
+        raise UnderResolvedRuleError("Gram self-test defect 1.4e-12 exceeds 1.0e-12")
+
+    run(["calibrate"])
+    capsys.readouterr()
+    monkeypatch.setattr(lab, "basis_eval_grid", refuse)
+    assert run(["thm2", "--f", "x1", "--g", "x2", "--levels", "2,4,8"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("btq: ") and err.count("\n") == 1
+
+
 def test_csv_json_contain_identical_numbers(workdir):
     run(["calibrate"])
     assert run(["thm1", "--f", "0.3 + x1 + 0.5*x2*x3", "--levels", "4,8,16",

@@ -52,6 +52,13 @@ def test_gram_identity():
         assert table.gram_defect <= 1e-12
 
 
+def test_gram_identity_up_to_max_level():
+    # leggauss weights alone left a 1.35e-12 defect at m=256, degree 4
+    for m in (256, 512, 1000, 1020):
+        for d in (0, 4, 6):
+            assert hb.basis_eval_grid(m, make_rule(m, d)).gram_defect <= 1e-12
+
+
 def test_under_resolved_rule_rejected_by_declaration():
     rule = make_rule(1, 0)
     with pytest.raises(UnderResolvedRuleError):

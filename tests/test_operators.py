@@ -5,8 +5,8 @@ from btq import operators as op
 from btq import symbols as sy
 from btq.errors import LevelMismatchError, UnderResolvedRuleError
 from btq.geometry import make_rule
-from btq.hilbert import SectionVector, basis_eval_grid
-from conftest import random_symbol
+from btq.hilbert import SectionVector
+from conftest import assemble_in_subprocess, random_symbol
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
 
@@ -199,12 +199,13 @@ def test_operator_norm_examples():
     assert op.operator_norm(zero) == 0.0
 
 
-def test_power_norm_matches_svd(rng):
+def test_operator_norm_matches_svd(rng):
+    # general operators: the 2-norm against the top eigenvalue of A^H A
     for n in (3, 17, 60):
         a = rng.randn(n, n) + 1j * rng.randn(n, n)
-        pn = op._power_norm(a)
-        sv = float(np.linalg.norm(a, 2))
-        assert abs(pn - sv) < 1e-9 * sv
+        norm = op.operator_norm(op.QuantumOperator(n - 1, a, hermitian=False))
+        sv = float(np.sqrt(np.max(np.linalg.eigvalsh(a.conj().T @ a))))
+        assert abs(norm - sv) < 1e-9 * sv
 
 
 def test_commutator_trivial():
@@ -270,9 +271,6 @@ def test_json_dict_schema(rng):
 
 
 def test_assembly_bit_identical_across_threads():
-    f = sy.parse("x1*x2*x3 - 0.5*x3^2")
-    table = basis_eval_grid(24, make_rule(24, f.degree))
-    t1 = op.toeplitz(f, 24, table=table, threads=1)
-    t3 = op.toeplitz(f, 24, table=table, threads=3)
-    t8 = op.toeplitz(f, 24, table=table, threads=8)
-    assert t1.mat.tobytes() == t3.mat.tobytes() == t8.mat.tobytes()
+    runs = [assemble_in_subprocess("x1*x2*x3 - 0.5*x3^2", 24, n)[0]
+            for n in (1, 3, 8)]
+    assert runs[0] == runs[1] == runs[2]
