@@ -37,6 +37,14 @@ def dimension(m):
     return m + 1
 
 
+def binomial_row(n):
+    """[C(n, 0), ..., C(n, n)] as exact integers, by C(n, A+1) = C(n, A)(n-A)/(A+1)."""
+    row = [1]
+    for a in range(n):
+        row.append(row[-1] * (n - a) // (a + 1))
+    return row
+
+
 def monomial_norm(m, k):
     """||z^k||^2 = 2 pi k!(m-k)!/(m+1)! by exact integer arithmetic."""
     if not 0 <= k <= m:
@@ -104,7 +112,7 @@ class GridTable:
         s = rule.s_nodes
         self.s, self.w = s, rule.s_weights
         k = np.arange(m + 1)
-        comb = np.array([float(math.comb(m, int(kk))) for kk in k])
+        comb = np.array(binomial_row(m), dtype=float)
         mag2 = comb * s[:, None] ** k[None, :] * (1.0 - s)[:, None] ** (m - k)[None, :]
         self.B = np.sqrt(mag2 * ((m + 1) / TWO_PI))
         self.gram_defect = None
@@ -151,8 +159,8 @@ def kernel_density(m, p):
     z2 = abs(p.z) ** 2
     s = z2 / (1.0 + z2)
     total = 0.0
-    for k in range(m + 1):
-        total += float(math.comb(m, k)) * s**k * (1.0 - s) ** (m - k)
+    for k, c in enumerate(binomial_row(m)):
+        total += float(c) * s**k * (1.0 - s) ** (m - k)
     return (m + 1) / TWO_PI * total
 
 
@@ -171,8 +179,8 @@ def coherent_state(m, z0):
     """Coherent state at the finite-chart point z0."""
     z0 = complex(z0)
     pref = math.sqrt(TWO_PI / (m + 1))
-    coeffs = np.array([pref * math.sqrt(float(math.comb(m, k))) * np.conj(z0) ** k
-                       for k in range(m + 1)])
+    coeffs = np.array([pref * math.sqrt(float(c)) * np.conj(z0) ** k
+                       for k, c in enumerate(binomial_row(m))])
     return CoherentState(m, coeffs, z0=z0)
 
 

@@ -4,14 +4,16 @@ construction paths, geometric-quantization matrices, norms and commutators.
 Paths for T_f: (1) quadrature: the angular integral of every matrix
 element is an exact Kronecker delta, so (T_f)_{k+q,k} is the radial Gauss
 sum 2 pi sum_s w_s R_{k+q}(s) R_k(s) f_q(s) over the basis table, with f_q
-the angular Fourier coefficient of f taken by FFT on the rule's grid; only
+the angular Fourier coefficient of f taken by FFT on 2 deg f + 1 uniform
+phi nodes (exact, since f carries only the harmonics |q| <= deg f); only
 the band |q| <= deg f is assembled, by elementwise products and sums (no
 BLAS, so the bytes do not depend on any thread count); (2) exact radial
 moments, expanding the chart numerator of each monomial and integrating
-every z^a zbar^b (1+z zbar)^-(m+d) term as an exact Beta ratio -- no
-quadrature at all; (3) the explicit integral kernel, expanding
-(1 + z conj(zeta))^m binomially and re-projecting on the raw monomial
-frame.  Pairwise agreement of the three is the package's core self-test.
+every z^a zbar^b (1+z zbar)^-(m+d) term as an exact Beta ratio, tabulated
+once per term degree from exact binomials -- no quadrature at all; (3) the
+explicit integral kernel, expanding (1 + z conj(zeta))^m binomially and
+re-projecting on the raw monomial frame.  Pairwise agreement of the three
+is the package's core self-test.
 
 The geometric-quantization operator is Q_f = Pi(-(1/m) nabla_{X_f} + i f)Pi
 with the Hamiltonian field of the area form; the 1/m is the level-m scaling
@@ -23,14 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from ._zpoly import chart_rational, zp_eval
 from .errors import LevelMismatchError, UnderResolvedRuleError
 from .geometry import DEFAULT_CONVENTIONS, make_rule
-from .hilbert import SectionVector, basis_eval_grid, monomial_norm
+from .hilbert import TWO_PI, SectionVector, basis_eval_grid, binomial_row
 from .symbols import eval_ambient, laplace_beltrami
 
 BINARY_HEADER = b"BTQOPV01"
@@ -128,9 +129,10 @@ def _band_matrix(left, right, w, samples, band):
     """mat[k+q, k] = sum_i w_i left[i, k+q] right[i, k] c_q(s_i) for |q| <= band.
 
     samples[i, l] is the integrand's angular factor at (s_i, phi_l) on the
-    rule's uniform phi grid; c_q(s_i) = int samples e^{-i q phi} dphi is
-    exact by FFT while the phi grid resolves every frequency involved.
-    Entries outside the band are exact zeros.
+    `_phi_grid(band)` nodes.  The factor carries only the harmonics
+    |q| <= band, which 2 band + 1 nodes resolve without aliasing, so
+    c_q(s_i) = int samples e^{-i q phi} dphi is exact by FFT.  Entries
+    outside the band are exact zeros.
     """
     n = left.shape[1]
     coeffs = np.fft.fft(samples, axis=1) * (2.0 * math.pi / samples.shape[1])
@@ -145,10 +147,17 @@ def _band_matrix(left, right, w, samples, band):
     return mat
 
 
-def _ambient_grid(table):
-    """Ambient coordinates on the rule's grid, broadcasting to (n_s, n_phi)."""
+def _phi_grid(degree):
+    """The 2 degree + 1 uniform phi nodes that resolve harmonics |q| <= degree."""
+    n = 2 * degree + 1
+    return 2.0 * math.pi * np.arange(n) / n
+
+
+def _ambient_grid(table, degree):
+    """Ambient coordinates at the radial nodes times `_phi_grid(degree)`,
+    broadcasting to (n_s, 2 degree + 1)."""
     s = table.s[:, None]
-    phi = table.rule.phi_nodes()[None, :]
+    phi = _phi_grid(degree)[None, :]
     rho = 2.0 * np.sqrt(s * (1.0 - s))
     return rho * np.cos(phi), rho * np.sin(phi), 1.0 - 2.0 * s
 
@@ -173,7 +182,7 @@ def _resolve_table(f_degree, m, rule=None, table=None, margin=0, extra_degree=0)
 def toeplitz(f, m, rule=None, table=None, margin=0):
     """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>."""
     table = _resolve_table(f.degree, m, rule, table, margin)
-    fv = eval_ambient(f, *_ambient_grid(table))
+    fv = eval_ambient(f, *_ambient_grid(table, f.degree))
     mat = _band_matrix(table.B, table.B, table.w, fv, f.degree)
     hermitian = None
     if f.is_real:
@@ -219,19 +228,22 @@ def toeplitz_exact(f, m):
     """
     n = m + 1
     mat = np.zeros((n, n), dtype=complex)
-    sq = np.array([math.sqrt(float(math.comb(m, k))) for k in range(n)])
+    sq = np.sqrt(np.array(binomial_row(m), dtype=float))
+    k = np.arange(n)
+    kappas = {}
     for (a, b, c), coeff in sorted(f.terms.items()):
         d = a + b + c
+        if d not in kappas:
+            # kappa_A = (m+1)/((m+d+1) C(m+d, A)); int / int rounds correctly
+            kappas[d] = np.array([(m + 1) / ((m + d + 1) * cb)
+                                  for cb in binomial_row(m + d)])
+        kappa = kappas[d]
         poly = _chart_numerator(a, b, c)
         for (alpha, beta), cc in sorted(poly.items()):
             q = alpha - beta  # row j = k + q
-            for k in range(n):
-                j = k + q
-                if not 0 <= j < n:
-                    continue
-                big_a = k + alpha
-                kappa = Fraction(m + 1, (m + d + 1) * math.comb(m + d, big_a))
-                mat[j, k] += coeff * cc * (float(kappa) * sq[j] * sq[k])
+            kk = k[(k + q >= 0) & (k + q < n)]
+            mat[kk + q, kk] += coeff * cc * (kappa[kk + alpha]
+                                             * sq[kk + q] * sq[kk])
     hermitian = None
     if f.is_real:
         hermitian = bool(np.max(np.abs(mat - mat.conj().T)) <=
@@ -259,15 +271,15 @@ def kernel_apply(f, m, sec, rule=None, table=None):
 def _kernel_operator(f, table):
     m = table.m
     k = np.arange(m + 1)
-    sqrt_norms = np.sqrt([monomial_norm(m, kk) for kk in range(m + 1)])
     s = table.s[:, None]
     # raw monomial values |z^k| (1+|z|^2)^(-m/2) at the radial nodes (no norms)
     frame = s ** (k / 2.0) * (1.0 - s) ** ((m - k) / 2.0)
-    fv = eval_ambient(f, *_ambient_grid(table))
+    fv = eval_ambient(f, *_ambient_grid(table, f.degree))
     integrals = _band_matrix(frame, frame, table.w, fv, f.degree)
-    comb = np.array([float(math.comb(m, kk)) for kk in range(m + 1)])
-    scale = ((m + 1) / (2.0 * math.pi)) * comb * sqrt_norms
-    return scale[:, None] * integrals / sqrt_norms[None, :]
+    # kernel coefficient (m+1)/(2 pi) C(m,j) of z^j, with z^j and z^k
+    # re-expressed in the orthonormal basis (||z^k||^2 = 2 pi/((m+1) C(m,k)))
+    r = np.sqrt(np.array(binomial_row(m), dtype=float) * ((m + 1) / TWO_PI))
+    return r[:, None] * integrals * r[None, :]
 
 
 def kernel_matrix(f, m, rule=None, table=None):
@@ -286,16 +298,17 @@ def prequantum(f, m, rule=None, table=None):
     P_f p = (i/m)(1+z zbar)^2 (dzbar f)(dz p - m zbar p/(1+z zbar)) + i f p.
     Derivatives raise the integrand degree, hence the +2 exactness margin.
     dzbar shifts angular frequency by +1 and the factors zbar and 1/z by -1,
-    so both angular factors keep the harmonics |q| <= deg f and Q_f has the
-    band of T_f.  Anti-Hermitian (to quadrature accuracy) for real f.
+    so both angular factors keep the harmonics |q| <= deg f: they are
+    sampled on the 2 deg f + 1 nodes of `_phi_grid`, and Q_f has the band of
+    T_f.  Anti-Hermitian (to quadrature accuracy) for real f.
     """
     table = _resolve_table(f.degree, m, rule, table, extra_degree=2)
     rat = chart_rational(f.terms)
     d = rat.pole
     s = table.s[:, None]
-    z = np.sqrt(s / (1.0 - s)) * np.exp(1j * table.rule.phi_nodes())[None, :]
+    z = np.sqrt(s / (1.0 - s)) * np.exp(1j * _phi_grid(f.degree))[None, :]
     u = 1.0 / (1.0 - s)
-    fv = eval_ambient(f, *_ambient_grid(table))
+    fv = eval_ambient(f, *_ambient_grid(table, f.degree))
     # dzbar f = G/u^(d+1) by the quotient rule; we need u * dzbar f = G/u^d
     gv = zp_eval(rat.dzbar().num, z)
     u_dzbar_f = gv if d == 0 else gv * u ** (-float(d))

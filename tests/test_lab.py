@@ -192,6 +192,21 @@ def test_tuynman_run_mixed_symbol(rng):
     assert rep.passed
 
 
+def test_tuynman_run_norm_matches_svd(rng):
+    # real f: -i Q_f passes the hermiticity check and is normed by eigvalsh;
+    # complex f: it does not, and the norm falls back to the SVD
+    for f, hermitian in ((random_symbol(rng, degree=3), True),
+                         (random_symbol(rng, degree=3, real=False), False)):
+        for m in (1, 9, 40):
+            q = op.prequantum(f, m).mat
+            assert op.QuantumOperator(m, -1j * q).hermitian is hermitian
+            rep = lab.tuynman_run(f, [m])
+            detail = rep.checks[0].detail
+            qnorm = float(detail.split("|Q|=")[1])
+            svd = float(np.linalg.norm(q, 2))
+            assert abs(qnorm - svd) <= 1e-12 * svd
+
+
 # -- coherent -------------------------------------------------------------------
 
 

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from btq import operators as op
 from btq import symbols as sy
 from btq.errors import LevelMismatchError, UnderResolvedRuleError
 from btq.geometry import make_rule
-from btq.hilbert import SectionVector
+from btq.hilbert import SectionVector, basis_eval_grid
 from conftest import assemble_in_subprocess, random_symbol
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
@@ -68,6 +71,31 @@ def test_toeplitz_exact_selection_rule(rng):
                 assert t.mat[j, k] == 0.0
 
 
+def _toeplitz_exact_per_entry(f, m):
+    """Reference: one math.comb and one Fraction per entry."""
+    n = m + 1
+    mat = np.zeros((n, n), dtype=complex)
+    sq = np.array([math.sqrt(float(math.comb(m, k))) for k in range(n)])
+    for (a, b, c), coeff in sorted(f.terms.items()):
+        d = a + b + c
+        for (alpha, beta), cc in sorted(op._chart_numerator(a, b, c).items()):
+            for k in range(n):
+                j = k + alpha - beta
+                if 0 <= j < n:
+                    kappa = Fraction(m + 1, (m + d + 1) * math.comb(m + d, k + alpha))
+                    mat[j, k] += coeff * cc * (float(kappa) * sq[j] * sq[k])
+    return mat
+
+
+def test_toeplitz_exact_matches_per_entry_beta_ratios(rng):
+    symbols = (ONE, X3, X1 * X2, sy.parse("x1*x2*x3^2 + 0.25*x1^2*x2^2 - x3 + 0.125"),
+               random_symbol(rng, degree=5), random_symbol(rng, degree=4, real=False))
+    for f in symbols:
+        for m in (0, 1, 5, 40):
+            got = op.toeplitz_exact(f, m).mat
+            assert got.tobytes() == _toeplitz_exact_per_entry(f, m).tobytes()
+
+
 # -- Toeplitz path 3: integral kernel --------------------------------------------
 
 
@@ -103,6 +131,18 @@ def test_three_paths_agree(rng):
     for f in (X1, X3 * X3, X1 * X2, random_symbol(rng, degree=4)):
         for m in (2, 8, 32):
             assert cross_check(f, m) < 1e-10
+
+
+def test_band_limited_paths_match_exact_at_high_level(rng):
+    # the angular FFT runs on 2 deg f + 1 nodes; aliasing would show here
+    symbols = [random_symbol(rng, degree=d) for d in (1, 3, 6)]
+    symbols += [random_symbol(rng, degree=d, real=False) for d in (2, 6)]
+    for m in (256, 1000):
+        table = basis_eval_grid(m, make_rule(m, 6))
+        for f in symbols:
+            exact = op.toeplitz_exact(f, m).mat
+            for path in (op.toeplitz, op.kernel_matrix):
+                assert np.max(np.abs(path(f, m, table=table).mat - exact)) < 1e-12
 
 
 # -- structure ------------------------------------------------------------------
@@ -185,6 +225,19 @@ def test_tuynman_identity_quadrature(rng):
             q = op.prequantum(f, m)
             rhs = op.tuynman_rhs(f, m)
             assert np.max(np.abs(q.mat - rhs.mat)) <= 1e-10 * (1 + op.operator_norm(q))
+
+
+def test_prequantum_matches_tuynman_rhs_up_to_degree_6(rng):
+    # both angular factors of Q_f carry harmonics |q| <= deg f only
+    symbols = [random_symbol(rng, degree=d) for d in (1, 2, 4, 6)]
+    symbols.append(random_symbol(rng, degree=6, real=False))
+    for m in (1, 7, 64, 1000):
+        table = basis_eval_grid(m, make_rule(m, 8))
+        for f in symbols:
+            q = op.prequantum(f, m, table=table)
+            rhs = op.tuynman_rhs(f, m, table=table)
+            bound = 1e-12 * (1 + op.operator_norm(op.QuantumOperator(m, -1j * q.mat)))
+            assert np.max(np.abs(q.mat - rhs.mat)) <= bound
 
 
 # -- norms and commutators ---------------------------------------------------------
