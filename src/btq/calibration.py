@@ -49,11 +49,12 @@ def _laplace_defect(sign, m=4):
 
 def _commutator_defect(c_sign, m):
     conv = KahlerConventions(poisson_constant=2.0 * c_sign)
-    tf = toeplitz(X1, m)
-    tg = toeplitz(X2, m)
-    tfg = toeplitz(poisson_bracket(X1, X2, conv), m)
-    defect = (1j * m) * commutator(tf, tg) - tfg
-    return operator_norm(QuantumOperator(m, defect.mat))
+    tf = toeplitz(X1, m).mat
+    tg = toeplitz(X2, m).mat
+    tfg = toeplitz(poisson_bracket(X1, X2, conv), m).mat
+    # raw arrays, wrapped once: the hermiticity check runs a single time
+    defect = (tf @ tg - tg @ tf) * (1j * m) - tfg
+    return operator_norm(QuantumOperator(m, defect))
 
 
 def calibrate(tuynman_level=4, poisson_levels=(8, 32)):

@@ -179,19 +179,23 @@ def _resolve_table(f_degree, m, rule=None, table=None, margin=0, extra_degree=0)
 # -- path 1: quadrature --------------------------------------------------------
 
 
-def toeplitz(f, m, rule=None, table=None, margin=0):
-    """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>."""
+def _toeplitz_matrix(f, m, rule=None, table=None, margin=0):
+    """The raw T_f array; for real f, verified Hermitian to _HERM_TOL."""
     table = _resolve_table(f.degree, m, rule, table, margin)
     fv = eval_ambient(f, *_ambient_grid(table, f.degree))
     mat = _band_matrix(table.B, table.B, table.w, fv, f.degree)
-    hermitian = None
     if f.is_real:
         scale = max(1.0, float(np.max(np.abs(mat))))
         if float(np.max(np.abs(mat - mat.conj().T))) > _HERM_TOL * scale:
             raise UnderResolvedRuleError(
                 "real symbol produced a non-Hermitian Toeplitz matrix")
-        hermitian = True
-    return QuantumOperator(m, mat, hermitian=hermitian)
+    return mat
+
+
+def toeplitz(f, m, rule=None, table=None, margin=0):
+    """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>."""
+    mat = _toeplitz_matrix(f, m, rule, table, margin)
+    return QuantumOperator(m, mat, hermitian=True if f.is_real else None)
 
 
 # -- path 2: exact Beta moments ------------------------------------------------
@@ -328,7 +332,10 @@ def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS, rule=None, table=None):
     if m < 1:
         raise ValueError("Tuynman's relation needs m >= 1")
     g = f - laplace_beltrami(f, conventions) * (1.0 / (2.0 * m))
-    return toeplitz(g, m, rule=rule, table=table) * 1j
+    mat = _toeplitz_matrix(g, m, rule, table) * 1j
+    # real g: T_g is verified Hermitian, so i T_g is anti-Hermitian and is
+    # Hermitian only when zero; complex g: one check on the product
+    return QuantumOperator(m, mat, hermitian=not mat.any() if g.is_real else None)
 
 
 # -- norms and commutators -----------------------------------------------------

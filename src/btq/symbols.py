@@ -450,36 +450,46 @@ def evaluate(f, p):
 
 
 def _real_values(f, u, phi):
+    """Re f at (u = x3, phi) in real arithmetic: for real coordinates
+    v.real * x1^a * x2^b * x3^c is Re(v * x1^a * x2^b * x3^c) exactly."""
     rho = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    vals = eval_ambient(f, rho * np.cos(phi), rho * np.sin(phi), u)
-    return np.real(vals)
+    x1, x2 = rho * np.cos(phi), rho * np.sin(phi)
+    terms = [v.real * x1**a * x2**b * u**c
+             for (a, b, c), v in sorted(f.terms.items())]
+    return sum(terms[1:], terms[0]) if terms else np.zeros(np.shape(u))
 
 
 def _refine(f, u0, phi0, sign, rounds=48, local=7):
-    """Shrinking local grid search for the extremum of sign*f near (u0, phi0)."""
+    """Shrinking local grid search for the maximum of sign*f from each start
+    (one row of u0, phi0, sign).  All starts advance together, one
+    (starts, local^2) batch per round; a start moves to the first maximum of
+    its grid only on a strict gain.  Returns (best sign*f, u, phi) per start."""
     du, dphi = 2.0 / local, 2.0 * math.pi / local
+    rows = np.arange(len(sign))
     best_u, best_phi = u0, phi0
-    best = sign * _real_values(f, np.array([u0]), np.array([phi0]))[0]
+    best = sign * _real_values(f, u0, phi0)
     for _ in range(rounds):
-        us = np.clip(np.linspace(best_u - du, best_u + du, local), -1.0, 1.0)
-        ps = np.linspace(best_phi - dphi, best_phi + dphi, local)
-        uu, pp = np.meshgrid(us, ps, indexing="ij")
-        vals = sign * _real_values(f, uu.ravel(), pp.ravel())
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = vals[k]
-            best_u, best_phi = uu.ravel()[k], pp.ravel()[k]
+        us = np.clip(np.linspace(best_u - du, best_u + du, local, axis=-1), -1, 1)
+        ps = np.linspace(best_phi - dphi, best_phi + dphi, local, axis=-1)
+        uu, pp = np.repeat(us, local, axis=-1), np.tile(ps, local)
+        vals = sign[:, None] * _real_values(f, uu, pp)
+        k = np.argmax(vals, axis=-1)
+        better = vals[rows, k] > best
+        best = np.where(better, vals[rows, k], best)
+        best_u = np.where(better, uu[rows, k], best_u)
+        best_phi = np.where(better, pp[rows, k], best_phi)
         du *= 0.5
         dphi *= 0.5
     return best, best_u, best_phi
 
 
-def grid_extrema(f, resolution=96, refine=True):
+def grid_extrema(f, resolution=96):
     """(min, max, argmin point, argmax point) of a real symbol.
 
     Dense (resolution x 2*resolution) grid in (u = x3, phi) -- accuracy
-    O(resolution^-2) -- followed by local shrink refinement at the top few
-    coarse cells of each sign.
+    O(resolution^-2) -- then `_refine` from the 4 best cells of each sign,
+    all 8 starts together.  A search, not a certificate: an extremum outside
+    the basins of the starts is missed.
     """
     if not f.is_real:
         raise ValueError("grid extrema are defined for real symbols only")
@@ -488,19 +498,18 @@ def grid_extrema(f, resolution=96, refine=True):
     uu, pp = np.meshgrid(u, phi, indexing="ij")
     uu, pp = uu.ravel(), pp.ravel()
     vals = _real_values(f, uu, pp)
-
-    def _best(sign):
-        order = np.argsort(sign * vals)[::-1][:4]
-        cand = [(sign * vals[k], uu[k], pp[k]) for k in order]
-        if refine:
-            cand = [_refine(f, cu, cp, sign) for _, cu, cp in cand]
-        v, cu, cp = max(cand, key=lambda t: t[0])
+    n = min(4, vals.size)
+    start = np.concatenate([np.argsort(s * vals)[::-1][:n] for s in (1.0, -1.0)])
+    sign = np.repeat([1.0, -1.0], n)
+    best, best_u, best_phi = _refine(f, uu[start], pp[start], sign)
+    ext = []
+    for lo in (0, n):
+        k = lo + int(np.argmax(best[lo:lo + n]))
+        cu, cp = best_u[k], best_phi[k]
         rho = math.sqrt(max(0.0, 1.0 - cu * cu))
         pt = SpherePoint.from_ambient(rho * math.cos(cp), rho * math.sin(cp), cu)
-        return sign * v, pt
-
-    fmax, arg_max = _best(+1.0)
-    fmin, arg_min = _best(-1.0)
+        ext.append((sign[k] * best[k], pt))
+    (fmax, arg_max), (fmin, arg_min) = ext
     return float(fmin), float(fmax), arg_min, arg_max
 
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from btq import calibration as cal
+from btq import operators as op
+from btq import symbols as sy
 from btq.errors import LedgerError
 from btq.geometry import KahlerConventions
 
@@ -19,6 +21,18 @@ def test_calibration_selects_expected_signs():
     assert hi < 0.8 * lo
     blo, bhi = diag["commutator_defects"]["-1"]
     assert bhi > 0.95 * blo
+
+
+def test_commutator_defect_matches_operator_arithmetic():
+    # raw arrays wrapped once give the bytes and the flag of the
+    # QuantumOperator expression, which checks hermiticity four times
+    for sign in (1, -1):
+        conv = KahlerConventions(poisson_constant=2.0 * sign)
+        for m in (8, 32):
+            tf, tg = op.toeplitz(sy.X1, m), op.toeplitz(sy.X2, m)
+            tfg = op.toeplitz(sy.poisson_bracket(sy.X1, sy.X2, conv), m)
+            ref = (1j * m) * op.commutator(tf, tg) - tfg
+            assert cal._commutator_defect(sign, m) == op.operator_norm(ref)
 
 
 def test_ledger_roundtrip_and_idempotence(tmp_path):

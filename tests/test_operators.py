@@ -219,6 +219,20 @@ def test_tuynman_rhs_examples():
         op.tuynman_rhs(X3, 0)
 
 
+def test_tuynman_rhs_checks_hermiticity_once():
+    # the flag equals the auto check on i T_g, and the bytes those of
+    # toeplitz(g) * 1j, without a second check after toeplitz's own
+    f10 = sy.parse("x1*x2*x3^2 + 0.25*x1^2*x2^2 - x3 + 0.125")
+    cases = [(sy.Symbol({}), True), (X3, False), (f10, False),
+             (1j * X3, True), (X1 + 1j * X2 * X3, False)]
+    for f, expected in cases:
+        for m in (1, 6, 32):
+            rhs = op.tuynman_rhs(f, m)
+            g = f - sy.laplace_beltrami(f) * (1.0 / (2.0 * m))
+            assert rhs.mat.tobytes() == (op.toeplitz(g, m) * 1j).mat.tobytes()
+            assert rhs.hermitian == op.QuantumOperator(m, rhs.mat).hermitian == expected
+
+
 def test_tuynman_identity_quadrature(rng):
     for f in (X1, X3 * X3, random_symbol(rng, degree=2)):
         for m in (2, 8):
