@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import CalibrationError, LedgerError
 from .geometry import KahlerConventions, TOTAL_AREA
-from .operators import (QuantumOperator, commutator, operator_norm, prequantum,
-                        toeplitz, tuynman_rhs)
+from .operators import commutator, operator_norm, prequantum, toeplitz, tuynman_rhs
 from .symbols import X1, X2, X3, poisson_bracket
 
 LEDGER_ENV = "BTQ_LEDGER"
@@ -44,17 +43,13 @@ def _laplace_defect(sign, m=4):
     conv = KahlerConventions(laplace_sign=sign)
     lhs = prequantum(X3, m)
     rhs = tuynman_rhs(X3, m, conv)
-    return float(np.max(np.abs(lhs.mat - rhs.mat)))
+    return float(np.max(np.abs((lhs - rhs).diags)))
 
 
 def _commutator_defect(c_sign, m):
     conv = KahlerConventions(poisson_constant=2.0 * c_sign)
-    tf = toeplitz(X1, m).mat
-    tg = toeplitz(X2, m).mat
-    tfg = toeplitz(poisson_bracket(X1, X2, conv), m).mat
-    # raw arrays, wrapped once: the hermiticity check runs a single time
-    defect = (tf @ tg - tg @ tf) * (1j * m) - tfg
-    return operator_norm(QuantumOperator(m, defect))
+    tfg = toeplitz(poisson_bracket(X1, X2, conv), m)
+    return operator_norm(commutator(toeplitz(X1, m), toeplitz(X2, m)) * (1j * m) - tfg)
 
 
 def calibrate(tuynman_level=4, poisson_levels=(8, 32)):

@@ -11,6 +11,7 @@ this package produces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,10 +159,12 @@ class QuadratureRule:
         return np.sum(w * values)
 
 
+@functools.lru_cache(maxsize=None)
 def make_rule(m, degree, margin=0):
     """Rule exact for every level-m matrix-element integrand with symbols
     of total degree <= degree: radial degree >= m+degree, angular
-    frequency >= 2m+degree (plus the requested safety margin)."""
+    frequency >= 2m+degree (plus the requested safety margin).  Memoised,
+    so the node and weight arrays are read-only."""
     if m < 0 or degree < 0 or margin < 0:
         raise ValueError("level, degree and margin must be nonnegative")
     need_radial = m + degree + margin
@@ -181,6 +184,7 @@ def make_rule(m, degree, margin=0):
     dp = n_s * (x * p - p_prev) / (x * x - 1.0)
     s = 0.5 * (x + 1.0)
     ws = 1.0 / ((1.0 - x * x) * dp * dp)
+    s.flags.writeable = ws.flags.writeable = False
     return QuadratureRule(
         s_nodes=s,
         s_weights=ws,

@@ -13,7 +13,9 @@ every z^a zbar^b (1+z zbar)^-(m+d) term as an exact Beta ratio, tabulated
 once per term degree from exact binomials -- no quadrature at all; (3) the
 explicit integral kernel, expanding (1 + z conj(zeta))^m binomially and
 re-projecting on the raw monomial frame.  Pairwise agreement of the three
-is the package's core self-test.
+is the package's core self-test.  Operators are stored as their band of
+diagonals (`QuantumOperator`), filled directly by every path; only
+`operator_norm` builds the dense (m+1)^2 matrix, for LAPACK.
 
 The geometric-quantization operator is Q_f = Pi(-(1/m) nabla_{X_f} + i f)Pi
 with the Hamiltonian field of the area form; the 1/m is the level-m scaling
@@ -23,10 +25,12 @@ relation Q_f = i T_{f - Laplacian(f)/(2m)} is the exactness check.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._zpoly import chart_rational, zp_eval
 from .errors import LevelMismatchError, UnderResolvedRuleError
@@ -38,56 +42,128 @@ BINARY_HEADER = b"BTQOPV01"
 _HERM_TOL = 1e-12
 
 
-class QuantumOperator:
-    """Dense complex matrix at level m in the orthonormal basis."""
+@functools.lru_cache(maxsize=64)
+def _band_index(band, n):
+    """Per stack entry (band + q, k): row k + q (clipped), in-matrix mask,
+    and flat index in the dense matrix (n^2 outside it).  Read-only."""
+    rows = np.arange(-band, band + 1)[:, None] + np.arange(n)[None, :]
+    inside = (rows >= 0) & (rows < n)
+    flat = np.where(inside, rows * n + np.arange(n), n * n)
+    out = (np.clip(rows, 0, n - 1), inside, flat)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
-    __slots__ = ("m", "mat", "hermitian", "_norm")
+
+def _hermitian_defect(diags):
+    """max |A - A^H| on the band: (A^H)[k+q, k] = conj(A[k, k+q])."""
+    rows, inside, _ = _band_index(len(diags) // 2, diags.shape[1])
+    adj = np.where(inside, np.take_along_axis(diags[::-1], rows, axis=1).conj(), 0)
+    return float(np.max(np.abs(diags - adj)))
+
+
+def _is_hermitian(diags):
+    return _hermitian_defect(diags) <= _HERM_TOL * max(1.0, float(np.max(np.abs(diags))))
+
+
+def _band_product(a, b):
+    """Stack of A B, one pass per diagonal p of A: (AB)[k+p+r, k] gains
+    A[k+r+p, k+r] B[k+r, k] for every diagonal r of B.  O(n b1 b2) work."""
+    b1, b2, n = len(a) // 2, len(b) // 2, a.shape[1]
+    out = np.zeros((2 * (b1 + b2) + 1, n), dtype=complex)
+    padded = np.pad(a, ((0, 0), (b2, b2)))
+    for i in range(2 * b1 + 1):
+        # shifted[r + b2, k] = A[k+r+p, k+r] with p = i - b1 (zero off the matrix)
+        shifted = sliding_window_view(padded[i], n)
+        out[i:i + 2 * b2 + 1] += shifted * b
+    top = min(b1 + b2, n - 1)
+    return out[b1 + b2 - top:b1 + b2 + top + 1]
+
+
+class QuantumOperator:
+    """Complex operator at level m in the orthonormal basis, kept as its band:
+    diags[band + q, k] = A[k+q, k] for |q| <= band (zero-padded), and every
+    entry with |j - k| > band is an exact zero.  The constructor keeps the
+    exact band of a dense matrix; `.mat` materialises one on each access.
+    Arithmetic, products (band b1 + b2, O(m b1 b2)), mat-vecs and the
+    hermiticity check act on the diagonals."""
+
+    __slots__ = ("m", "band", "diags", "hermitian")
 
     def __init__(self, m, mat, hermitian=None):
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (m + 1, m + 1):
             raise ValueError(f"level {m} needs a {m + 1}x{m + 1} matrix")
-        self.m = m
-        self.mat = mat
-        if hermitian is None:
-            scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
-            hermitian = float(np.max(np.abs(mat - mat.conj().T))) <= _HERM_TOL * scale
-        self.hermitian = bool(hermitian)
-        self._norm = None
+        band = int(np.max(np.abs(np.subtract(*np.nonzero(mat))), initial=0))
+        rows, inside, _ = _band_index(band, m + 1)
+        self._set(m, np.where(inside, mat[rows, np.arange(m + 1)], 0), hermitian)
+
+    @classmethod
+    def from_diags(cls, m, diags, hermitian=None):
+        """Wrap a zero-padded (2 band + 1, m + 1) diagonal stack, band <= m."""
+        if diags.shape[1:] != (m + 1,) or len(diags) % 2 == 0 or len(diags) > 2 * m + 1:
+            raise ValueError(f"level {m} needs a (2 band + 1, {m + 1}) stack")
+        op = cls.__new__(cls)
+        op._set(m, diags, hermitian)
+        return op
+
+    def _set(self, m, diags, hermitian):
+        self.m, self.band, self.diags = m, len(diags) // 2, diags
+        self.hermitian = bool(_is_hermitian(diags) if hermitian is None else hermitian)
+
+    @property
+    def mat(self):
+        n = self.m + 1
+        out = np.zeros(n * n + 1, dtype=complex)  # the padding lands in the last slot
+        out[_band_index(self.band, n)[2]] = self.diags
+        return out[:-1].reshape(n, n)
 
     def hermitian_defect(self):
-        return float(np.max(np.abs(self.mat - self.mat.conj().T)))
+        return _hermitian_defect(self.diags)
+
+    def _aligned(self, other):
+        self._check(other)
+        band = max(self.band, other.band)
+        return (np.pad(d, ((band - len(d) // 2,) * 2, (0, 0)))
+                for d in (self.diags, other.diags))
 
     def __add__(self, other):
-        self._check(other)
-        return QuantumOperator(self.m, self.mat + other.mat)
+        a, b = self._aligned(other)
+        return QuantumOperator.from_diags(self.m, a + b)
 
     def __sub__(self, other):
-        self._check(other)
-        return QuantumOperator(self.m, self.mat - other.mat)
+        a, b = self._aligned(other)
+        return QuantumOperator.from_diags(self.m, a - b)
 
     def __mul__(self, scalar):
-        return QuantumOperator(self.m, self.mat * scalar)
+        return QuantumOperator.from_diags(self.m, self.diags * scalar)
 
-    __rmul__ = __mul__
+    def __rmul__(self, scalar):  # scalar first, as numpy's scalar * array rounds
+        return QuantumOperator.from_diags(self.m, scalar * self.diags)
+
+    def __truediv__(self, scalar):
+        return QuantumOperator.from_diags(self.m, self.diags / scalar)
 
     def __neg__(self):
-        return QuantumOperator(self.m, -self.mat)
+        return QuantumOperator.from_diags(self.m, -self.diags)
 
     def __matmul__(self, other):
+        """Operator product, or the operator applied to a SectionVector."""
+        if isinstance(other, SectionVector):
+            if other.m != self.m:
+                raise LevelMismatchError(f"levels {self.m} and {other.m} differ")
+            rows, inside, _ = _band_index(self.band, self.m + 1)
+            out = np.zeros(self.m + 1, dtype=complex)
+            np.add.at(out, rows[inside], (self.diags * other.coeffs)[inside])
+            return SectionVector(self.m, out)
         self._check(other)
-        return QuantumOperator(self.m, self.mat @ other.mat)
+        return QuantumOperator.from_diags(self.m, _band_product(self.diags, other.diags))
 
     def _check(self, other):
         if not isinstance(other, QuantumOperator):
             raise TypeError("expected a QuantumOperator")
         if self.m != other.m:
             raise LevelMismatchError(f"levels {self.m} and {other.m} differ")
-
-    def norm(self):
-        if self._norm is None:
-            self._norm = operator_norm(self)
-        return self._norm
 
     # -- serialization ---------------------------------------------------
 
@@ -119,32 +195,32 @@ class QuantumOperator:
 
 
 def identity(m):
-    return QuantumOperator(m, np.eye(m + 1, dtype=complex), hermitian=True)
+    return QuantumOperator.from_diags(m, np.ones((1, m + 1), complex), hermitian=True)
 
 
 # -- banded assembly on the radial table ---------------------------------------
 
 
 def _band_matrix(left, right, w, samples, band):
-    """mat[k+q, k] = sum_i w_i left[i, k+q] right[i, k] c_q(s_i) for |q| <= band.
+    """Diagonal stack d[top + q, k] = sum_i w_i left[i, k+q] right[i, k] c_q(s_i)
+    for |q| <= top = min(band, n - 1), in `QuantumOperator` layout.
 
     samples[i, l] is the integrand's angular factor at (s_i, phi_l) on the
     `_phi_grid(band)` nodes.  The factor carries only the harmonics
     |q| <= band, which 2 band + 1 nodes resolve without aliasing, so
-    c_q(s_i) = int samples e^{-i q phi} dphi is exact by FFT.  Entries
-    outside the band are exact zeros.
+    c_q(s_i) = int samples e^{-i q phi} dphi is exact by FFT.  Only the
+    band is allocated: O(n band) memory, never n^2.
     """
     n = left.shape[1]
     coeffs = np.fft.fft(samples, axis=1) * (2.0 * math.pi / samples.shape[1])
-    mat = np.zeros((n, n), dtype=complex)
     top = min(band, n - 1)
+    diags = np.zeros((2 * top + 1, n), dtype=complex)
     for q in range(-top, top + 1):
         a, b = max(q, 0), max(-q, 0)  # band q starts at row a, column b
         wc = w * coeffs[:, q]  # negative q indexes frequency q modulo n_phi
         prod = left[:, a:n - b] * right[:, b:n - a]
-        vals = np.sum(wc[:, None] * prod, axis=0)
-        mat[np.arange(a, n - b), np.arange(b, n - a)] = vals
-    return mat
+        diags[top + q, b:n - a] = np.sum(wc[:, None] * prod, axis=0)
+    return diags
 
 
 def _phi_grid(degree):
@@ -179,23 +255,21 @@ def _resolve_table(f_degree, m, rule=None, table=None, margin=0, extra_degree=0)
 # -- path 1: quadrature --------------------------------------------------------
 
 
-def _toeplitz_matrix(f, m, rule=None, table=None, margin=0):
-    """The raw T_f array; for real f, verified Hermitian to _HERM_TOL."""
+def _toeplitz_diags(f, m, rule=None, table=None, margin=0):
+    """The diagonal stack of T_f; for real f, verified Hermitian to _HERM_TOL."""
     table = _resolve_table(f.degree, m, rule, table, margin)
     fv = eval_ambient(f, *_ambient_grid(table, f.degree))
-    mat = _band_matrix(table.B, table.B, table.w, fv, f.degree)
-    if f.is_real:
-        scale = max(1.0, float(np.max(np.abs(mat))))
-        if float(np.max(np.abs(mat - mat.conj().T))) > _HERM_TOL * scale:
-            raise UnderResolvedRuleError(
-                "real symbol produced a non-Hermitian Toeplitz matrix")
-    return mat
+    diags = _band_matrix(table.B, table.B, table.w, fv, f.degree)
+    if f.is_real and not _is_hermitian(diags):
+        raise UnderResolvedRuleError(
+            "real symbol produced a non-Hermitian Toeplitz matrix")
+    return diags
 
 
 def toeplitz(f, m, rule=None, table=None, margin=0):
     """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>."""
-    mat = _toeplitz_matrix(f, m, rule, table, margin)
-    return QuantumOperator(m, mat, hermitian=True if f.is_real else None)
+    diags = _toeplitz_diags(f, m, rule, table, margin)
+    return QuantumOperator.from_diags(m, diags, hermitian=True if f.is_real else None)
 
 
 # -- path 2: exact Beta moments ------------------------------------------------
@@ -230,8 +304,8 @@ def toeplitz_exact(f, m):
     sums of such ratios, and the angular selection rule |j-k| <= a+b with
     parity is automatic.
     """
-    n = m + 1
-    mat = np.zeros((n, n), dtype=complex)
+    n, top = m + 1, f.degree
+    diags = np.zeros((2 * top + 1, n), dtype=complex)
     sq = np.sqrt(np.array(binomial_row(m), dtype=float))
     k = np.arange(n)
     kappas = {}
@@ -246,13 +320,9 @@ def toeplitz_exact(f, m):
         for (alpha, beta), cc in sorted(poly.items()):
             q = alpha - beta  # row j = k + q
             kk = k[(k + q >= 0) & (k + q < n)]
-            mat[kk + q, kk] += coeff * cc * (kappa[kk + alpha]
-                                             * sq[kk + q] * sq[kk])
-    hermitian = None
-    if f.is_real:
-        hermitian = bool(np.max(np.abs(mat - mat.conj().T)) <=
-                         _HERM_TOL * max(1.0, np.max(np.abs(mat))))
-    return QuantumOperator(m, mat, hermitian=hermitian)
+            diags[top + q, kk] += coeff * cc * (kappa[kk + alpha] * sq[kk + q] * sq[kk])
+    band = min(top, m)  # diagonals |q| > m hold no entry
+    return QuantumOperator.from_diags(m, diags[top - band:top + band + 1])
 
 
 # -- path 3: integral kernel ---------------------------------------------------
@@ -269,7 +339,7 @@ def kernel_apply(f, m, sec, rule=None, table=None):
     table = _resolve_table(f.degree, m, rule, table)
     if sec.m != m:
         raise ValueError("section level mismatch")
-    return SectionVector(m, _kernel_operator(f, table) @ sec.coeffs)
+    return _kernel_operator(f, table) @ sec
 
 
 def _kernel_operator(f, table):
@@ -283,13 +353,13 @@ def _kernel_operator(f, table):
     # kernel coefficient (m+1)/(2 pi) C(m,j) of z^j, with z^j and z^k
     # re-expressed in the orthonormal basis (||z^k||^2 = 2 pi/((m+1) C(m,k)))
     r = np.sqrt(np.array(binomial_row(m), dtype=float) * ((m + 1) / TWO_PI))
-    return r[:, None] * integrals * r[None, :]
+    rows = _band_index(len(integrals) // 2, m + 1)[0]
+    return QuantumOperator.from_diags(m, r[rows] * integrals * r[None, :])
 
 
 def kernel_matrix(f, m, rule=None, table=None):
     """T_f reconstructed column-by-column from the kernel path."""
-    table = _resolve_table(f.degree, m, rule, table)
-    return QuantumOperator(m, _kernel_operator(f, table))
+    return _kernel_operator(f, _resolve_table(f.degree, m, rule, table))
 
 
 # -- geometric quantization ----------------------------------------------------
@@ -323,8 +393,8 @@ def prequantum(f, m, rule=None, table=None):
     base = 1j * (fv - np.conj(z) * u_dzbar_f)
     B, w, band = table.B, table.w, f.degree
     k = np.arange(m + 1)
-    mat = _band_matrix(B, B, w, base, band) + _band_matrix(B, B * k, w, col, band)
-    return QuantumOperator(m, mat, hermitian=False)
+    diags = _band_matrix(B, B, w, base, band) + _band_matrix(B, B * k, w, col, band)
+    return QuantumOperator.from_diags(m, diags, hermitian=False)
 
 
 def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS, rule=None, table=None):
@@ -332,18 +402,19 @@ def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS, rule=None, table=None):
     if m < 1:
         raise ValueError("Tuynman's relation needs m >= 1")
     g = f - laplace_beltrami(f, conventions) * (1.0 / (2.0 * m))
-    mat = _toeplitz_matrix(g, m, rule, table) * 1j
+    diags = _toeplitz_diags(g, m, rule, table) * 1j
     # real g: T_g is verified Hermitian, so i T_g is anti-Hermitian and is
     # Hermitian only when zero; complex g: one check on the product
-    return QuantumOperator(m, mat, hermitian=not mat.any() if g.is_real else None)
+    hermitian = not diags.any() if g.is_real else None
+    return QuantumOperator.from_diags(m, diags, hermitian=hermitian)
 
 
 # -- norms and commutators -----------------------------------------------------
 
 
 def operator_norm(op):
-    """Largest singular value: Hermitian eigendecomposition when flagged,
-    else the LAPACK 2-norm (largest singular value)."""
+    """Largest singular value on the dense matrix, a run's one O(m^2) allocation:
+    eigvalsh when flagged Hermitian, else the LAPACK 2-norm."""
     if op.hermitian:
         if op.m == 0:
             return float(abs(op.mat[0, 0]))
@@ -354,4 +425,5 @@ def operator_norm(op):
 def commutator(a, b):
     """[A, B] = AB - BA (anti-Hermitian for Hermitian inputs)."""
     a._check(b)
-    return QuantumOperator(a.m, a.mat @ b.mat - b.mat @ a.mat)
+    ab, ba = _band_product(a.diags, b.diags), _band_product(b.diags, a.diags)
+    return QuantumOperator.from_diags(a.m, ab - ba)

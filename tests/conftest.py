@@ -29,6 +29,12 @@ def random_symbol(rng, degree=3, nterms=5, real=True):
     return s if not s.is_zero else X3
 
 
+def dense_hermitian(mat):
+    """The dense hermiticity check of `QuantumOperator` before it stored bands."""
+    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
+    return float(np.max(np.abs(mat - mat.conj().T))) <= 1e-12 * scale
+
+
 def random_point(rng, radius=2.0):
     """Random finite-chart point with |z| <= radius."""
     from btq.geometry import SpherePoint

@@ -67,6 +67,22 @@ def test_margin_increases_rule():
     assert fat.n_phi >= base.n_phi + 6
 
 
+def test_make_rule_is_memoised():
+    for args, kw in (((0, 0), {}), ((8, 4), {}), ((17, 6), {"margin": 2})):
+        rule = make_rule(*args, **kw)
+        assert make_rule(*args, **kw) is rule
+        fresh = make_rule.__wrapped__(*args, **kw)
+        assert fresh is not rule
+        for name in ("s_nodes", "s_weights"):
+            arr = getattr(rule, name)
+            assert not arr.flags.writeable
+            assert arr.tobytes() == getattr(fresh, name).tobytes()
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert (rule.n_phi, rule.max_radial_degree, rule.max_angular_frequency) == \
+            (fresh.n_phi, fresh.max_radial_degree, fresh.max_angular_frequency)
+
+
 def test_capacity_error():
     with pytest.raises(CapacityError):
         make_rule(4000, 4000)

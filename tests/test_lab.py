@@ -11,7 +11,9 @@ from btq import operators as op
 from btq import symbols as sy
 from btq.errors import InsufficientDataError
 from btq.geometry import SpherePoint
-from conftest import random_symbol
+from btq.geometry import make_rule
+from btq.hilbert import basis_eval_grid
+from conftest import dense_hermitian, random_symbol
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
 
@@ -205,6 +207,44 @@ def test_tuynman_run_norm_matches_svd(rng):
             qnorm = float(detail.split("|Q|=")[1])
             svd = float(np.linalg.norm(q, 2))
             assert abs(qnorm - svd) <= 1e-12 * svd
+
+
+def test_tuynman_and_crosscheck_rows_match_dense_reference():
+    # today's dense arithmetic, inline: defects of full matrices, the norm
+    # of -i Q_f by eigvalsh or the SVD on the dense array
+    f = sy.parse("x1*x2*x3^2 + 0.25*x1^2*x2^2 - x3 + 0.125")
+    for m in (64, 300):
+        table = basis_eval_grid(m, make_rule(m, f.degree + 2))
+        q = op.prequantum(f, m, table=table).mat
+        defect = float(np.max(np.abs(q - op.tuynman_rhs(f, m, table=table).mat)))
+        h = -1j * q
+        qnorm = float(np.max(np.abs(np.linalg.eigvalsh(h)))) if dense_hermitian(h) \
+            else float(np.linalg.norm(h, 2))
+        rep = lab.tuynman_run(f, [m])
+        assert rep.rows[0].measured == defect
+        assert rep.checks[0].detail == f"defect={defect!r} |Q|={qnorm!r}"
+        table = basis_eval_grid(m, make_rule(m, f.degree))
+        a = op.toeplitz(f, m, table=table).mat
+        b = op.toeplitz_exact(f, m).mat
+        c = op.kernel_matrix(f, m, table=table).mat
+        d = float(max(np.max(np.abs(a - b)), np.max(np.abs(a - c)),
+                      np.max(np.abs(b - c))))
+        assert lab.crosscheck_run(f, [m]).rows[0].measured == d
+
+
+def test_thm_residuals_keep_the_band(monkeypatch):
+    seen = []
+    norm = lab.operator_norm
+    monkeypatch.setattr(lab, "operator_norm",
+                        lambda t: seen.append((t.band, t.hermitian)) or norm(t))
+    lab.thm2_run(X1 * X2, X3 * X3 + X1, [8, 16])  # deg f + deg g = 4
+    assert seen == [(4, True)] * 2
+    seen.clear()
+    lab.thm3_run(X1, X2 * X3, [8, 16])  # 1 + 2, both orders
+    assert seen == [(3, False)] * 4
+    seen.clear()
+    lab.thm3_run(X3, X3, [8, 16])  # Hermitian residuals, still normed by the SVD
+    assert seen == [(2, False)] * 4
 
 
 # -- coherent -------------------------------------------------------------------

@@ -9,9 +9,10 @@ from btq import symbols as sy
 from btq.errors import LevelMismatchError, UnderResolvedRuleError
 from btq.geometry import make_rule
 from btq.hilbert import SectionVector, basis_eval_grid
-from conftest import assemble_in_subprocess, random_symbol
+from conftest import assemble_in_subprocess, dense_hermitian, random_symbol
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
+CRITERION10 = "x1*x2*x3^2 + 0.25*x1^2*x2^2 - x3 + 0.125"
 
 
 def diag_x3(m):
@@ -295,6 +296,89 @@ def test_commutator_m1_explicit():
 def test_level_mismatch():
     with pytest.raises(LevelMismatchError):
         op.commutator(op.identity(3), op.identity(4))
+
+
+# -- banded storage -----------------------------------------------------------------
+
+
+def _banded(rng, m, band):
+    """Random complex matrix with every entry of |j - k| > band zero."""
+    mat = rng.randn(m + 1, m + 1) + 1j * rng.randn(m + 1, m + 1)
+    j, k = np.indices(mat.shape)
+    return np.where(np.abs(j - k) <= band, mat, 0)
+
+
+def _on_band(ref, band):
+    """numpy's result with its off-band zeros as +0.0 (numpy's -mat gives -0.0)."""
+    j, k = np.indices(ref.shape)
+    outside = np.abs(j - k) > band
+    assert not ref[outside].any()
+    return np.where(outside, 0, ref)
+
+
+def test_band_storage_matches_dense(rng):
+    for m in (0, 1, 7, 40):
+        mats = [_banded(rng, m, b) for b in (m, m, 0, 1, 3)]
+        ops = [op.QuantumOperator(m, a) for a in mats]
+        for a, x, b in zip(mats, ops, (m, m, 0, 1, 3)):
+            assert x.band == min(b, m)
+            assert x.diags.shape == (2 * x.band + 1, m + 1)
+            assert x.mat.tobytes() == a.tobytes()
+            for s in (2.5, -1.5 + 0.25j, -1j):
+                assert (x * s).mat.tobytes() == _on_band(a * s, x.band).tobytes()
+                assert (s * x).mat.tobytes() == _on_band(s * a, x.band).tobytes()
+                assert (x / s).mat.tobytes() == _on_band(a / s, x.band).tobytes()
+            assert (-x).mat.tobytes() == _on_band(-a, x.band).tobytes()
+            v = rng.randn(m + 1) + 1j * rng.randn(m + 1)
+            ref = a @ v
+            got = (x @ SectionVector(m, v)).coeffs
+            assert np.max(np.abs(got - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+        for a, x in zip(mats, ops):
+            for b, y in zip(mats, ops):
+                band = max(x.band, y.band)
+                assert (x + y).mat.tobytes() == _on_band(a + b, band).tobytes()
+                assert (x - y).mat.tobytes() == _on_band(a - b, band).tobytes()
+                for got, ref in (((x @ y).mat, a @ b),
+                                 (op.commutator(x, y).mat, a @ b - b @ a)):
+                    assert np.max(np.abs(got - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+                assert (x @ y).band == min(x.band + y.band, m)
+
+
+def test_band_hermiticity_matches_dense_check(rng):
+    # a Hermitian H (max |H| = 1) plus eps S, S anti-Hermitian with max |S| = 1:
+    # |A - A^H| = 2 eps against the 1e-12 tolerance
+    for m in (0, 1, 7, 40):
+        for band in (0, 1, 3, m):
+            r = _banded(rng, m, band)
+            h = (r + r.conj().T) / 2
+            h /= np.max(np.abs(h))
+            r = _banded(rng, m, band)
+            s = (r - r.conj().T) / 2
+            s /= np.max(np.abs(s))
+            for eps, expected in ((0.0, True), (0.5e-12, None), (2e-12, False)):
+                a = h + eps * s
+                x = op.QuantumOperator(m, a)
+                assert x.hermitian == dense_hermitian(a)
+                assert expected is None or x.hermitian is expected
+                assert x.hermitian_defect() == float(np.max(np.abs(a - a.conj().T)))
+
+
+def test_operators_store_only_their_band():
+    f = sy.parse(CRITERION10)
+    m = 1000
+    table = basis_eval_grid(m, make_rule(m, f.degree + 2))
+    for t in (op.toeplitz(f, m, table=table), op.toeplitz_exact(f, m),
+              op.kernel_matrix(f, m, table=table), op.prequantum(f, m, table=table),
+              op.tuynman_rhs(f, m, table=table)):
+        assert t.band == f.degree
+        assert t.diags.size <= (2 * f.degree + 1) * (m + 1)
+
+
+def test_operator_norm_is_the_dense_eigvalsh():
+    f = sy.parse(CRITERION10)
+    for m in (1, 64, 300):
+        t = op.toeplitz(f, m)
+        assert op.operator_norm(t) == float(np.max(np.abs(np.linalg.eigvalsh(t.mat))))
 
 
 # -- serialization and determinism ---------------------------------------------------
