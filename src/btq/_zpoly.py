@@ -81,6 +81,15 @@ X_NUM = (
 )
 
 
+def chart_numerator(a, b, c):
+    """Chart numerator of x1^a x2^b x3^c, which is it over (1+z zbar)^(a+b+c)."""
+    num = {(0, 0): 1.0}
+    for e, base in zip((a, b, c), X_NUM):
+        if e:
+            num = zp_mul(num, zp_pow(base, e))
+    return num
+
+
 class Rational:
     """num/(1+z zbar)^pole with polynomial numerator."""
 

@@ -61,7 +61,8 @@ def _build_parser():
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
         sp.add_argument("--margin", type=int, default=0,
-                        help="quadrature safety margin")
+                        help="extra exactness degree for the radial Gauss rule "
+                             "(adds radial nodes)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--auto-calibrate", action="store_true",
                         help="write the conventions ledger if it is missing")
@@ -157,6 +158,8 @@ def _dispatch(args):
 
     conv = _conventions(args)
     levels, window = _levels(args)
+    if args.margin < 0:
+        raise UsageError("--margin must be >= 0")
     f = parse(args.f)
     kw = dict(window=window, conventions=conv, margin=args.margin,
               seed=args.seed)

@@ -6,7 +6,9 @@ radius 1/sqrt(2)).  z = 0 is the north pole x3 = +1; the single point the
 chart misses is the south pole (0,0,-1).  In the radial substitution
 s = |z|^2/(1+|z|^2) the volume form is exactly ds dphi on (0,1) x (0,2*pi),
 which is what makes finite-node quadrature exact for all the integrands
-this package produces.
+this package produces: `make_rule` sizes the Gauss rule in s for a level
+and symbol degree, and `phi_grid(d)` is the uniform phi grid that resolves
+the harmonics of a degree-d symbol.  No 2-D grid is ever built.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .errors import CapacityError
 
 TOTAL_AREA = 2.0 * math.pi
 
-# hard cap on tensor-product quadrature size; make_rule refuses beyond this
-MAX_QUAD_NODES = 8_000_000
+# cap on Gauss nodes in s, the one size make_rule allocates (leggauss
+# builds an n x n companion matrix: about 1 s at this size)
+MAX_RADIAL_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -127,54 +130,30 @@ def diastasis(p, q):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Product rule: Gauss nodes in s = |z|^2/(1+|z|^2), uniform nodes in phi.
-
-    Exact (to roundoff) for p(s) e^{i q phi} with deg p <= max_radial_degree
-    and |q| <= max_angular_frequency.
-    """
+    """Gauss rule in s = |z|^2/(1+|z|^2) on (0, 1): exact (to roundoff) for
+    polynomials in s of degree <= max_radial_degree.  Times `phi_grid`, it
+    integrates p(s) e^{i q phi} against ds dphi."""
 
     s_nodes: np.ndarray
     s_weights: np.ndarray
-    n_phi: int
     max_radial_degree: int
-    max_angular_frequency: int
 
     @property
     def n_nodes(self):
-        return len(self.s_nodes) * self.n_phi
-
-    def phi_nodes(self):
-        return 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
-
-    def grid(self):
-        """Flattened (s, phi, w) arrays in fixed C order (s outer, phi inner)."""
-        s = np.repeat(self.s_nodes, self.n_phi)
-        phi = np.tile(self.phi_nodes(), len(self.s_nodes))
-        w = np.repeat(self.s_weights, self.n_phi) * (2.0 * math.pi / self.n_phi)
-        return s, phi, w
-
-    def integrate(self, values):
-        """Integrate grid samples against the volume form (fixed node order)."""
-        _, _, w = self.grid()
-        return np.sum(w * values)
+        return len(self.s_nodes)
 
 
 @functools.lru_cache(maxsize=None)
 def make_rule(m, degree, margin=0):
-    """Rule exact for every level-m matrix-element integrand with symbols
-    of total degree <= degree: radial degree >= m+degree, angular
-    frequency >= 2m+degree (plus the requested safety margin).  Memoised,
-    so the node and weight arrays are read-only."""
+    """Radial rule exact for every level-m matrix-element integrand with
+    symbols of total degree <= degree: radial degree >= m + degree + margin.
+    Memoised, so the node and weight arrays are read-only."""
     if m < 0 or degree < 0 or margin < 0:
         raise ValueError("level, degree and margin must be nonnegative")
-    need_radial = m + degree + margin
-    need_angular = 2 * m + degree + margin
-    n_s = (need_radial + 2) // 2  # 2 n_s - 1 >= need_radial
-    n_s = max(n_s, 1)
-    n_phi = need_angular + 1
-    if n_s * n_phi > MAX_QUAD_NODES:
+    n_s = max((m + degree + margin + 2) // 2, 1)  # 2 n_s - 1 >= m + degree + margin
+    if n_s > MAX_RADIAL_NODES:
         raise CapacityError(
-            f"quadrature would need {n_s * n_phi} nodes (cap {MAX_QUAD_NODES})")
+            f"quadrature would need {n_s} radial nodes (cap {MAX_RADIAL_NODES})")
     x, _ = np.polynomial.legendre.leggauss(n_s)
     # leggauss weights are off by up to 1.8e-10 (relative) at 502 nodes;
     # w = 2/((1-x^2) P_n'(x)^2) from the three-term recurrence by 8e-13
@@ -185,13 +164,15 @@ def make_rule(m, degree, margin=0):
     s = 0.5 * (x + 1.0)
     ws = 1.0 / ((1.0 - x * x) * dp * dp)
     s.flags.writeable = ws.flags.writeable = False
-    return QuadratureRule(
-        s_nodes=s,
-        s_weights=ws,
-        n_phi=n_phi,
-        max_radial_degree=2 * n_s - 1,
-        max_angular_frequency=n_phi - 1,
-    )
+    return QuadratureRule(s_nodes=s, s_weights=ws, max_radial_degree=2 * n_s - 1)
+
+
+def phi_grid(degree):
+    """The 2 degree + 1 uniform phi nodes: exact for e^{i q phi}, |q| <= 2 degree,
+    so an FFT there gives the Fourier coefficients of any factor carrying only
+    the harmonics |q| <= degree, without aliasing."""
+    n = 2 * degree + 1
+    return 2.0 * math.pi * np.arange(n) / n
 
 
 def curvature_check(m, points):

@@ -30,6 +30,7 @@ TWO_PI = 2.0 * math.pi
 
 # float conversion of comb(m, k) overflows beyond this level
 MAX_LEVEL = 1020
+GRAM_TOL = 1e-12
 
 
 def dimension(m):
@@ -50,14 +51,6 @@ def monomial_norm(m, k):
     if not 0 <= k <= m:
         raise IndexError(f"k={k} out of range for level {m}")
     return TWO_PI * float(Fraction(1, (m + 1) * math.comb(m, k)))
-
-
-def log_monomial_norm(m, k):
-    """log ||z^k||^2, usable past the float range of the exact ratio."""
-    if not 0 <= k <= m:
-        raise IndexError(f"k={k} out of range for level {m}")
-    return math.log(TWO_PI) + math.lgamma(k + 1) + math.lgamma(m - k + 1) \
-        - math.lgamma(m + 2)
 
 
 @dataclass
@@ -98,15 +91,15 @@ class GridTable:
     with diagonal 2 pi sum_i w_i B[i, k]^2.
     """
 
-    def __init__(self, m, rule, validate=True, gram_tol=1e-12):
+    def __init__(self, m, rule):
         if m < 0:
             raise ValueError("level must be nonnegative")
         if m > MAX_LEVEL:
             raise CapacityError(f"level {m} beyond float binomial range {MAX_LEVEL}")
-        if rule.max_radial_degree < m or rule.max_angular_frequency < m:
+        if rule.max_radial_degree < m:
             raise UnderResolvedRuleError(
-                f"rule exact to (radial {rule.max_radial_degree}, angular "
-                f"{rule.max_angular_frequency}) cannot resolve level {m}")
+                f"rule exact to radial degree {rule.max_radial_degree} cannot "
+                f"resolve level {m}")
         self.m = m
         self.rule = rule
         s = rule.s_nodes
@@ -115,29 +108,23 @@ class GridTable:
         comb = np.array(binomial_row(m), dtype=float)
         mag2 = comb * s[:, None] ** k[None, :] * (1.0 - s)[:, None] ** (m - k)[None, :]
         self.B = np.sqrt(mag2 * ((m + 1) / TWO_PI))
-        self.gram_defect = None
-        if validate:
-            self.validate_gram(gram_tol)
+        self.gram_defect = float(np.max(np.abs(self.gram_diagonal() - 1.0)))
+        if self.gram_defect > GRAM_TOL:
+            raise UnderResolvedRuleError(
+                f"Gram self-test defect {self.gram_defect:.3e} exceeds {GRAM_TOL:.1e}")
 
     def gram_diagonal(self):
         """<e_k, e_k> by quadrature, for every k."""
         return TWO_PI * np.sum(self.w[:, None] * self.B**2, axis=0)
 
-    def validate_gram(self, tol=1e-12):
-        self.gram_defect = float(np.max(np.abs(self.gram_diagonal() - 1.0)))
-        if self.gram_defect > tol:
-            raise UnderResolvedRuleError(
-                f"Gram self-test defect {self.gram_defect:.3e} exceeds {tol:.1e}")
-        return self.gram_defect
 
-
-def basis_eval_grid(m, rule, validate=True):
+def basis_eval_grid(m, rule):
     """Basis/weight table for level m on the given rule.
 
     Raises UnderResolvedRuleError if the rule's declared exactness cannot
     resolve level m or the Gram self-test misses the identity by >1e-12.
     """
-    return GridTable(m, rule, validate=validate)
+    return GridTable(m, rule)
 
 
 def quadrature_inner(a, b, table):

@@ -32,9 +32,9 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._zpoly import chart_rational, zp_eval
+from ._zpoly import chart_numerator, chart_rational, zp_eval
 from .errors import LevelMismatchError, UnderResolvedRuleError
-from .geometry import DEFAULT_CONVENTIONS, make_rule
+from .geometry import DEFAULT_CONVENTIONS, make_rule, phi_grid
 from .hilbert import TWO_PI, SectionVector, basis_eval_grid, binomial_row
 from .symbols import eval_ambient, laplace_beltrami
 
@@ -206,7 +206,7 @@ def _band_matrix(left, right, w, samples, band):
     for |q| <= top = min(band, n - 1), in `QuantumOperator` layout.
 
     samples[i, l] is the integrand's angular factor at (s_i, phi_l) on the
-    `_phi_grid(band)` nodes.  The factor carries only the harmonics
+    `phi_grid(band)` nodes.  The factor carries only the harmonics
     |q| <= band, which 2 band + 1 nodes resolve without aliasing, so
     c_q(s_i) = int samples e^{-i q phi} dphi is exact by FFT.  Only the
     band is allocated: O(n band) memory, never n^2.
@@ -217,34 +217,26 @@ def _band_matrix(left, right, w, samples, band):
     diags = np.zeros((2 * top + 1, n), dtype=complex)
     for q in range(-top, top + 1):
         a, b = max(q, 0), max(-q, 0)  # band q starts at row a, column b
-        wc = w * coeffs[:, q]  # negative q indexes frequency q modulo n_phi
+        wc = w * coeffs[:, q]  # negative q wraps modulo the node count
         prod = left[:, a:n - b] * right[:, b:n - a]
         diags[top + q, b:n - a] = np.sum(wc[:, None] * prod, axis=0)
     return diags
 
 
-def _phi_grid(degree):
-    """The 2 degree + 1 uniform phi nodes that resolve harmonics |q| <= degree."""
-    n = 2 * degree + 1
-    return 2.0 * math.pi * np.arange(n) / n
-
-
 def _ambient_grid(table, degree):
-    """Ambient coordinates at the radial nodes times `_phi_grid(degree)`,
+    """Ambient coordinates at the radial nodes times `phi_grid(degree)`,
     broadcasting to (n_s, 2 degree + 1)."""
     s = table.s[:, None]
-    phi = _phi_grid(degree)[None, :]
+    phi = phi_grid(degree)[None, :]
     rho = 2.0 * np.sqrt(s * (1.0 - s))
     return rho * np.cos(phi), rho * np.sin(phi), 1.0 - 2.0 * s
 
 
-def _resolve_table(f_degree, m, rule=None, table=None, margin=0, extra_degree=0):
+def _resolve_table(f_degree, m, table=None, margin=0, extra_degree=0):
     if table is None:
-        if rule is None:
-            rule = make_rule(m, f_degree + extra_degree, margin=margin)
-        table = basis_eval_grid(m, rule)
+        table = basis_eval_grid(m, make_rule(m, f_degree + extra_degree, margin=margin))
     need = m + f_degree + extra_degree
-    if table.rule.max_radial_degree < need or table.rule.max_angular_frequency < need:
+    if table.rule.max_radial_degree < need:
         raise UnderResolvedRuleError(
             f"rule resolves degree {table.rule.max_radial_degree}, need {need}")
     if table.m != m:
@@ -255,9 +247,9 @@ def _resolve_table(f_degree, m, rule=None, table=None, margin=0, extra_degree=0)
 # -- path 1: quadrature --------------------------------------------------------
 
 
-def _toeplitz_diags(f, m, rule=None, table=None, margin=0):
+def _toeplitz_diags(f, m, table=None, margin=0):
     """The diagonal stack of T_f; for real f, verified Hermitian to _HERM_TOL."""
-    table = _resolve_table(f.degree, m, rule, table, margin)
+    table = _resolve_table(f.degree, m, table, margin)
     fv = eval_ambient(f, *_ambient_grid(table, f.degree))
     diags = _band_matrix(table.B, table.B, table.w, fv, f.degree)
     if f.is_real and not _is_hermitian(diags):
@@ -266,34 +258,13 @@ def _toeplitz_diags(f, m, rule=None, table=None, margin=0):
     return diags
 
 
-def toeplitz(f, m, rule=None, table=None, margin=0):
+def toeplitz(f, m, table=None, margin=0):
     """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>."""
-    diags = _toeplitz_diags(f, m, rule, table, margin)
+    diags = _toeplitz_diags(f, m, table, margin)
     return QuantumOperator.from_diags(m, diags, hermitian=True if f.is_real else None)
 
 
 # -- path 2: exact Beta moments ------------------------------------------------
-
-
-def _chart_numerator(a, b, c):
-    """(z+zbar)^a (-i(z-zbar))^b (1-z zbar)^c expanded exactly."""
-    poly = {(0, 0): complex(1.0)}
-
-    def mul(p, q):
-        out = {}
-        for (i1, j1), c1 in p.items():
-            for (i2, j2), c2 in q.items():
-                e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, 0j) + c1 * c2
-        return out
-
-    for _ in range(a):
-        poly = mul(poly, {(1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j})
-    for _ in range(b):
-        poly = mul(poly, {(1, 0): -1j, (0, 1): 1j})
-    for _ in range(c):
-        poly = mul(poly, {(0, 0): 1.0 + 0j, (1, 1): -1.0 + 0j})
-    return poly
 
 
 def toeplitz_exact(f, m):
@@ -316,7 +287,7 @@ def toeplitz_exact(f, m):
             kappas[d] = np.array([(m + 1) / ((m + d + 1) * cb)
                                   for cb in binomial_row(m + d)])
         kappa = kappas[d]
-        poly = _chart_numerator(a, b, c)
+        poly = chart_numerator(a, b, c)
         for (alpha, beta), cc in sorted(poly.items()):
             q = alpha - beta  # row j = k + q
             kk = k[(k + q >= 0) & (k + q < n)]
@@ -328,7 +299,7 @@ def toeplitz_exact(f, m):
 # -- path 3: integral kernel ---------------------------------------------------
 
 
-def kernel_apply(f, m, sec, rule=None, table=None):
+def kernel_apply(f, m, sec, table=None):
     """Apply T_f to a section through the explicit integral kernel.
 
     (T_f s)(z) = (m+1)/(2 pi) int (1+z conj(zeta))^m f s (1+|zeta|^2)^-m
@@ -336,7 +307,7 @@ def kernel_apply(f, m, sec, rule=None, table=None):
     coefficients directly, which are then re-expressed in the orthonormal
     basis.  Agrees with toeplitz(f,...) applied to the coefficients.
     """
-    table = _resolve_table(f.degree, m, rule, table)
+    table = _resolve_table(f.degree, m, table)
     if sec.m != m:
         raise ValueError("section level mismatch")
     return _kernel_operator(f, table) @ sec
@@ -357,15 +328,15 @@ def _kernel_operator(f, table):
     return QuantumOperator.from_diags(m, r[rows] * integrals * r[None, :])
 
 
-def kernel_matrix(f, m, rule=None, table=None):
+def kernel_matrix(f, m, table=None):
     """T_f reconstructed column-by-column from the kernel path."""
-    return _kernel_operator(f, _resolve_table(f.degree, m, rule, table))
+    return _kernel_operator(f, _resolve_table(f.degree, m, table))
 
 
 # -- geometric quantization ----------------------------------------------------
 
 
-def prequantum(f, m, rule=None, table=None):
+def prequantum(f, m, table=None):
     """Q_f = Pi P_f Pi with P_f = -(1/m) nabla_{X_f} + i f at level m.
 
     In the chart, for a holomorphic representative p:
@@ -373,14 +344,14 @@ def prequantum(f, m, rule=None, table=None):
     Derivatives raise the integrand degree, hence the +2 exactness margin.
     dzbar shifts angular frequency by +1 and the factors zbar and 1/z by -1,
     so both angular factors keep the harmonics |q| <= deg f: they are
-    sampled on the 2 deg f + 1 nodes of `_phi_grid`, and Q_f has the band of
+    sampled on the 2 deg f + 1 nodes of `phi_grid`, and Q_f has the band of
     T_f.  Anti-Hermitian (to quadrature accuracy) for real f.
     """
-    table = _resolve_table(f.degree, m, rule, table, extra_degree=2)
+    table = _resolve_table(f.degree, m, table, extra_degree=2)
     rat = chart_rational(f.terms)
     d = rat.pole
     s = table.s[:, None]
-    z = np.sqrt(s / (1.0 - s)) * np.exp(1j * _phi_grid(f.degree))[None, :]
+    z = np.sqrt(s / (1.0 - s)) * np.exp(1j * phi_grid(f.degree))[None, :]
     u = 1.0 / (1.0 - s)
     fv = eval_ambient(f, *_ambient_grid(table, f.degree))
     # dzbar f = G/u^(d+1) by the quotient rule; we need u * dzbar f = G/u^d
@@ -397,12 +368,12 @@ def prequantum(f, m, rule=None, table=None):
     return QuantumOperator.from_diags(m, diags, hermitian=False)
 
 
-def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS, rule=None, table=None):
+def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS, table=None):
     """i T_{f - Laplacian(f)/(2m)}: the Toeplitz side of Tuynman's relation."""
     if m < 1:
         raise ValueError("Tuynman's relation needs m >= 1")
     g = f - laplace_beltrami(f, conventions) * (1.0 / (2.0 * m))
-    diags = _toeplitz_diags(g, m, rule, table) * 1j
+    diags = _toeplitz_diags(g, m, table) * 1j
     # real g: T_g is verified Hermitian, so i T_g is anti-Hermitian and is
     # Hermitian only when zero; complex g: one check on the product
     hermitian = not diags.any() if g.is_real else None

@@ -315,8 +315,12 @@ def compile_expr(tree):
 
 
 def parse(text):
-    """Parse an expression string into a Symbol (total on the grammar)."""
-    return compile_expr(parse_expr(text))
+    """Parse an expression string into a Symbol; a coefficient that is not
+    finite (an overflow, or nan from one) is a SymbolSyntaxError."""
+    f = compile_expr(parse_expr(text))
+    if not all(np.isfinite(c) for c in f.terms.values()):
+        raise SymbolSyntaxError("a coefficient overflows a float", 0)
+    return f
 
 
 # -- calculus ----------------------------------------------------------------

@@ -101,6 +101,14 @@ def test_unknown_identifier_exit2(workdir, capsys):
     assert "x4" in capsys.readouterr().err
 
 
+def test_non_finite_coefficient_exit2(workdir, capsys):
+    run(["calibrate"])
+    capsys.readouterr()
+    assert run(["crosscheck", "--f", "1e400*x1", "--levels", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("btq: expression error") and err.count("\n") == 1
+
+
 def test_usage_errors(workdir, capsys):
     run(["calibrate"])
     assert run(["thm1", "--f", "x3", "--levels", "8,4"]) == 2
@@ -110,6 +118,7 @@ def test_usage_errors(workdir, capsys):
     assert run(["thm1", "--f", "x3", "--levels", "abc"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["thm2", "--f", "x1", "--levels", "2,4"]) == 2  # missing --g
+    assert run(["thm1", "--f", "x3", "--levels", "8", "--margin", "-1"]) == 2
 
 
 def test_level_cap_is_capacity_error(workdir, capsys):
@@ -119,6 +128,13 @@ def test_level_cap_is_capacity_error(workdir, capsys):
     assert "max-level" in capsys.readouterr().err
     assert run(["thm1", "--f", "x3", "--levels", "8,300",
                 "--max-level", "300"]) == 0
+    capsys.readouterr()
+    # the radial quadrature cap, refused before any node is allocated
+    for f, margin in (("x3", "20000"), ("x3^5000", "0")):
+        assert run(["thm1", "--f", f, "--levels", "8", "--margin", margin]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("btq: ") and "radial nodes" in err
+        assert err.count("\n") == 1
 
 
 def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,
@@ -126,7 +142,7 @@ def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,
     from btq import lab
     from btq.errors import UnderResolvedRuleError
 
-    def refuse(m, rule, validate=True):
+    def refuse(m, rule):
         raise UnderResolvedRuleError("Gram self-test defect 1.4e-12 exceeds 1.0e-12")
 
     run(["calibrate"])

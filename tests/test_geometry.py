@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from btq.errors import CapacityError
-from btq.geometry import (DEFAULT_CONVENTIONS, TOTAL_AREA, QuadratureRule,
-                          SpherePoint, curvature_check, diastasis, make_rule)
+from btq.geometry import (DEFAULT_CONVENTIONS, MAX_RADIAL_NODES, TOTAL_AREA,
+                          QuadratureRule, SpherePoint, curvature_check,
+                          diastasis, make_rule, phi_grid)
 
 
 def beta_closed_form(a, b):
@@ -15,37 +16,49 @@ def beta_closed_form(a, b):
                           math.factorial(a + b + 1)))
 
 
+def product_integral(rule, degree, radial, q):
+    """2 pi sum of radial(s) e^{i q phi} over rule x phi_grid(degree)."""
+    phi = phi_grid(degree)
+    samples = radial(rule.s_nodes)[:, None] * np.exp(1j * q * phi)[None, :]
+    return np.sum(rule.s_weights[:, None] * samples) * (2.0 * math.pi / len(phi))
+
+
 def test_total_area_is_2pi():
     rule = make_rule(0, 0)
-    s, phi, w = rule.grid()
-    assert abs(rule.integrate(np.ones_like(s)) - TOTAL_AREA) < 1e-12
+    assert abs(2.0 * math.pi * np.sum(rule.s_weights) - TOTAL_AREA) < 1e-12
+    assert abs(product_integral(rule, 0, np.ones_like, 0) - TOTAL_AREA) < 1e-12
     assert abs(DEFAULT_CONVENTIONS.total_area - TOTAL_AREA) == 0.0
 
 
 def test_highest_radial_moment_exact():
     for m, d in ((0, 0), (3, 2), (10, 4)):
         rule = make_rule(m, d)
-        s, phi, w = rule.grid()
-        val = rule.integrate(s ** (m + d))
+        val = 2.0 * math.pi * np.sum(rule.s_weights * rule.s_nodes ** (m + d))
         expect = 2.0 * math.pi * beta_closed_form(m + d, 0)
         assert abs(val - expect) <= 1e-13 * abs(expect)
 
 
 def test_full_period_oscillation_integrates_to_zero():
+    # phi_grid(d) is exact for the harmonics |q| <= 2d
     rule = make_rule(2, 1)
-    s, phi, w = rule.grid()
-    assert abs(rule.integrate(np.exp(1j * phi))) < 1e-13
+    for d in (0, 1, 3, 6):
+        phi = phi_grid(d)
+        assert len(phi) == 2 * d + 1
+        for q in range(-2 * d, 2 * d + 1):
+            val = product_integral(rule, d, np.ones_like, q)
+            assert abs(val - (TOTAL_AREA if q == 0 else 0.0)) < 1e-13
+        # the next harmonic aliases onto q = 0: the bound 2d is tight
+        assert abs(product_integral(rule, d, np.ones_like, 2 * d + 1)
+                   - TOTAL_AREA) < 1e-13
 
 
 def test_quadrature_exactness_100_random_moments(rng):
-    rule = make_rule(8, 4)
-    s, phi, w = rule.grid()
+    rule, d = make_rule(8, 4), 4
     for _ in range(100):
         a = int(rng.randint(0, rule.max_radial_degree + 1))
         b = int(rng.randint(0, rule.max_radial_degree + 1 - a))
-        q = int(rng.randint(-rule.max_angular_frequency,
-                            rule.max_angular_frequency + 1))
-        val = rule.integrate(s**a * (1.0 - s) ** b * np.exp(1j * q * phi))
+        q = int(rng.randint(-2 * d, 2 * d + 1))
+        val = product_integral(rule, d, lambda s: s**a * (1.0 - s) ** b, q)
         if q == 0:
             expect = 2.0 * math.pi * beta_closed_form(a, b)
             assert abs(val - expect) <= 1e-12 * abs(expect)
@@ -56,7 +69,8 @@ def test_quadrature_exactness_100_random_moments(rng):
 def test_rule_declares_its_exactness():
     rule = make_rule(5, 3)
     assert rule.max_radial_degree >= 5 + 3
-    assert rule.max_angular_frequency >= 2 * 5 + 3
+    assert rule.max_radial_degree == 2 * rule.n_nodes - 1
+    assert rule.n_nodes == len(rule.s_nodes) == len(rule.s_weights)
     assert np.all(rule.s_nodes > 0.0) and np.all(rule.s_nodes < 1.0)
 
 
@@ -64,7 +78,7 @@ def test_margin_increases_rule():
     base = make_rule(4, 2)
     fat = make_rule(4, 2, margin=6)
     assert fat.max_radial_degree >= base.max_radial_degree + 6
-    assert fat.n_phi >= base.n_phi + 6
+    assert fat.n_nodes == base.n_nodes + 3
 
 
 def test_make_rule_is_memoised():
@@ -79,13 +93,25 @@ def test_make_rule_is_memoised():
             assert arr.tobytes() == getattr(fresh, name).tobytes()
             with pytest.raises(ValueError):
                 arr[0] = 0.5
-        assert (rule.n_phi, rule.max_radial_degree, rule.max_angular_frequency) == \
-            (fresh.n_phi, fresh.max_radial_degree, fresh.max_angular_frequency)
+        assert (rule.n_nodes, rule.max_radial_degree) == \
+            (fresh.n_nodes, fresh.max_radial_degree)
 
 
-def test_capacity_error():
-    with pytest.raises(CapacityError):
-        make_rule(4000, 4000)
+def test_capacity_error(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def leggauss(n):
+        raise Allocated(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
+    for args, kw in (((4000, 4000), {}), ((8, 0), {"margin": 20000}), ((0, 4096), {})):
+        with pytest.raises(CapacityError):
+            make_rule.__wrapped__(*args, **kw)
+    # the largest admitted rule: 2 n_s - 1 = 4095
+    with pytest.raises(Allocated) as hit:
+        make_rule.__wrapped__(0, 4095)
+    assert hit.value.args == (MAX_RADIAL_NODES,)
 
 
 def test_chart_roundtrip(rng):
@@ -143,15 +169,9 @@ def test_curvature_check(rng):
     assert curvature_check(5, pts) < 1e-12
 
 
-def test_quadrature_fixed_order_determinism():
-    rule = make_rule(6, 2)
-    s, phi, w = rule.grid()
-    vals = np.cos(3 * phi) * s**2
-    assert rule.integrate(vals) == rule.integrate(vals.copy())
-
-
 def test_rule_is_frozen():
     rule = make_rule(2, 1)
     with pytest.raises(AttributeError):
-        rule.n_phi = 7
+        rule.max_radial_degree = 7
+    assert rule.max_radial_degree == 3
     assert isinstance(rule, QuadratureRule)

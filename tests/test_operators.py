@@ -36,9 +36,9 @@ def test_toeplitz_x3_and_x3sq():
 
 
 def test_toeplitz_under_resolved_rejected():
-    rule = make_rule(8, 0)  # no headroom for a degree-2 symbol
+    table = basis_eval_grid(8, make_rule(8, 0))  # no headroom for a degree-2 symbol
     with pytest.raises(UnderResolvedRuleError):
-        op.toeplitz(X3 * X3, 8, rule=rule)
+        op.toeplitz(X3 * X3, 8, table=table)
 
 
 # -- Toeplitz path 2: exact moments ---------------------------------------------
@@ -72,14 +72,36 @@ def test_toeplitz_exact_selection_rule(rng):
                 assert t.mat[j, k] == 0.0
 
 
+def _chart_numerator(a, b, c):
+    """(z+zbar)^a (-i(z-zbar))^b (1-z zbar)^c expanded exactly, zeros kept."""
+    poly = {(0, 0): complex(1.0)}
+
+    def mul(p, q):
+        out = {}
+        for (i1, j1), c1 in p.items():
+            for (i2, j2), c2 in q.items():
+                e = (i1 + i2, j1 + j2)
+                out[e] = out.get(e, 0j) + c1 * c2
+        return out
+
+    for _ in range(a):
+        poly = mul(poly, {(1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j})
+    for _ in range(b):
+        poly = mul(poly, {(1, 0): -1j, (0, 1): 1j})
+    for _ in range(c):
+        poly = mul(poly, {(0, 0): 1.0 + 0j, (1, 1): -1.0 + 0j})
+    return poly
+
+
 def _toeplitz_exact_per_entry(f, m):
-    """Reference: one math.comb and one Fraction per entry."""
+    """Reference: one math.comb and one Fraction per entry, over an
+    independent expansion of the chart numerators."""
     n = m + 1
     mat = np.zeros((n, n), dtype=complex)
     sq = np.array([math.sqrt(float(math.comb(m, k))) for k in range(n)])
     for (a, b, c), coeff in sorted(f.terms.items()):
         d = a + b + c
-        for (alpha, beta), cc in sorted(op._chart_numerator(a, b, c).items()):
+        for (alpha, beta), cc in sorted(_chart_numerator(a, b, c).items()):
             for k in range(n):
                 j = k + alpha - beta
                 if 0 <= j < n:

@@ -7,7 +7,7 @@ import pytest
 
 from btq import symbols as sy
 from btq.errors import SymbolSyntaxError, UnknownIdentifierError
-from btq.geometry import KahlerConventions, SpherePoint, make_rule
+from btq.geometry import KahlerConventions, SpherePoint, make_rule, phi_grid
 from conftest import random_symbol
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
@@ -31,6 +31,14 @@ def test_parse_unknown_identifier_offset():
         sy.parse("x4 + 1")
     assert err.value.position == 0
     assert "x4" in str(err.value)
+
+
+def test_parse_rejects_non_finite_coefficients():
+    for text in ("1e400*x3", "1e300*1e300*x3", "(1e200*x3)^2",
+                 "1e308*x3 + 1e308*x3"):
+        with pytest.raises(SymbolSyntaxError):
+            sy.parse(text)
+    assert sy.parse("1e300*x3").terms == {(0, 0, 1): 1e300}
 
 
 def test_parse_syntax_errors_carry_positions():
@@ -210,12 +218,13 @@ def test_laplacian_symmetric_against_quadrature(rng):
         f, g = random_symbol(rng, degree=3), random_symbol(rng, degree=3)
         lf, lg = sy.laplace_beltrami(f), sy.laplace_beltrami(g)
         deg = max(lf.degree + g.degree, f.degree + lg.degree)
-        rule = make_rule(0, deg)
-        s, phi, w = rule.grid()
+        rule, phi = make_rule(0, deg), phi_grid(deg)[None, :]
+        s = rule.s_nodes[:, None]
+        w = rule.s_weights[:, None] * (2.0 * math.pi / phi.size)
         rho = 2.0 * np.sqrt(s * (1 - s))
         xyz = (rho * np.cos(phi), rho * np.sin(phi), 1 - 2 * s)
-        lhs = rule.integrate(sy.eval_ambient(lf * g, *xyz))
-        rhs = rule.integrate(sy.eval_ambient(f * lg, *xyz))
+        lhs = np.sum(w * sy.eval_ambient(lf * g, *xyz))
+        rhs = np.sum(w * sy.eval_ambient(f * lg, *xyz))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
