@@ -3,8 +3,9 @@
 Subcommands: thm1, thm2, thm3, tuynman, coherent, crosscheck, calibrate.
 Exit codes: 0 = run completed with all declared assertions passing;
 1 = assertions failed (the report is still written); 2 = usage or
-expression parse error; 3 = capacity error, quadrature rule too weak for a
-requested level (UnderResolvedRuleError) or corrupted conventions ledger.
+expression error (including coefficients above symbols.COEFF_L1_BOUND);
+3 = capacity error, quadrature rule too weak for a requested level
+(UnderResolvedRuleError) or corrupted conventions ledger.
 
 Experiments refuse to run without a conventions ledger (see `btq calibrate`)
 unless --auto-calibrate is given.  BTQ_LEDGER overrides the ledger path.
@@ -22,7 +23,7 @@ import tempfile
 from . import calibration, lab
 from .errors import (CalibrationError, CapacityError, LedgerError,
                      SymbolParseError, UnderResolvedRuleError)
-from .symbols import parse, sup_norm_argmax
+from .symbols import COEFF_L1_BOUND, parse, sup_norm_argmax
 
 DEFAULT_MAX_LEVEL = 256
 DEFAULT_LEVELS = "8,16,32,64"
@@ -161,15 +162,19 @@ def _dispatch(args):
     if args.margin < 0:
         raise UsageError("--margin must be >= 0")
     f = parse(args.f)
+    g = parse(args.g) if args.experiment in ("thm2", "thm3") else None
+    if g is not None and f.coeff_l1() * g.coeff_l1() > COEFF_L1_BOUND:
+        raise UsageError("--f and --g: the product of their coefficient l1 "
+                         f"norms exceeds {COEFF_L1_BOUND:g}")
     kw = dict(window=window, conventions=conv, margin=args.margin,
               seed=args.seed)
 
     if args.experiment == "thm1":
         report = lab.thm1_run(f, levels, **kw)
     elif args.experiment == "thm2":
-        report = lab.thm2_run(f, parse(args.g), levels, **kw)
+        report = lab.thm2_run(f, g, levels, **kw)
     elif args.experiment == "thm3":
-        reports = lab.thm3_run(f, parse(args.g), levels, **kw)
+        reports = lab.thm3_run(f, g, levels, **kw)
         report = reports[args.order]
     elif args.experiment == "tuynman":
         kw.pop("window")
@@ -179,8 +184,7 @@ def _dispatch(args):
         report = lab.coherent_run(f, x0, levels, **kw)
     elif args.experiment == "crosscheck":
         kw.pop("window")
-        kw.pop("conventions")
-        report = lab.crosscheck_run(f, levels, conventions=conv, **kw)
+        report = lab.crosscheck_run(f, levels, **kw)
     else:  # pragma: no cover - argparse restricts the choices
         raise UsageError(f"unknown experiment {args.experiment}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._zpoly import Rational
+from ._zpoly import zp_add, zp_dz, zp_eval, zp_mul
 from .errors import CapacityError
 
 TOTAL_AREA = 2.0 * math.pi
@@ -178,20 +178,20 @@ def phi_grid(degree):
 def curvature_check(m, points):
     """Max defect of -dz dzbar log h_m = m/(1+z zbar)^2 for h_m = (1+z zbar)^-m.
 
-    The left side is produced by the rational quotient-rule calculus (the
-    same machinery the prequantum operator uses), the right side from the
-    Kaehler form, so a zero defect really does tie the bundle metric to
-    omega rather than comparing an expression with itself.
+    The left side is differentiated symbolically on chart polynomials by the
+    quotient rule, the right side comes from the Kaehler form, so a zero
+    defect really does tie the bundle metric to omega rather than comparing
+    an expression with itself.
     """
-    # dzbar log h_m = -m * dzbar(u)/u = (-m z)/u as a rational form
-    dlog = Rational({(1, 0): -float(m)}, 1)
-    lhs = dlog.dz() * (-1.0)  # -dz dzbar log h_m
+    # dzbar log h_m = -m dzbar(u)/u = p/u with p = -m z; the quotient rule
+    # -dz (p/u) = (zbar p - u dz p)/u^2 puts the left side over u^2
+    p, minus_u = {(1, 0): -float(m)}, {(0, 0): -1.0, (1, 1): -1.0}
+    num = zp_add(zp_mul({(0, 1): 1.0}, p), zp_mul(minus_u, zp_dz(p)))
     worst = 0.0
-    for p in points:
-        if p.chart != "finite":
+    for pt in points:
+        if pt.chart != "finite":
             continue
-        z = p.z
-        u = 1.0 + abs(z) ** 2
-        rhs = float(m) / u**2
-        worst = max(worst, abs(lhs.eval(np.complex128(z)) - rhs))
+        u = 1.0 + abs(pt.z) ** 2
+        lhs = zp_eval(num, pt.z) * u ** -2.0
+        worst = max(worst, abs(lhs - float(m) / u**2))
     return worst

@@ -32,11 +32,11 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._zpoly import chart_numerator, chart_rational, zp_eval
+from ._zpoly import chart_numerator
 from .errors import LevelMismatchError, UnderResolvedRuleError
 from .geometry import DEFAULT_CONVENTIONS, make_rule, phi_grid
 from .hilbert import TWO_PI, SectionVector, basis_eval_grid, binomial_row
-from .symbols import eval_ambient, laplace_beltrami
+from .symbols import eval_ambient, laplace_beltrami, partial
 
 BINARY_HEADER = b"BTQOPV01"
 _HERM_TOL = 1e-12
@@ -341,6 +341,9 @@ def prequantum(f, m, table=None):
 
     In the chart, for a holomorphic representative p:
     P_f p = (i/m)(1+z zbar)^2 (dzbar f)(dz p - m zbar p/(1+z zbar)) + i f p.
+    The one derivative is the chain rule on the ambient partials d_i f,
+    u dzbar f = [(1 - z^2) d_1 f + i(1 + z^2) d_2 f - 2z d_3 f]/u with
+    u = 1 + z zbar, from dzbar x_i = (1 - z^2, i(1 + z^2), -2z)/u^2.
     Derivatives raise the integrand degree, hence the +2 exactness margin.
     dzbar shifts angular frequency by +1 and the factors zbar and 1/z by -1,
     so both angular factors keep the harmonics |q| <= deg f: they are
@@ -348,15 +351,13 @@ def prequantum(f, m, table=None):
     T_f.  Anti-Hermitian (to quadrature accuracy) for real f.
     """
     table = _resolve_table(f.degree, m, table, extra_degree=2)
-    rat = chart_rational(f.terms)
-    d = rat.pole
+    x = _ambient_grid(table, f.degree)
     s = table.s[:, None]
     z = np.sqrt(s / (1.0 - s)) * np.exp(1j * phi_grid(f.degree))[None, :]
     u = 1.0 / (1.0 - s)
-    fv = eval_ambient(f, *_ambient_grid(table, f.degree))
-    # dzbar f = G/u^(d+1) by the quotient rule; we need u * dzbar f = G/u^d
-    gv = zp_eval(rat.dzbar().num, z)
-    u_dzbar_f = gv if d == 0 else gv * u ** (-float(d))
+    fv = eval_ambient(f, *x)
+    d1, d2, d3 = (eval_ambient(partial(f, i), *x) for i in (1, 2, 3))
+    u_dzbar_f = ((1.0 - z * z) * d1 + 1j * (1.0 + z * z) * d2 - 2.0 * z * d3) / u
     if m > 0:
         col = (1j / m) * u_dzbar_f * u / z  # pairs with k z^(k-1)
     else:

@@ -126,6 +126,10 @@ class Symbol:
     def coeff_max(self):
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
+    def coeff_l1(self):
+        """Sum of |coefficients|: a bound on sup |f| over the sphere."""
+        return sum(abs(c) for c in self.terms.values())
+
     def __repr__(self):
         if not self.terms:
             return "Symbol(0)"
@@ -314,12 +318,21 @@ def compile_expr(tree):
     return l + r if op == "add" else l - r if op == "sub" else l * r
 
 
+# under this bound on `coeff_l1` (and on the product of two symbols' norms,
+# see cli) every operator, derivative and Laplacian the lab forms stays many
+# decades below float overflow
+COEFF_L1_BOUND = 1e250
+
+
 def parse(text):
-    """Parse an expression string into a Symbol; a coefficient that is not
-    finite (an overflow, or nan from one) is a SymbolSyntaxError."""
+    """Parse an expression string into a Symbol.  Coefficients whose l1 norm
+    is above COEFF_L1_BOUND or not finite (an overflow, or nan from one) are
+    a SymbolSyntaxError."""
     f = compile_expr(parse_expr(text))
-    if not all(np.isfinite(c) for c in f.terms.values()):
-        raise SymbolSyntaxError("a coefficient overflows a float", 0)
+    l1 = f.coeff_l1()
+    if not l1 <= COEFF_L1_BOUND:
+        raise SymbolSyntaxError(
+            f"coefficient l1 norm {l1:.3g} exceeds {COEFF_L1_BOUND:g}", 0)
     return f
 
 

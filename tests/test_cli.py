@@ -107,6 +107,21 @@ def test_non_finite_coefficient_exit2(workdir, capsys):
     assert run(["crosscheck", "--f", "1e400*x1", "--levels", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("btq: expression error") and err.count("\n") == 1
+    # finite but huge: refused before any operator can overflow
+    for argv in (["tuynman", "--f", "1e308*x3^2"],
+                 ["thm1", "--f", "1e308*x3 - 1e308*x1"],
+                 *([cmd, "--f", "1e308*x3^2"]
+                   for cmd in ("thm1", "crosscheck", "coherent")),
+                 *([cmd, "--f", "1e308*x3^2", "--g", "x1"]
+                   for cmd in ("thm2", "thm3"))):
+        assert run([*argv, "--levels", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("btq: expression error") and err.count("\n") == 1
+    # two symbols under the bound whose products would overflow
+    for cmd in ("thm2", "thm3"):
+        assert run([cmd, "--f", "1e200*x1", "--g", "1e200*x2", "--levels", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("btq: --f and --g") and err.count("\n") == 1
 
 
 def test_usage_errors(workdir, capsys):

@@ -79,6 +79,8 @@ def test_thm1_constant():
     assert all(r.gap <= 1e-12 for r in rep.rows)
     assert rep.fit is None  # gaps at the machine floor are excluded
     assert rep.passed
+    # ||T_c|| = |c| (1 + Gram defect): the slack scales with c
+    assert lab.thm1_run(sy.constant(1e8), [8, 64]).passed
 
 
 def test_thm1_monotone_norms():
@@ -257,6 +259,9 @@ def test_coherent_x3_north():
         assert abs(r.measured - r.m / (r.m + 2)) < 1e-10
     assert rep.passed
     assert rep.fit is not None  # north maximizes x3
+    # the state is an eigenvector, l_m = ||T_f||: the slack scales with f
+    for c in (1e8, 1e12):
+        assert lab.coherent_run(c * X3, north, [4, 8, 16]).passed
 
 
 def test_coherent_constant():
@@ -301,6 +306,14 @@ def test_coherent_south_pole_base_point():
         assert abs(r.measured - r.m / (r.m + 2)) < 1e-10
 
 
+def test_coherent_run_stays_in_float_range():
+    # at |z0| = 1, <phi, phi> ~ 2^m: unscaled, <phi, T phi> overflows at m = 1020
+    f = 1e4 * X1
+    rep = lab.coherent_run(f, SpherePoint.from_z(1.0), [1020])
+    assert rep.passed and math.isfinite(rep.rows[0].measured)
+    assert abs(rep.rows[0].measured - 1e4 * 1020 / 1022) < 1e-8
+
+
 # -- cross-check and reports ------------------------------------------------------
 
 
@@ -312,6 +325,10 @@ def test_cross_check_examples(rng):
 
 def test_crosscheck_run_passes():
     rep = lab.crosscheck_run(X1 * X2, [4, 8])
+    assert rep.passed
+    # T_{cf} = c T_f: the bound scales with the coefficients, so a large
+    # symbol's roundoff (6e-10 at m = 256) is not a disagreement
+    rep = lab.crosscheck_run(sy.parse("1e6*x1*x2*x3^2 + x3"), [8, 64, 256])
     assert rep.passed
 
 

@@ -35,10 +35,12 @@ def test_parse_unknown_identifier_offset():
 
 def test_parse_rejects_non_finite_coefficients():
     for text in ("1e400*x3", "1e300*1e300*x3", "(1e200*x3)^2",
-                 "1e308*x3 + 1e308*x3"):
+                 "1e308*x3 + 1e308*x3", "1e308*x3^2", "1e308*x3 - 1e308*x1",
+                 "1e300*x3", "2e250*x3", "1e250*x3 - 1e250*x1"):
         with pytest.raises(SymbolSyntaxError):
             sy.parse(text)
-    assert sy.parse("1e300*x3").terms == {(0, 0, 1): 1e300}
+    assert sy.COEFF_L1_BOUND == 1e250
+    assert sy.parse("1e250*x3").terms == {(0, 0, 1): 1e250}
 
 
 def test_parse_syntax_errors_carry_positions():
