@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from .errors import CalibrationError, LedgerError
-from .geometry import KahlerConventions, TOTAL_AREA
+from .geometry import DEFAULT_CONVENTIONS, KahlerConventions, TOTAL_AREA
 from .operators import commutator, operator_norm, prequantum, toeplitz, tuynman_rhs
 from .symbols import X1, X2, X3, poisson_bracket
 
@@ -102,11 +102,11 @@ def ledger_bytes(conv, diagnostics):
                        indent=2, sort_keys=True) + "\n").encode()
 
 
-def write_ledger(path, conv, diagnostics):
-    """Atomic write (temp + rename); byte-deterministic for identical input."""
-    payload = ledger_bytes(conv, diagnostics)
+def atomic_write(path, payload):
+    """Write bytes to path through a temp file in the same directory and a
+    rename, so readers see the old file or the new one, never a part."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".btq_ledger_")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".btq_")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
@@ -115,6 +115,11 @@ def write_ledger(path, conv, diagnostics):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_ledger(path, conv, diagnostics):
+    """Atomic write; byte-deterministic for identical input."""
+    atomic_write(path, ledger_bytes(conv, diagnostics))
     return path
 
 
@@ -140,4 +145,10 @@ def load_ledger(path):
         raise LedgerError(f"conventions ledger {path} is corrupted: {exc}") from exc
     if conv.laplace_sign not in (1, -1) or abs(conv.poisson_constant) != 2.0:
         raise LedgerError(f"conventions ledger {path} holds out-of-range values")
+    # the calculus integrates over TOTAL_AREA and scales the Laplacian by
+    # the default; a ledger naming other values would be reported, not used
+    if (conv.total_area, conv.laplace_scale) != (TOTAL_AREA,
+                                                 DEFAULT_CONVENTIONS.laplace_scale):
+        raise LedgerError(f"conventions ledger {path} holds a total_area or "
+                          "laplace_scale that btq does not use")
     return conv

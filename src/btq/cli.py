@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 from . import calibration, lab
 from .errors import (CalibrationError, CapacityError, LedgerError,
@@ -57,8 +56,6 @@ def _build_parser():
             sp.add_argument("--g", required=True, help="second symbol expression")
         sp.add_argument("--levels", default=DEFAULT_LEVELS,
                         help="comma-separated strictly increasing levels")
-        sp.add_argument("--window", default=None,
-                        help="fit window, a subset of --levels")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
         sp.add_argument("--margin", type=int, default=0,
@@ -79,29 +76,19 @@ def _build_parser():
     common(sub.add_parser("coherent",
                           help="coherent-state expectations at the |f| maximizer"))
     common(sub.add_parser("crosscheck", help="three-path Toeplitz agreement"))
+    for name in ("thm1", "thm2", "thm3", "coherent"):  # the ones that fit a rate
+        sub.choices[name].add_argument("--window", default=None,
+                                       help="fit window, a subset of --levels")
     spc = sub.add_parser("calibrate", help="measure and freeze sign conventions")
     spc.add_argument("--force", action="store_true",
                      help="overwrite a corrupted ledger")
     return p
 
 
-def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".btq_out_")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(report, args):
     text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:
-        _atomic_write(args.out, text)
+        calibration.atomic_write(args.out, text.encode())
     else:
         sys.stdout.write(text)
 
@@ -113,9 +100,9 @@ def _levels(args):
     if levels[-1] > args.max_level:
         raise CapacityError(
             f"level {levels[-1]} exceeds --max-level {args.max_level}")
-    window = None
-    if args.window is not None:
-        window = _int_list(args.window)
+    window = getattr(args, "window", None)
+    if window is not None:
+        window = _int_list(window)
         if not set(window) <= set(levels):
             raise UsageError("--window must be a subset of --levels")
     return levels, window
@@ -166,8 +153,9 @@ def _dispatch(args):
     if g is not None and f.coeff_l1() * g.coeff_l1() > COEFF_L1_BOUND:
         raise UsageError("--f and --g: the product of their coefficient l1 "
                          f"norms exceeds {COEFF_L1_BOUND:g}")
-    kw = dict(window=window, conventions=conv, margin=args.margin,
-              seed=args.seed)
+    kw = dict(conventions=conv, margin=args.margin, seed=args.seed)
+    if "window" in args:
+        kw["window"] = window
 
     if args.experiment == "thm1":
         report = lab.thm1_run(f, levels, **kw)
@@ -177,13 +165,11 @@ def _dispatch(args):
         reports = lab.thm3_run(f, g, levels, **kw)
         report = reports[args.order]
     elif args.experiment == "tuynman":
-        kw.pop("window")
         report = lab.tuynman_run(f, levels, **kw)
     elif args.experiment == "coherent":
         _, x0 = sup_norm_argmax(f)
         report = lab.coherent_run(f, x0, levels, **kw)
     elif args.experiment == "crosscheck":
-        kw.pop("window")
         report = lab.crosscheck_run(f, levels, **kw)
     else:  # pragma: no cover - argparse restricts the choices
         raise UsageError(f"unknown experiment {args.experiment}")

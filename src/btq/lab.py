@@ -222,7 +222,6 @@ def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
         r1 = tf @ tg - tc0
         r2 = r1 - tc1 / m
         for rep, r in ((rep1, r1), (rep2, r2)):
-            r.hermitian = False  # normed as a general residual, by the SVD
             rep.rows.append(ConvergenceRow.make(m, operator_norm(r), 0.0))
     _try_fit(rep1, window)
     _try_fit(rep2, window)
@@ -277,15 +276,15 @@ def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS,
     ||f||_inf - l_m when x0 maximizes |f| (to 1e-6 relative).  Base points
     with |z0| > 1 or at the infinity chart are pulled to the unit disk by an
     exact 180-degree rotation, which is unitary on sections and leaves every
-    reported quantity unchanged.
+    reported quantity unchanged; the report records the caller's f.
     """
+    report = ConvergenceReport("coherent", f, conventions=conventions.as_dict(),
+                               seed=seed)
     if x0.chart == "infinity" or abs(x0.z) > 1.0:
         f = _flip(f)
         x0 = _flip_point(x0)
     sup = sup_norm(f)
     ref = abs(evaluate(f, x0))
-    report = ConvergenceReport("coherent", f, conventions=conventions.as_dict(),
-                               seed=seed)
     z0 = x0.z
     tol = 1e-9 * max(1.0, f.coeff_max())
     for m in levels:

@@ -15,7 +15,9 @@ explicit integral kernel, expanding (1 + z conj(zeta))^m binomially and
 re-projecting on the raw monomial frame.  Pairwise agreement of the three
 is the package's core self-test.  Operators are stored as their band of
 diagonals (`QuantumOperator`), filled directly by every path; only
-`operator_norm` builds the dense (m+1)^2 matrix, for LAPACK.
+`operator_norm` builds the dense (m+1)^2 matrix, for LAPACK.  Whether an
+operator is Hermitian is read off its band when it is built; no path
+asserts it.
 
 The geometric-quantization operator is Q_f = Pi(-(1/m) nabla_{X_f} + i f)Pi
 with the Hamiltonian field of the area form; the 1/m is the level-m scaling
@@ -86,30 +88,34 @@ class QuantumOperator:
     entry with |j - k| > band is an exact zero.  The constructor keeps the
     exact band of a dense matrix; `.mat` materialises one on each access.
     Arithmetic, products (band b1 + b2, O(m b1 b2)), mat-vecs and the
-    hermiticity check act on the diagonals."""
+    hermiticity check act on the diagonals.
+
+    `hermitian` is that check, made by both constructors on the stored band
+    (|A - A^H| <= 1e-12 max(1, max |A|)); no caller sets it, and
+    `operator_norm` reads it to choose eigvalsh or the SVD."""
 
     __slots__ = ("m", "band", "diags", "hermitian")
 
-    def __init__(self, m, mat, hermitian=None):
+    def __init__(self, m, mat):
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (m + 1, m + 1):
             raise ValueError(f"level {m} needs a {m + 1}x{m + 1} matrix")
         band = int(np.max(np.abs(np.subtract(*np.nonzero(mat))), initial=0))
         rows, inside, _ = _band_index(band, m + 1)
-        self._set(m, np.where(inside, mat[rows, np.arange(m + 1)], 0), hermitian)
+        self._set(m, np.where(inside, mat[rows, np.arange(m + 1)], 0))
 
     @classmethod
-    def from_diags(cls, m, diags, hermitian=None):
+    def from_diags(cls, m, diags):
         """Wrap a zero-padded (2 band + 1, m + 1) diagonal stack, band <= m."""
         if diags.shape[1:] != (m + 1,) or len(diags) % 2 == 0 or len(diags) > 2 * m + 1:
             raise ValueError(f"level {m} needs a (2 band + 1, {m + 1}) stack")
         op = cls.__new__(cls)
-        op._set(m, diags, hermitian)
+        op._set(m, diags)
         return op
 
-    def _set(self, m, diags, hermitian):
+    def _set(self, m, diags):
         self.m, self.band, self.diags = m, len(diags) // 2, diags
-        self.hermitian = bool(_is_hermitian(diags) if hermitian is None else hermitian)
+        self.hermitian = _is_hermitian(diags)
 
     @property
     def mat(self):
@@ -195,7 +201,7 @@ class QuantumOperator:
 
 
 def identity(m):
-    return QuantumOperator.from_diags(m, np.ones((1, m + 1), complex), hermitian=True)
+    return QuantumOperator.from_diags(m, np.ones((1, m + 1), complex))
 
 
 # -- banded assembly on the radial table ---------------------------------------
@@ -247,21 +253,17 @@ def _resolve_table(f_degree, m, table=None, margin=0, extra_degree=0):
 # -- path 1: quadrature --------------------------------------------------------
 
 
-def _toeplitz_diags(f, m, table=None, margin=0):
-    """The diagonal stack of T_f; for real f, verified Hermitian to _HERM_TOL."""
+def toeplitz(f, m, table=None, margin=0):
+    """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>.  For real
+    f, an operator that fails the hermiticity check is refused."""
     table = _resolve_table(f.degree, m, table, margin)
     fv = eval_ambient(f, *_ambient_grid(table, f.degree))
     diags = _band_matrix(table.B, table.B, table.w, fv, f.degree)
-    if f.is_real and not _is_hermitian(diags):
+    t = QuantumOperator.from_diags(m, diags)
+    if f.is_real and not t.hermitian:
         raise UnderResolvedRuleError(
             "real symbol produced a non-Hermitian Toeplitz matrix")
-    return diags
-
-
-def toeplitz(f, m, table=None, margin=0):
-    """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>."""
-    diags = _toeplitz_diags(f, m, table, margin)
-    return QuantumOperator.from_diags(m, diags, hermitian=True if f.is_real else None)
+    return t
 
 
 # -- path 2: exact Beta moments ------------------------------------------------
@@ -366,7 +368,7 @@ def prequantum(f, m, table=None):
     B, w, band = table.B, table.w, f.degree
     k = np.arange(m + 1)
     diags = _band_matrix(B, B, w, base, band) + _band_matrix(B, B * k, w, col, band)
-    return QuantumOperator.from_diags(m, diags, hermitian=False)
+    return QuantumOperator.from_diags(m, diags)
 
 
 def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS, table=None):
@@ -374,11 +376,7 @@ def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS, table=None):
     if m < 1:
         raise ValueError("Tuynman's relation needs m >= 1")
     g = f - laplace_beltrami(f, conventions) * (1.0 / (2.0 * m))
-    diags = _toeplitz_diags(g, m, table) * 1j
-    # real g: T_g is verified Hermitian, so i T_g is anti-Hermitian and is
-    # Hermitian only when zero; complex g: one check on the product
-    hermitian = not diags.any() if g.is_real else None
-    return QuantumOperator.from_diags(m, diags, hermitian=hermitian)
+    return toeplitz(g, m, table) * 1j
 
 
 # -- norms and commutators -----------------------------------------------------
@@ -386,7 +384,7 @@ def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS, table=None):
 
 def operator_norm(op):
     """Largest singular value on the dense matrix, a run's one O(m^2) allocation:
-    eigvalsh when flagged Hermitian, else the LAPACK 2-norm."""
+    eigvalsh when the band passed the hermiticity check, else the LAPACK 2-norm."""
     if op.hermitian:
         if op.m == 0:
             return float(abs(op.mat[0, 0]))

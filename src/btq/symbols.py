@@ -10,10 +10,9 @@ classical observables are the real-flagged subclass.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import re
-from importlib import resources
 
 import numpy as np
 
@@ -395,25 +394,24 @@ def laplace_beltrami(f, conventions=DEFAULT_CONVENTIONS):
 C1_ORDERINGS = ("dzbar-dz", "dz-dzbar")
 
 
-def _load_c1_table():
-    with resources.files("btq").joinpath("data/c1_table.json").open() as fh:
-        raw = json.load(fh)
-    return [[symbol_from_json(cell) for cell in row] for row in raw["G"]]
-
-
-_C1_TABLE = None
-
-
+@functools.lru_cache(maxsize=None)
 def c1_contraction_table():
-    """The nine degree<=2 symbols G_ij = (1+z zbar)^2 (dzbar x_i)(dz x_j).
+    """The nine degree<=2 symbols G_ij = (1+z zbar)^2 (dzbar x_i)(dz x_j),
+    in closed form G_ij = delta_ij - x_i x_j - i eps_ijk x_k, with eps the
+    Levi-Civita symbol.  The tests check every coefficient against an exact
+    symbolic derivation in the stereographic chart."""
+    x = (X1, X2, X3)
 
-    Loaded from the committed fixture; scripts/derive_c1_table.py regenerates
-    it with an independent symbolic stereographic derivation.
-    """
-    global _C1_TABLE
-    if _C1_TABLE is None:
-        _C1_TABLE = _load_c1_table()
-    return _C1_TABLE
+    def entry(i, j):
+        if i == j:
+            g = ONE - x[i] * x[j]
+        else:
+            eps = 1 if (j - i) % 3 == 1 else -1  # eps_ijk, k the remaining index
+            g = -(x[i] * x[j]) - (1j * eps) * x[3 - i - j]
+        # rebuilt from sorted terms: c1_candidate's sums follow term order
+        return Symbol(sorted(g.terms.items()))
+
+    return tuple(tuple(entry(i, j) for j in range(3)) for i in range(3))
 
 
 def c1_candidate(f, g, ordering="dzbar-dz"):

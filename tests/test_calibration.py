@@ -60,6 +60,15 @@ def test_ledger_corruption_detected(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(LedgerError):
         cal.load_ledger(path)
+    # fields the calculus does not read must hold the values it uses
+    for key, value in (("laplace_scale", 3.0), ("total_area", 5.0)):
+        payload = cal.ledger_payload(conv, diag)
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(LedgerError):
+            cal.load_ledger(path)
+    path.write_text(json.dumps(cal.ledger_payload(conv, diag)))
+    assert cal.load_ledger(path) == conv
     with pytest.raises(FileNotFoundError):
         cal.load_ledger(tmp_path / "absent.json")
 

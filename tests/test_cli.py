@@ -7,6 +7,7 @@ import pytest
 
 from btq import cli
 from btq.calibration import LEDGER_ENV, LEDGER_NAME
+from btq.symbols import parse, symbol_to_json
 
 
 @pytest.fixture
@@ -59,6 +60,14 @@ def test_corrupted_ledger_blocks_experiments(workdir, capsys):
     (workdir / LEDGER_NAME).write_text('{"format": "btq-conventions-v1"}')
     rc = run(["thm1", "--f", "x3", "--levels", "2,4"])
     assert rc == 3
+    assert "calibrate" in capsys.readouterr().err
+    # conventions the calculus never uses are refused, not reported
+    run(["calibrate", "--force"])
+    capsys.readouterr()
+    ledger = json.loads((workdir / LEDGER_NAME).read_text())
+    ledger.update(laplace_scale=3.0, total_area=5.0)
+    (workdir / LEDGER_NAME).write_text(json.dumps(ledger))
+    assert run(["tuynman", "--f", "x3^2", "--levels", "4,8"]) == 3
     assert "calibrate" in capsys.readouterr().err
 
 
@@ -134,6 +143,9 @@ def test_usage_errors(workdir, capsys):
     assert run(["nonsense"]) == 2
     assert run(["thm2", "--f", "x1", "--levels", "2,4"]) == 2  # missing --g
     assert run(["thm1", "--f", "x3", "--levels", "8", "--margin", "-1"]) == 2
+    # only the experiments that fit a rate take a window
+    for cmd in ("tuynman", "crosscheck"):
+        assert run([cmd, "--f", "x3", "--levels", "4,8,16", "--window", "8,16"]) == 2
 
 
 def test_level_cap_is_capacity_error(workdir, capsys):
@@ -215,6 +227,13 @@ def test_coherent_and_crosscheck_subcommands(workdir, capsys):
         assert abs(float(r["measured"]) - m / (m + 2)) < 1e-10
     assert run(["crosscheck", "--f", "x1*x2", "--levels", "4,8"]) == 0
     assert run(["tuynman", "--f", "x3^2", "--levels", "2,4,8"]) == 0
+    capsys.readouterr()
+    # the |f| maximizer is the south pole, so the run rotates f internally;
+    # the report keeps the symbol as given
+    f = "x3 - 2*x3^2 + 0.3*x1"
+    assert run(["coherent", "--f", f, "--levels", "4,8"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["f"] == symbol_to_json(parse(f))
 
 
 def test_output_written_atomically(workdir):
@@ -222,7 +241,7 @@ def test_output_written_atomically(workdir):
     assert run(["thm1", "--f", "x3", "--levels", "2,4", "--out",
                 "sub.json"]) == 0
     assert json.loads((workdir / "sub.json").read_text())["experiment"] == "thm1"
-    leftovers = [p for p in os.listdir(workdir) if p.startswith(".btq_out_")]
+    leftovers = [p for p in os.listdir(workdir) if p.startswith(".btq_")]
     assert leftovers == []
 
 

@@ -235,18 +235,26 @@ def test_tuynman_and_crosscheck_rows_match_dense_reference():
 
 
 def test_thm_residuals_keep_the_band(monkeypatch):
-    seen = []
+    seen, norms = [], []
     norm = lab.operator_norm
-    monkeypatch.setattr(lab, "operator_norm",
-                        lambda t: seen.append((t.band, t.hermitian)) or norm(t))
+
+    def spy(t):
+        seen.append((t.band, t.hermitian))
+        norms.append((norm(t), float(np.linalg.norm(t.mat, 2))))
+        return norms[-1][0]
+
+    monkeypatch.setattr(lab, "operator_norm", spy)
     lab.thm2_run(X1 * X2, X3 * X3 + X1, [8, 16])  # deg f + deg g = 4
     assert seen == [(4, True)] * 2
     seen.clear()
     lab.thm3_run(X1, X2 * X3, [8, 16])  # 1 + 2, both orders
     assert seen == [(3, False)] * 4
     seen.clear()
-    lab.thm3_run(X3, X3, [8, 16])  # Hermitian residuals, still normed by the SVD
-    assert seen == [(2, False)] * 4
+    norms.clear()
+    lab.thm3_run(X3, X3, [8, 16])  # commuting pair: Hermitian residuals, by eigvalsh
+    assert seen == [(2, True)] * 4
+    for got, svd in norms:
+        assert abs(got - svd) <= 1e-12 * svd
 
 
 # -- coherent -------------------------------------------------------------------
@@ -291,6 +299,7 @@ def test_coherent_flip_equivariance():
     f = X3 + 0.5 * X1
     p = SpherePoint.from_z(3.0 + 0.1j)
     rep1 = lab.coherent_run(f, p, [4, 8])
+    assert rep1.f == f
     flipped_f = lab._flip(f)
     flipped_p = lab._flip_point(p)
     assert abs(flipped_p.z) <= 1.0

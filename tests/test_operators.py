@@ -179,6 +179,21 @@ def test_hermiticity_flags(rng):
         assert t.hermitian_defect() < 1e-12
     tc = op.toeplitz(X1 + 1j * X2, 12)
     assert not tc.hermitian
+    # no maker asserts the flag: each one equals the dense check of its matrix
+    f, fc = random_symbol(rng, degree=3), random_symbol(rng, degree=3, real=False)
+    for m in (1, 12):
+        made = [op.identity(m)]
+        for h in (f, fc, 1j * X3, sy.Symbol({})):
+            made += [op.toeplitz(h, m), op.toeplitz_exact(h, m), op.kernel_matrix(h, m),
+                     op.prequantum(h, m), op.tuynman_rhs(h, m)]
+        a, b = op.toeplitz(f, m), op.toeplitz(X1 * X2, m)
+        q = op.prequantum(f, m)
+        made += [a + b, a - b, a - a, a + q, q * 1j, 1j * q, a * 1j, a / 2,
+                 -a, a @ b, a @ a, q @ q, op.commutator(a, b),
+                 op.commutator(a, b) * 1j, op.commutator(a, a)]
+        for x in made:
+            assert x.hermitian is dense_hermitian(x.mat)
+        assert {x.hermitian for x in made} == {True, False}
 
 
 def test_positivity(rng):
@@ -242,9 +257,9 @@ def test_tuynman_rhs_examples():
         op.tuynman_rhs(X3, 0)
 
 
-def test_tuynman_rhs_checks_hermiticity_once():
-    # the flag equals the auto check on i T_g, and the bytes those of
-    # toeplitz(g) * 1j, without a second check after toeplitz's own
+def test_tuynman_rhs_flag_is_the_band_check():
+    # i T_g has the bytes of toeplitz(g) * 1j; for real g it is anti-Hermitian,
+    # so the band check calls it Hermitian only when it is zero
     f10 = sy.parse("x1*x2*x3^2 + 0.25*x1^2*x2^2 - x3 + 0.125")
     cases = [(sy.Symbol({}), True), (X3, False), (f10, False),
              (1j * X3, True), (X1 + 1j * X2 * X3, False)]
@@ -285,7 +300,7 @@ def test_operator_norm_examples():
     for m in (2, 8, 64):
         t = op.toeplitz_exact(X3, m)
         assert abs(op.operator_norm(t) - m / (m + 2)) < 1e-12
-    zero = op.QuantumOperator(3, np.zeros((4, 4)), hermitian=False)
+    zero = op.QuantumOperator(3, np.zeros((4, 4)))
     assert op.operator_norm(zero) == 0.0
 
 
@@ -293,7 +308,9 @@ def test_operator_norm_matches_svd(rng):
     # general operators: the 2-norm against the top eigenvalue of A^H A
     for n in (3, 17, 60):
         a = rng.randn(n, n) + 1j * rng.randn(n, n)
-        norm = op.operator_norm(op.QuantumOperator(n - 1, a, hermitian=False))
+        x = op.QuantumOperator(n - 1, a)
+        assert not x.hermitian  # so the norm takes the SVD branch
+        norm = op.operator_norm(x)
         sv = float(np.sqrt(np.max(np.linalg.eigvalsh(a.conj().T @ a))))
         assert abs(norm - sv) < 1e-9 * sv
 

@@ -1,6 +1,5 @@
 import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -296,28 +295,33 @@ def test_c1_fixture_matches_symbolic_oracle(rng):
                 assert abs(ours - theirs) < 1e-12
 
 
-def test_c1_fixture_regenerates_identically(tmp_path):
-    pytest.importorskip("sympy")
-    import importlib.util
-    root = pathlib.Path(__file__).resolve().parents[1]
-    script = root / "scripts" / "derive_c1_table.py"
-    spec = importlib.util.spec_from_file_location("derive_c1_table", script)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    table = []
-    import sympy as sp
+def test_c1_table_matches_exact_derivation():
+    # differentiate the chart coordinates exactly with sympy and match each
+    # G_ij against the normal-form monomials of degree <= 2 by comparing
+    # coefficients in (z, zbar): no hand-derived sign enters
+    sp = pytest.importorskip("sympy")
+    z, zb = sp.symbols("z zbar")
+    u = 1 + z * zb
+    chart = [(z + zb) / u, -sp.I * (z - zb) / u, (1 - z * zb) / u]
+    basis = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+             (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 2, 0), (0, 0, 2)]
+
+    def to_ambient(expr):
+        """Solve expr = sum kappa_e x^e on the sphere for the kappas."""
+        kappas = sp.symbols(f"k0:{len(basis)}")
+        ansatz = sum(k * chart[0] ** a * chart[1] ** b * chart[2] ** c
+                     for k, (a, b, c) in zip(kappas, basis))
+        poly = sp.Poly(sp.expand(sp.simplify((expr - ansatz) * u ** 2)), z, zb)
+        sol = sp.solve(poly.coeffs(), kappas, dict=True)
+        assert len(sol) == 1, f"ambient matching not unique: {sol}"
+        return {e: complex(sol[0].get(k, 0)) for k, e in zip(kappas, basis)}
+
+    table = sy.c1_contraction_table()
     for i in range(3):
-        row = []
         for j in range(3):
-            gij = sp.simplify(mod.u ** 2 * sp.diff(mod.X[i], mod.zb)
-                              * sp.diff(mod.X[j], mod.z))
-            coeffs = mod.to_ambient(gij)
-            row.append({"terms": [
-                {"e": list(e), "re": c.real, "im": c.imag}
-                for e, c in sorted(coeffs.items()) if c != 0]})
-        table.append(row)
-    committed = json.loads((root / "src/btq/data/c1_table.json").read_text())
-    assert committed == {"G": table}
+            gij = sp.simplify(u ** 2 * sp.diff(chart[i], zb) * sp.diff(chart[j], z))
+            exact = {e: c for e, c in to_ambient(gij).items() if c != 0}
+            assert table[i][j].terms == exact
 
 
 # -- evaluation, sup norm, serialization ---------------------------------------
