@@ -13,7 +13,7 @@ from .errors import (CalibrationError, CapacityError, InsufficientDataError,
 from .geometry import (DEFAULT_CONVENTIONS, TOTAL_AREA, KahlerConventions,
                        QuadratureRule, SpherePoint, curvature_check, diastasis,
                        make_rule)
-from .hilbert import (CoherentState, GridTable, SectionVector, basis_eval_grid,
+from .hilbert import (GridTable, SectionVector, basis_eval_grid,
                       coefficient_inner, coherent_state, dimension,
                       kernel_density, monomial_norm, quadrature_inner)
 from .lab import (ConvergenceReport, ConvergenceRow, RateFit, coherent_run,
@@ -23,10 +23,9 @@ from .operators import (QuantumOperator, commutator, identity, kernel_apply,
                         kernel_matrix, operator_norm, prequantum, toeplitz,
                         toeplitz_exact, tuynman_rhs)
 from .symbols import (ONE, REJECTED_C1_ORDERING, SELECTED_C1_ORDERING, X1, X2,
-                      X3, Symbol, c1_candidate, compile_expr, constant,
-                      coordinate, eval_ambient, eval_expr, evaluate,
-                      grid_extrema, laplace_beltrami, multiply, parse,
-                      parse_expr, poisson_bracket, sup_norm, sup_norm_argmax,
-                      symbol_from_json, symbol_to_json)
+                      X3, Symbol, c1_candidate, constant, coordinate,
+                      eval_ambient, evaluate, grid_extrema, laplace_beltrami,
+                      multiply, parse, poisson_bracket, sup_norm,
+                      sup_norm_argmax, symbol_from_json, symbol_to_json)
 
 __version__ = "0.1.0"

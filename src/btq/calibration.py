@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from .errors import CalibrationError, LedgerError
-from .geometry import DEFAULT_CONVENTIONS, KahlerConventions, TOTAL_AREA
+from .geometry import LAPLACE_SCALE, TOTAL_AREA, KahlerConventions
 from .operators import commutator, operator_norm, prequantum, toeplitz, tuynman_rhs
 from .symbols import X1, X2, X3, poisson_bracket
 
@@ -28,18 +28,18 @@ LEDGER_ENV = "BTQ_LEDGER"
 LEDGER_NAME = "btq_conventions.json"
 LEDGER_FORMAT = "btq-conventions-v1"
 
+_TUYNMAN_LEVEL = 4
 _TUYNMAN_TOL = 1e-8
+_POISSON_LEVELS = (8, 32)
 _DECAY_RATIO = 0.8
 
 
-def ledger_path(explicit=None):
-    """Resolve the ledger location: explicit arg, BTQ_LEDGER env, or cwd."""
-    if explicit:
-        return explicit
+def ledger_path():
+    """Resolve the ledger location: BTQ_LEDGER env, or cwd."""
     return os.environ.get(LEDGER_ENV) or os.path.join(os.getcwd(), LEDGER_NAME)
 
 
-def _laplace_defect(sign, m=4):
+def _laplace_defect(sign, m):
     conv = KahlerConventions(laplace_sign=sign)
     lhs = prequantum(X3, m)
     rhs = tuynman_rhs(X3, m, conv)
@@ -52,21 +52,23 @@ def _commutator_defect(c_sign, m):
     return operator_norm(commutator(toeplitz(X1, m), toeplitz(X2, m)) * (1j * m) - tfg)
 
 
-def calibrate(tuynman_level=4, poisson_levels=(8, 32)):
-    """Measure both signs of each convention and select the consistent ones.
+def calibrate():
+    """Measure both signs of each convention and select the consistent ones:
+    the Laplacian sign by Tuynman's relation at _TUYNMAN_LEVEL, the Poisson
+    sign by the commutator defect's decay over _POISSON_LEVELS.
 
     Returns (KahlerConventions, diagnostics).  Raises CalibrationError when
     no sign choice meets tolerance, which signals an implementation bug
     rather than a recoverable condition.
     """
-    lap = {sign: _laplace_defect(sign, tuynman_level) for sign in (1, -1)}
+    lap = {sign: _laplace_defect(sign, _TUYNMAN_LEVEL) for sign in (1, -1)}
     lap_ok = [s for s, d in lap.items() if d <= _TUYNMAN_TOL]
     if len(lap_ok) != 1:
         raise CalibrationError(
             f"Laplacian sign ambiguous: Tuynman defects {lap}")
     laplace_sign = lap_ok[0]
 
-    m_lo, m_hi = poisson_levels
+    m_lo, m_hi = _POISSON_LEVELS
     pois = {sign: (_commutator_defect(sign, m_lo), _commutator_defect(sign, m_hi))
             for sign in (1, -1)}
     pois_ok = [s for s, (dlo, dhi) in pois.items() if dhi < _DECAY_RATIO * dlo]
@@ -78,9 +80,9 @@ def calibrate(tuynman_level=4, poisson_levels=(8, 32)):
     conv = KahlerConventions(poisson_constant=2.0 * poisson_sign,
                              laplace_sign=laplace_sign)
     diagnostics = {
-        "tuynman_level": tuynman_level,
+        "tuynman_level": _TUYNMAN_LEVEL,
         "tuynman_defects": {str(s): lap[s] for s in (1, -1)},
-        "poisson_levels": list(poisson_levels),
+        "poisson_levels": list(_POISSON_LEVELS),
         "commutator_defects": {str(s): list(pois[s]) for s in (1, -1)},
     }
     return conv, diagnostics
@@ -92,7 +94,7 @@ def ledger_payload(conv, diagnostics):
         "total_area": TOTAL_AREA,
         "poisson_constant": conv.poisson_constant,
         "laplace_sign": conv.laplace_sign,
-        "laplace_scale": conv.laplace_scale,
+        "laplace_scale": LAPLACE_SCALE,
         "diagnostics": diagnostics,
     }
 
@@ -136,19 +138,17 @@ def load_ledger(path):
         if obj["format"] != LEDGER_FORMAT:
             raise LedgerError(f"unknown ledger format {obj['format']!r}")
         conv = KahlerConventions(
-            total_area=float(obj["total_area"]),
             poisson_constant=float(obj["poisson_constant"]),
             laplace_sign=int(obj["laplace_sign"]),
-            laplace_scale=float(obj["laplace_scale"]),
         )
+        fixed = (float(obj["total_area"]), float(obj["laplace_scale"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise LedgerError(f"conventions ledger {path} is corrupted: {exc}") from exc
     if conv.laplace_sign not in (1, -1) or abs(conv.poisson_constant) != 2.0:
         raise LedgerError(f"conventions ledger {path} holds out-of-range values")
     # the calculus integrates over TOTAL_AREA and scales the Laplacian by
-    # the default; a ledger naming other values would be reported, not used
-    if (conv.total_area, conv.laplace_scale) != (TOTAL_AREA,
-                                                 DEFAULT_CONVENTIONS.laplace_scale):
+    # LAPLACE_SCALE; a ledger naming other values would be reported, not used
+    if fixed != (TOTAL_AREA, LAPLACE_SCALE):
         raise LedgerError(f"conventions ledger {path} holds a total_area or "
                           "laplace_scale that btq does not use")
     return conv

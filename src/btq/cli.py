@@ -22,6 +22,7 @@ import sys
 from . import calibration, lab
 from .errors import (CalibrationError, CapacityError, LedgerError,
                      SymbolParseError, UnderResolvedRuleError)
+from .geometry import LAPLACE_SCALE
 from .symbols import COEFF_L1_BOUND, parse, sup_norm_argmax
 
 DEFAULT_MAX_LEVEL = 256
@@ -136,7 +137,7 @@ def _run_calibrate(args):
     print(f"conventions ledger written to {path}")
     print(f"  poisson_constant = {conv.poisson_constant!r}")
     print(f"  laplace_sign     = {conv.laplace_sign} "
-          f"(scale {conv.laplace_scale!r})")
+          f"(scale {LAPLACE_SCALE!r})")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ class InsufficientDataError(ValueError):
 
 
 class LevelMismatchError(ValueError):
-    """Binary operation on operators of different levels."""
+    """Operators, sections or basis tables of different levels combined."""
 
 
 class SymbolParseError(ValueError):

@@ -23,6 +23,8 @@ from ._zpoly import zp_add, zp_dz, zp_eval, zp_mul
 from .errors import CapacityError
 
 TOTAL_AREA = 2.0 * math.pi
+# the metric g(X,Y) = omega(X, IY) scales the ambient-identity Laplacian by 2
+LAPLACE_SCALE = 2.0
 
 # cap on Gauss nodes in s, the one size make_rule allocates (leggauss
 # builds an n x n companion matrix: about 1 s at this size)
@@ -31,25 +33,24 @@ MAX_RADIAL_NODES = 2048
 
 @dataclass(frozen=True)
 class KahlerConventions:
-    """Every sign/normalization the formulas leave open, pinned in one place.
+    """The two signs the formulas leave open, pinned in one place.
 
     poisson_constant is the c in {x_i, x_j} = c eps_ijk x_k; laplace_sign
-    and laplace_scale turn the ambient-identity Laplacian into the one the
+    and LAPLACE_SCALE turn the ambient-identity Laplacian into the one the
     metric g(X,Y) = omega(X, IY) defines (eigenvalues -2 l(l+1) here).
-    The defaults are the values the runtime calibration selects.
+    The defaults are the values the runtime calibration selects.  `as_dict`
+    also records the fixed TOTAL_AREA and LAPLACE_SCALE.
     """
 
-    total_area: float = TOTAL_AREA
     poisson_constant: float = 2.0
     laplace_sign: int = 1
-    laplace_scale: float = 2.0
 
     def as_dict(self):
         return {
-            "total_area": self.total_area,
+            "total_area": TOTAL_AREA,
             "poisson_constant": self.poisson_constant,
             "laplace_sign": self.laplace_sign,
-            "laplace_scale": self.laplace_scale,
+            "laplace_scale": LAPLACE_SCALE,
         }
 
 

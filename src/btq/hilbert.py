@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, UnderResolvedRuleError
+from .errors import CapacityError, LevelMismatchError, UnderResolvedRuleError
 from .geometry import SpherePoint, diastasis
 
 TWO_PI = 2.0 * math.pi
@@ -78,8 +78,20 @@ class SectionVector:
 def coefficient_inner(a, b):
     """<a,b> = sum conj(a_k) b_k (conjugate-linear in the first slot)."""
     if a.m != b.m:
-        raise ValueError("levels differ")
+        raise LevelMismatchError(f"levels {a.m} and {b.m} differ")
     return complex(np.vdot(a.coeffs, b.coeffs))
+
+
+def radial_factors(m, s):
+    """R[i, k] = R_k(s_i) = |e_k(z)| (1+|z|^2)^(-m/2) for k = 0..m at the
+    points s_i = |z|^2/(1+|z|^2) in [0, 1]: the root of the binomial weight
+    (m+1)/(2 pi) C(m,k) s^k (1-s)^(m-k), so every entry is at most
+    sqrt((m+1)/(2 pi)) and in float range at every level up to MAX_LEVEL."""
+    s = np.asarray(s, dtype=float)
+    k = np.arange(m + 1)
+    comb = np.array(binomial_row(m), dtype=float)
+    mag2 = comb * s[:, None] ** k[None, :] * (1.0 - s)[:, None] ** (m - k)[None, :]
+    return np.sqrt(mag2 * ((m + 1) / TWO_PI))
 
 
 class GridTable:
@@ -104,10 +116,7 @@ class GridTable:
         self.rule = rule
         s = rule.s_nodes
         self.s, self.w = s, rule.s_weights
-        k = np.arange(m + 1)
-        comb = np.array(binomial_row(m), dtype=float)
-        mag2 = comb * s[:, None] ** k[None, :] * (1.0 - s)[:, None] ** (m - k)[None, :]
-        self.B = np.sqrt(mag2 * ((m + 1) / TWO_PI))
+        self.B = radial_factors(m, s)
         self.gram_defect = float(np.max(np.abs(self.gram_diagonal() - 1.0)))
         if self.gram_defect > GRAM_TOL:
             raise UnderResolvedRuleError(
@@ -131,7 +140,7 @@ def quadrature_inner(a, b, table):
     """<a,b> by quadrature against the volume form; should match
     coefficient_inner to ~1e-12 when the table's rule is exact."""
     if a.m != table.m or b.m != table.m:
-        raise ValueError("levels differ")
+        raise LevelMismatchError(f"levels {a.m}, {b.m} and table {table.m} differ")
     return complex(np.sum(table.gram_diagonal() * np.conj(a.coeffs) * b.coeffs))
 
 
@@ -151,24 +160,18 @@ def kernel_density(m, p):
     return (m + 1) / TWO_PI * total
 
 
-@dataclass
-class CoherentState(SectionVector):
-    """The section peaked at z0, representative (1 + conj(z0) z)^m.
-
-    Kept in the unnormalized frame: ||phi||^2 = 2 pi/(m+1) (1+|z0|^2)^m, and
-    the pointwise density is (1+|z0|^2)^m exp(-m D(x0, .)).
-    """
-
-    z0: complex = 0j
-
-
 def coherent_state(m, z0):
-    """Coherent state at the finite-chart point z0."""
+    """Coherent state at the finite-chart point z0: the chart representative
+    (1 + conj(z0) z)^m, coefficients sqrt(2 pi C(m,k)/(m+1)) conj(z0)^k.
+    Unnormalized: ||phi||^2 = 2 pi/(m+1) (1+|z0|^2)^m, and the pointwise
+    density is (1+|z0|^2)^m exp(-m D(x0, .)), so it grows with the level;
+    `lab.coherent_run` uses the bounded multiple
+    (1+|z0|^2)^(-m/2) phi = sum_k R_k(s0) e^{-i k phi0} e_k instead."""
     z0 = complex(z0)
     pref = math.sqrt(TWO_PI / (m + 1))
     coeffs = np.array([pref * math.sqrt(float(c)) * np.conj(z0) ** k
                        for k, c in enumerate(binomial_row(m))])
-    return CoherentState(m, coeffs, z0=z0)
+    return SectionVector(m, coeffs)
 
 
 def coherent_norm_sq(m, z0):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .geometry import DEFAULT_CONVENTIONS, make_rule
-from .hilbert import SectionVector, basis_eval_grid, coherent_state
+from .hilbert import SectionVector, basis_eval_grid, radial_factors
 from .operators import (commutator, kernel_matrix, operator_norm, prequantum,
                         toeplitz, toeplitz_exact, tuynman_rhs)
 from .symbols import (SELECTED_C1_ORDERING, Symbol, c1_candidate, evaluate,
@@ -175,7 +175,8 @@ def thm1_run(f, levels, window=None, conventions=DEFAULT_CONVENTIONS,
     ref = sup_norm(f)
     tol = 1e-9 * max(1.0, f.coeff_max())
     for m in levels:
-        t = toeplitz(f, m, margin=margin)
+        table = basis_eval_grid(m, make_rule(m, f.degree, margin=margin))
+        t = toeplitz(f, m, table=table)
         measured = operator_norm(t)
         report.rows.append(ConvergenceRow.make(m, measured, ref))
         report.check(f"upper_bound_m{m}", measured <= ref + tol,
@@ -255,44 +256,34 @@ def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS, margin=0, seed=0):
     return report
 
 
-def _flip(f):
-    """Exact pullback under the rotation (x1,x2,x3) -> (x1,-x2,-x3)."""
-    return Symbol({(a, b, c): v * (-1.0) ** (b + c)
-                   for (a, b, c), v in f.terms.items()})
-
-
-def _flip_point(p):
-    x1, x2, x3 = p.ambient()
-    from .geometry import SpherePoint
-    return SpherePoint.from_ambient(x1, -x2, -x3)
-
-
 def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS,
                  margin=0, seed=0):
     """Coherent-state expectations l_m = |<phi, T_f phi>|/<phi,phi> -> |f(x0)|.
 
     Checks the sandwich l_m <= ||T_f|| <= ||f||_inf, each with a slack of
     1e-9 max(1, largest |coefficient|), at every level; fits the decay of
-    ||f||_inf - l_m when x0 maximizes |f| (to 1e-6 relative).  Base points
-    with |z0| > 1 or at the infinity chart are pulled to the unit disk by an
-    exact 180-degree rotation, which is unitary on sections and leaves every
-    reported quantity unchanged; the report records the caller's f.
+    ||f||_inf - l_m when x0 maximizes |f| (to 1e-6 relative).  The state
+    has coefficients R_k(s0) e^{-i k phi0} (`radial_factors`; s0 = (1 - x3)/2
+    and phi0 the azimuth of x0), i.e. conj(e_k(z0)) (1+|z0|^2)^(-m/2): one
+    formula for every base point, the south pole included, with every entry
+    in float range at every admitted level.
     """
     report = ConvergenceReport("coherent", f, conventions=conventions.as_dict(),
                                seed=seed)
-    if x0.chart == "infinity" or abs(x0.z) > 1.0:
-        f = _flip(f)
-        x0 = _flip_point(x0)
     sup = sup_norm(f)
     ref = abs(evaluate(f, x0))
-    z0 = x0.z
+    x1, x2, x3 = x0.ambient()
+    # (1 - x3)/2 keeps none of the digits of a point within 1e-8 of the
+    # north pole; x1^2 + x2^2 = 4 s0 (1 - s0) gives s0 there, and 1 - s0
+    # south of the equator, where R_k(s0) = R_{m-k}(1 - s0)
+    t0 = (x1 * x1 + x2 * x2) / (2.0 * (1.0 + abs(x3)))
+    phi0 = math.atan2(x2, x1)
     tol = 1e-9 * max(1.0, f.coeff_max())
     for m in levels:
-        t = toeplitz(f, m, margin=margin)
-        c = coherent_state(m, z0).coeffs
-        # <phi, phi> grows like 2^m at |z0| = 1; the exact rescaling
-        # c -> 2^-e c leaves l_m as it is and both inner products in range
-        c = c * 2.0 ** -math.frexp(float(np.max(np.abs(c))))[1]
+        table = basis_eval_grid(m, make_rule(m, f.degree, margin=margin))
+        t = toeplitz(f, m, table=table)
+        r = radial_factors(m, [t0])[0]
+        c = (r if x3 >= 0 else r[::-1]) * np.exp(-1j * np.arange(m + 1) * phi0)
         num = abs(complex(np.vdot(c, (t @ SectionVector(m, c)).coeffs)))
         den = float(np.real(np.vdot(c, c)))
         lm = num / den

@@ -238,25 +238,25 @@ def _ambient_grid(table, degree):
     return rho * np.cos(phi), rho * np.sin(phi), 1.0 - 2.0 * s
 
 
-def _resolve_table(f_degree, m, table=None, margin=0, extra_degree=0):
+def _resolve_table(f_degree, m, table=None, extra_degree=0):
     if table is None:
-        table = basis_eval_grid(m, make_rule(m, f_degree + extra_degree, margin=margin))
+        table = basis_eval_grid(m, make_rule(m, f_degree + extra_degree))
     need = m + f_degree + extra_degree
     if table.rule.max_radial_degree < need:
         raise UnderResolvedRuleError(
             f"rule resolves degree {table.rule.max_radial_degree}, need {need}")
     if table.m != m:
-        raise ValueError("table level mismatch")
+        raise LevelMismatchError(f"table level {table.m} differs from {m}")
     return table
 
 
 # -- path 1: quadrature --------------------------------------------------------
 
 
-def toeplitz(f, m, table=None, margin=0):
+def toeplitz(f, m, table=None):
     """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>.  For real
     f, an operator that fails the hermiticity check is refused."""
-    table = _resolve_table(f.degree, m, table, margin)
+    table = _resolve_table(f.degree, m, table)
     fv = eval_ambient(f, *_ambient_grid(table, f.degree))
     diags = _band_matrix(table.B, table.B, table.w, fv, f.degree)
     t = QuantumOperator.from_diags(m, diags)
@@ -311,7 +311,7 @@ def kernel_apply(f, m, sec, table=None):
     """
     table = _resolve_table(f.degree, m, table)
     if sec.m != m:
-        raise ValueError("section level mismatch")
+        raise LevelMismatchError(f"section level {sec.m} differs from {m}")
     return _kernel_operator(f, table) @ sec
 
 
@@ -331,7 +331,7 @@ def _kernel_operator(f, table):
 
 
 def kernel_matrix(f, m, table=None):
-    """T_f reconstructed column-by-column from the kernel path."""
+    """T_f from the kernel path, assembled band by band like `toeplitz`."""
     return _kernel_operator(f, _resolve_table(f.degree, m, table))
 
 

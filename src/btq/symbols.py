@@ -17,7 +17,7 @@ import re
 import numpy as np
 
 from .errors import SymbolSyntaxError, UnknownIdentifierError
-from .geometry import DEFAULT_CONVENTIONS, SpherePoint
+from .geometry import DEFAULT_CONVENTIONS, LAPLACE_SCALE, SpherePoint
 
 _REAL_TOL = 1e-13
 
@@ -176,8 +176,7 @@ def multiply(f, g):
 #   factor := base ('^' uint)?
 #   base   := number | 'x1' | 'x2' | 'x3' | '(' expr ')' | '-' factor
 #
-# Whitespace is insignificant.  Parse trees are tuples:
-#   ("const", v) ("var", i) ("add"|"sub"|"mul", l, r) ("pow", t, n) ("neg", t)
+# Whitespace is insignificant.
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -204,8 +203,12 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent over the grammar above.  Each production folds
+    straight into its normal-form Symbol: a number is `constant`, x_i is
+    `coordinate(i)`, and the operators are the Symbol ring operations,
+    applied left to right as they are read."""
+
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -217,104 +220,55 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op):
-        kind, val, at = self.peek()
-        if kind == "op" and val == op:
-            return self.take()
-        raise SymbolSyntaxError(f"expected {op!r}", at)
-
     def parse(self):
-        tree = self.expr()
+        f = self.expr()
         kind, val, at = self.peek()
         if kind != "end":
             raise SymbolSyntaxError(f"unexpected {val!r}", at)
-        return tree
+        return f
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                node = ("add" if val == "+" else "sub", node, self.term())
-            else:
-                return node
+        f = self.term()
+        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+            f = f + self.term() if self.take()[1] == "+" else f - self.term()
+        return f
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                node = ("mul", node, self.factor())
-            else:
-                return node
+        f = self.factor()
+        while self.peek()[:2] == ("op", "*"):
+            self.take()
+            f = f * self.factor()
+        return f
 
     def factor(self):
-        node = self.base()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
+        f = self.base()
+        if self.peek()[:2] == ("op", "^"):
             self.take()
             nkind, nval, nat = self.take()
             if nkind != "num" or not nval.isdigit():
                 raise SymbolSyntaxError("exponent must be an unsigned integer", nat)
-            node = ("pow", node, int(nval))
-        return node
+            f = f ** int(nval)
+        return f
 
     def base(self):
         kind, val, at = self.take()
         if kind == "num":
-            return ("const", float(val))
+            return constant(float(val))
         if kind == "ident":
             if val in ("x1", "x2", "x3"):
-                return ("var", int(val[1]))
+                return coordinate(int(val[1]))
             raise UnknownIdentifierError(f"unknown identifier {val!r}", at)
         if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
+            f = self.expr()
+            kind, val, at = self.take()
+            if kind != "op" or val != ")":
+                raise SymbolSyntaxError("expected ')'", at)
+            return f
         if kind == "op" and val == "-":
-            return ("neg", self.factor())
+            return -self.factor()
         found = repr(val) if val else "end of input"
         raise SymbolSyntaxError(
             f"expected a number, coordinate or '(' but found {found}", at)
-
-
-def parse_expr(text):
-    """Parse text into a SymbolExpr tuple tree (see grammar above)."""
-    return _Parser(text).parse()
-
-
-def eval_expr(tree, x1, x2, x3):
-    """Evaluate a parse tree directly at ambient coordinates."""
-    op = tree[0]
-    if op == "const":
-        return tree[1]
-    if op == "var":
-        return (x1, x2, x3)[tree[1] - 1]
-    if op == "neg":
-        return -eval_expr(tree[1], x1, x2, x3)
-    if op == "pow":
-        return eval_expr(tree[1], x1, x2, x3) ** tree[2]
-    l = eval_expr(tree[1], x1, x2, x3)
-    r = eval_expr(tree[2], x1, x2, x3)
-    return l + r if op == "add" else l - r if op == "sub" else l * r
-
-
-def compile_expr(tree):
-    """Fold a parse tree into a normal-form Symbol."""
-    op = tree[0]
-    if op == "const":
-        return constant(tree[1])
-    if op == "var":
-        return coordinate(tree[1])
-    if op == "neg":
-        return -compile_expr(tree[1])
-    if op == "pow":
-        return compile_expr(tree[1]) ** tree[2]
-    l = compile_expr(tree[1])
-    r = compile_expr(tree[2])
-    return l + r if op == "add" else l - r if op == "sub" else l * r
 
 
 # under this bound on `coeff_l1` (and on the product of two symbols' norms,
@@ -324,10 +278,11 @@ COEFF_L1_BOUND = 1e250
 
 
 def parse(text):
-    """Parse an expression string into a Symbol.  Coefficients whose l1 norm
-    is above COEFF_L1_BOUND or not finite (an overflow, or nan from one) are
-    a SymbolSyntaxError."""
-    f = compile_expr(parse_expr(text))
+    """Parse an expression string straight into its normal-form Symbol (no
+    intermediate tree; see `_Parser`).  Coefficients whose l1 norm is above
+    COEFF_L1_BOUND or not finite (an overflow, or nan from one) are a
+    SymbolSyntaxError."""
+    f = _Parser(text).parse()
     l1 = f.coeff_l1()
     if not l1 <= COEFF_L1_BOUND:
         raise SymbolSyntaxError(
@@ -386,7 +341,7 @@ def laplace_beltrami(f, conventions=DEFAULT_CONVENTIONS):
                 amb[key] = amb.get(key, 0j) + v * e * (e - 1)
         key = (a, b, c)
         amb[key] = amb.get(key, 0j) - v * d * (d + 1)
-    return Symbol(amb) * (conventions.laplace_sign * conventions.laplace_scale)
+    return Symbol(amb) * (conventions.laplace_sign * LAPLACE_SCALE)
 
 
 # -- first star-product bidifferential ---------------------------------------

@@ -13,7 +13,8 @@ def test_calibration_selects_expected_signs():
     conv, diag = cal.calibrate()
     assert conv.poisson_constant == 2.0
     assert conv.laplace_sign == 1
-    assert conv.laplace_scale == 2.0
+    assert conv.as_dict()["laplace_scale"] == 2.0
+    assert (diag["tuynman_level"], diag["poisson_levels"]) == (4, [8, 32])
     # the winning Tuynman sign is quadrature-exact, the loser is O(1)
     assert diag["tuynman_defects"]["1"] < 1e-10
     assert diag["tuynman_defects"]["-1"] > 1e-2
@@ -79,7 +80,6 @@ def test_ledger_path_resolution(tmp_path, monkeypatch):
     assert cal.ledger_path() == str(tmp_path / cal.LEDGER_NAME)
     monkeypatch.setenv(cal.LEDGER_ENV, "/elsewhere/conv.json")
     assert cal.ledger_path() == "/elsewhere/conv.json"
-    assert cal.ledger_path("/explicit.json") == "/explicit.json"
 
 
 def test_default_conventions_match_calibration():

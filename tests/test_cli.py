@@ -228,12 +228,25 @@ def test_coherent_and_crosscheck_subcommands(workdir, capsys):
     assert run(["crosscheck", "--f", "x1*x2", "--levels", "4,8"]) == 0
     assert run(["tuynman", "--f", "x3^2", "--levels", "2,4,8"]) == 0
     capsys.readouterr()
-    # the |f| maximizer is the south pole, so the run rotates f internally;
-    # the report keeps the symbol as given
+    # the |f| maximizer is the south pole; the report keeps the symbol as given
     f = "x3 - 2*x3^2 + 0.3*x1"
     assert run(["coherent", "--f", f, "--levels", "4,8"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["f"] == symbol_to_json(parse(f))
+
+
+def test_leading_minus_expressions(workdir, capsys):
+    # argparse reads "--f -x3" as an option; "--f=-x3" passes the expression
+    run(["calibrate"])
+    capsys.readouterr()
+    assert run(["coherent", "--f", "-x3", "--levels", "4,8"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert run(["coherent", "--f=-x3", "--levels", "4,8"]) == 0
+    assert json.loads(capsys.readouterr().out)["f"] == symbol_to_json(parse("-x3"))
+    assert run(["thm2", "--f=-x3", "--g=-x2", "--levels", "4,8"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["f"] == symbol_to_json(parse("-x3"))
+    assert report["g"] == symbol_to_json(parse("-x2"))
 
 
 def test_output_written_atomically(workdir):

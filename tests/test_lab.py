@@ -12,8 +12,9 @@ from btq import symbols as sy
 from btq.errors import InsufficientDataError
 from btq.geometry import SpherePoint
 from btq.geometry import make_rule
-from btq.hilbert import basis_eval_grid
+from btq.hilbert import basis_eval_grid, coherent_state
 from conftest import dense_hermitian, random_symbol
+from test_symbols import _extrema_symbols
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
 
@@ -295,17 +296,51 @@ def test_coherent_equator_limit():
 
 
 def test_coherent_flip_equivariance():
-    # a base point outside the unit disk is rotated in; values are unchanged
+    # the rotation (x1, x2, x3) -> (x1, -x2, -x3) is unitary on sections:
+    # rotating f and a base point outside the unit disk together leaves l_m
     f = X3 + 0.5 * X1
     p = SpherePoint.from_z(3.0 + 0.1j)
     rep1 = lab.coherent_run(f, p, [4, 8])
     assert rep1.f == f
-    flipped_f = lab._flip(f)
-    flipped_p = lab._flip_point(p)
+    flipped_f = sy.Symbol({(a, b, c): v * (-1.0) ** (b + c)
+                           for (a, b, c), v in f.terms.items()})
+    x1, x2, x3 = p.ambient()
+    flipped_p = SpherePoint.from_ambient(x1, -x2, -x3)
     assert abs(flipped_p.z) <= 1.0
     rep2 = lab.coherent_run(flipped_f, flipped_p, [4, 8])
     for a, b in zip(rep1.rows, rep2.rows):
         assert abs(a.measured - b.measured) < 1e-12
+
+
+def test_coherent_reports_thm1_sup_at_every_maximizer():
+    # maximizers beyond the unit disk or at the south pole: coherent's
+    # ||f||_inf is thm1's reference, so the fit path engages at each one
+    levels = [8, 16, 32, 64]
+    cases = 0
+    for f in _extrema_symbols():
+        _, x0 = sy.sup_norm_argmax(f)
+        if x0.chart == "finite" and abs(x0.z) <= 1.0:
+            continue
+        cases += 1
+        rep = lab.coherent_run(f, x0, levels)
+        ref = lab.thm1_run(f, levels[:1]).rows[0].reference
+        for check in rep.checks:
+            assert float(check.detail.rsplit("sup=", 1)[1]) == ref, f
+        assert rep.fit is not None, f
+    assert cases == 30
+
+
+def test_coherent_base_point_near_a_pole():
+    # within 1e-8 of a pole, x3 alone locates the point only to about 1e-8;
+    # the state must agree with the chart representative (1 + conj(z0) z)^m
+    f = sy.parse("x3 + 0.5*x1 + 0.3*x2")
+    for z0 in (3e-8 + 1e-8j, 1e-5j, -1e5j, 3e8):
+        rep = lab.coherent_run(f, SpherePoint.from_z(z0), [4, 16])
+        for r in rep.rows:
+            c = coherent_state(r.m, z0)
+            t = op.toeplitz(f, r.m)
+            ref = abs(np.vdot(c.coeffs, (t @ c).coeffs)) / np.vdot(c.coeffs, c.coeffs).real
+            assert abs(r.measured - ref) <= 1e-14 * ref, (z0, r.m)
 
 
 def test_coherent_south_pole_base_point():
@@ -316,7 +351,9 @@ def test_coherent_south_pole_base_point():
 
 
 def test_coherent_run_stays_in_float_range():
-    # at |z0| = 1, <phi, phi> ~ 2^m: unscaled, <phi, T phi> overflows at m = 1020
+    # at |z0| = 1 the chart representative has <phi, phi> ~ 2^m, and
+    # <phi, T phi> overflows at m = 1020; the run's state is that one scaled
+    # by 2^(-m/2)
     f = 1e4 * X1
     rep = lab.coherent_run(f, SpherePoint.from_z(1.0), [1020])
     assert rep.passed and math.isfinite(rep.rows[0].measured)

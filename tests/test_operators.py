@@ -8,7 +8,8 @@ from btq import operators as op
 from btq import symbols as sy
 from btq.errors import LevelMismatchError, UnderResolvedRuleError
 from btq.geometry import make_rule
-from btq.hilbert import SectionVector, basis_eval_grid
+from btq.hilbert import (SectionVector, basis_eval_grid, coefficient_inner,
+                         quadrature_inner)
 from conftest import assemble_in_subprocess, dense_hermitian, random_symbol
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
@@ -335,6 +336,18 @@ def test_commutator_m1_explicit():
 def test_level_mismatch():
     with pytest.raises(LevelMismatchError):
         op.commutator(op.identity(3), op.identity(4))
+    # sections, inner products and basis tables raise the same type
+    a, b = SectionVector(3, np.ones(4)), SectionVector(4, np.ones(5))
+    table4 = basis_eval_grid(4, make_rule(4, 2))
+    for call in (lambda: op.identity(3) @ b,
+                 lambda: coefficient_inner(a, b),
+                 lambda: quadrature_inner(a, a, table4),
+                 lambda: op.kernel_apply(X3, 3, b),
+                 lambda: op.toeplitz(X3, 3, table=table4),
+                 lambda: op.kernel_matrix(X3, 3, table=table4),
+                 lambda: op.prequantum(X3, 3, table=table4)):
+        with pytest.raises(LevelMismatchError):
+            call()
 
 
 # -- banded storage -----------------------------------------------------------------

@@ -70,18 +70,20 @@ def test_parse_precedence_and_unary_minus():
     assert sy.parse("2 - -x3") == sy.constant(2) + X3
 
 
-def test_expr_tree_matches_compiled_symbol(rng):
+def test_parse_matches_python_evaluation(rng):
+    # Python's own arithmetic on the text (^ -> **, which has the grammar's
+    # precedence, unary minus included) shares no code with the parser
     texts = ["x1 + x2*x3^2 - 0.25", "(x1 - x2)^3", "-x1*x2*x3 + x3^4",
              "0.5*(x1^2 - x2^2) + x3"]
     for text in texts:
-        tree = sy.parse_expr(text)
-        f = sy.compile_expr(tree)
+        f = sy.parse(text)
+        code = compile(text.replace("^", "**"), "<expr>", "eval")
         for _ in range(100):
             v = rng.randn(3)
             v /= np.linalg.norm(v)
-            direct = sy.eval_expr(tree, *v)
-            compiled = sy.eval_ambient(f, *v)
-            assert abs(direct - compiled) < 1e-12
+            direct = eval(code, {"__builtins__": {}},
+                          {"x1": v[0], "x2": v[1], "x3": v[2]})
+            assert abs(direct - sy.eval_ambient(f, *v)) < 1e-12
 
 
 # -- ring operations ----------------------------------------------------------
