@@ -89,14 +89,7 @@ def calibrate():
 
 
 def ledger_payload(conv, diagnostics):
-    return {
-        "format": LEDGER_FORMAT,
-        "total_area": TOTAL_AREA,
-        "poisson_constant": conv.poisson_constant,
-        "laplace_sign": conv.laplace_sign,
-        "laplace_scale": LAPLACE_SCALE,
-        "diagnostics": diagnostics,
-    }
+    return {"format": LEDGER_FORMAT, **conv.as_dict(), "diagnostics": diagnostics}
 
 
 def ledger_bytes(conv, diagnostics):

@@ -4,13 +4,16 @@ Subcommands: thm1, thm2, thm3, tuynman, coherent, crosscheck, calibrate.
 Exit codes: 0 = run completed with all declared assertions passing;
 1 = assertions failed (the report is still written); 2 = usage or
 expression error (including coefficients above symbols.COEFF_L1_BOUND);
-3 = capacity error, quadrature rule too weak for a requested level
-(UnderResolvedRuleError) or corrupted conventions ledger.
+3 = capacity error (including a symbol above symbols.MAX_SYMBOL_DEGREE),
+quadrature rule too weak for a requested level (UnderResolvedRuleError) or
+corrupted conventions ledger.
 
 Experiments refuse to run without a conventions ledger (see `btq calibrate`)
 unless --auto-calibrate is given.  BTQ_LEDGER overrides the ledger path.
 All numeric output uses shortest round-trip decimals and files are written
-atomically, so runs with the same configuration are byte-reproducible.
+atomically, so runs with the same configuration and the same BLAS thread
+count are byte-reproducible (the dense eigvalsh norm can change its last
+digits with the thread count from level 256 up).
 """
 
 from __future__ import annotations
@@ -59,10 +62,6 @@ def _build_parser():
                         help="comma-separated strictly increasing levels")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--margin", type=int, default=0,
-                        help="extra exactness degree for the radial Gauss rule "
-                             "(adds radial nodes)")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--auto-calibrate", action="store_true",
                         help="write the conventions ledger if it is missing")
         sp.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
@@ -147,14 +146,12 @@ def _dispatch(args):
 
     conv = _conventions(args)
     levels, window = _levels(args)
-    if args.margin < 0:
-        raise UsageError("--margin must be >= 0")
     f = parse(args.f)
     g = parse(args.g) if args.experiment in ("thm2", "thm3") else None
     if g is not None and f.coeff_l1() * g.coeff_l1() > COEFF_L1_BOUND:
         raise UsageError("--f and --g: the product of their coefficient l1 "
                          f"norms exceeds {COEFF_L1_BOUND:g}")
-    kw = dict(conventions=conv, margin=args.margin, seed=args.seed)
+    kw = dict(conventions=conv)
     if "window" in args:
         kw["window"] = window
 

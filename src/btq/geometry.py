@@ -145,13 +145,13 @@ class QuadratureRule:
 
 
 @functools.lru_cache(maxsize=None)
-def make_rule(m, degree, margin=0):
+def make_rule(m, degree):
     """Radial rule exact for every level-m matrix-element integrand with
-    symbols of total degree <= degree: radial degree >= m + degree + margin.
+    symbols of total degree <= degree: radial degree >= m + degree.
     Memoised, so the node and weight arrays are read-only."""
-    if m < 0 or degree < 0 or margin < 0:
-        raise ValueError("level, degree and margin must be nonnegative")
-    n_s = max((m + degree + margin + 2) // 2, 1)  # 2 n_s - 1 >= m + degree + margin
+    if m < 0 or degree < 0:
+        raise ValueError("level and degree must be nonnegative")
+    n_s = max((m + degree + 2) // 2, 1)  # 2 n_s - 1 >= m + degree
     if n_s > MAX_RADIAL_NODES:
         raise CapacityError(
             f"quadrature would need {n_s} radial nodes (cap {MAX_RADIAL_NODES})")

@@ -66,14 +66,6 @@ class SectionVector:
             raise ValueError(f"level {self.m} needs {self.m + 1} coefficients")
         self.coeffs = c
 
-    def to_json_dict(self):
-        return {"m": self.m,
-                "coeffs": [[c.real, c.imag] for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        return cls(obj["m"], np.array([complex(r, i) for r, i in obj["coeffs"]]))
-
 
 def coefficient_inner(a, b):
     """<a,b> = sum conj(a_k) b_k (conjugate-linear in the first slot)."""

@@ -79,7 +79,6 @@ class ConvergenceReport:
     rows: list = field(default_factory=list)
     fit: RateFit = None
     k_estimate: float = None
-    seed: int = 0
     checks: list = field(default_factory=list)
 
     @property
@@ -101,7 +100,6 @@ class ConvergenceReport:
             "rows": [r.as_dict() for r in self.rows],
             "fit": self.fit.as_dict() if self.fit is not None else None,
             "K_estimate": self.k_estimate,
-            "seed": self.seed,
             "checks": [c.as_dict() for c in self.checks],
         }
 
@@ -163,19 +161,18 @@ def _try_fit(report, window, rows=None):
 # -- experiments ---------------------------------------------------------------
 
 
-def thm1_run(f, levels, window=None, conventions=DEFAULT_CONVENTIONS,
-             margin=0, seed=0):
+def thm1_run(f, levels, window=None, conventions=DEFAULT_CONVENTIONS):
     """Sup-norm limit: ||T_f|| increases to ||f||_inf with an O(1/m) gap.
 
     measured = operator norm, reference = sup norm; asserts the upper bound
     measured <= reference + 1e-9 max(1, largest |coefficient|) at every level
     (the slack scales with f, as both norms do).
     """
-    report = ConvergenceReport("thm1", f, conventions=conventions.as_dict(), seed=seed)
+    report = ConvergenceReport("thm1", f, conventions=conventions.as_dict())
     ref = sup_norm(f)
     tol = 1e-9 * max(1.0, f.coeff_max())
     for m in levels:
-        table = basis_eval_grid(m, make_rule(m, f.degree, margin=margin))
+        table = basis_eval_grid(m, make_rule(m, f.degree))
         t = toeplitz(f, m, table=table)
         measured = operator_norm(t)
         report.rows.append(ConvergenceRow.make(m, measured, ref))
@@ -185,15 +182,13 @@ def thm1_run(f, levels, window=None, conventions=DEFAULT_CONVENTIONS,
     return report
 
 
-def thm2_run(f, g, levels, window=None, conventions=DEFAULT_CONVENTIONS,
-             margin=0, seed=0):
+def thm2_run(f, g, levels, window=None, conventions=DEFAULT_CONVENTIONS):
     """Commutator limit: ||m i [T_f, T_g] - T_{f,g}|| = O(1/m)."""
-    report = ConvergenceReport("thm2", f, g, conventions=conventions.as_dict(),
-                               seed=seed)
+    report = ConvergenceReport("thm2", f, g, conventions=conventions.as_dict())
     fg = poisson_bracket(f, g, conventions)
     deg = max(f.degree, g.degree, fg.degree)
     for m in levels:
-        table = basis_eval_grid(m, make_rule(m, deg, margin=margin))
+        table = basis_eval_grid(m, make_rule(m, deg))
         tf, tg, tfg = (toeplitz(h, m, table=table) for h in (f, g, fg))
         measured = operator_norm(commutator(tf, tg) * (1j * m) - tfg)
         report.rows.append(ConvergenceRow.make(m, measured, 0.0))
@@ -202,7 +197,7 @@ def thm2_run(f, g, levels, window=None, conventions=DEFAULT_CONVENTIONS,
 
 
 def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
-             conventions=DEFAULT_CONVENTIONS, margin=0, seed=0):
+             conventions=DEFAULT_CONVENTIONS):
     """Star-product asymptotics at orders N=1,2.
 
     Returns {1: report, 2: report}: order N measures
@@ -213,12 +208,10 @@ def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
     c0 = multiply(f, g)
     c1 = c1_candidate(f, g, c1_ordering)
     deg = max(f.degree, g.degree, c0.degree, c1.degree)
-    rep1 = ConvergenceReport("thm3[N=1]", f, g, conventions=conventions.as_dict(),
-                             seed=seed)
-    rep2 = ConvergenceReport("thm3[N=2]", f, g, conventions=conventions.as_dict(),
-                             seed=seed)
+    rep1 = ConvergenceReport("thm3[N=1]", f, g, conventions=conventions.as_dict())
+    rep2 = ConvergenceReport("thm3[N=2]", f, g, conventions=conventions.as_dict())
     for m in levels:
-        table = basis_eval_grid(m, make_rule(m, deg, margin=margin))
+        table = basis_eval_grid(m, make_rule(m, deg))
         tf, tg, tc0, tc1 = (toeplitz(h, m, table=table) for h in (f, g, c0, c1))
         r1 = tf @ tg - tc0
         r2 = r1 - tc1 / m
@@ -235,17 +228,16 @@ def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
     return {1: rep1, 2: rep2}
 
 
-def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS, margin=0, seed=0):
+def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS):
     """Exact identity Q_f = i T_{f - Lap f/(2m)}: defects at quadrature scale.
 
     Checks defect <= 1e-8 (1 + ||Q_f||) per level; no rate fit (the relation
     is exact, not asymptotic).  ||Q_f|| is the norm of -i Q_f, by eigvalsh
     when that passes the hermiticity check (real f), else by the SVD.
     """
-    report = ConvergenceReport("tuynman", f, conventions=conventions.as_dict(),
-                               seed=seed)
+    report = ConvergenceReport("tuynman", f, conventions=conventions.as_dict())
     for m in levels:
-        table = basis_eval_grid(m, make_rule(m, f.degree + 2, margin=margin))
+        table = basis_eval_grid(m, make_rule(m, f.degree + 2))
         q = prequantum(f, m, table=table)
         rhs = tuynman_rhs(f, m, conventions, table=table)
         defect = float(np.max(np.abs((q - rhs).diags)))
@@ -256,8 +248,7 @@ def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS, margin=0, seed=0):
     return report
 
 
-def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS,
-                 margin=0, seed=0):
+def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS):
     """Coherent-state expectations l_m = |<phi, T_f phi>|/<phi,phi> -> |f(x0)|.
 
     Checks the sandwich l_m <= ||T_f|| <= ||f||_inf, each with a slack of
@@ -268,8 +259,7 @@ def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS,
     formula for every base point, the south pole included, with every entry
     in float range at every admitted level.
     """
-    report = ConvergenceReport("coherent", f, conventions=conventions.as_dict(),
-                               seed=seed)
+    report = ConvergenceReport("coherent", f, conventions=conventions.as_dict())
     sup = sup_norm(f)
     ref = abs(evaluate(f, x0))
     x1, x2, x3 = x0.ambient()
@@ -280,7 +270,7 @@ def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS,
     phi0 = math.atan2(x2, x1)
     tol = 1e-9 * max(1.0, f.coeff_max())
     for m in levels:
-        table = basis_eval_grid(m, make_rule(m, f.degree, margin=margin))
+        table = basis_eval_grid(m, make_rule(m, f.degree))
         t = toeplitz(f, m, table=table)
         r = radial_factors(m, [t0])[0]
         c = (r if x3 >= 0 else r[::-1]) * np.exp(-1j * np.arange(m + 1) * phi0)
@@ -299,25 +289,23 @@ def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS,
     return report
 
 
-def cross_check(f, m, margin=0):
+def cross_check(f, m):
     """Max pairwise entry defect of the three Toeplitz constructions."""
-    table = basis_eval_grid(m, make_rule(m, f.degree, margin=margin))
+    table = basis_eval_grid(m, make_rule(m, f.degree))
     a = toeplitz(f, m, table=table)
     b = toeplitz_exact(f, m)
     c = kernel_matrix(f, m, table=table)
     return float(max(np.max(np.abs((x - y).diags)) for x, y in ((a, b), (a, c), (b, c))))
 
 
-def crosscheck_run(f, levels, margin=0, seed=0,
-                   conventions=DEFAULT_CONVENTIONS):
+def crosscheck_run(f, levels, conventions=DEFAULT_CONVENTIONS):
     """Oracle-equivalence harness over a level list.  The defect must be
     <= 1e-10 max(1, largest |coefficient|): T_{cf} = c T_f, so the roundoff
     of the three paths scales with the symbol."""
-    report = ConvergenceReport("crosscheck", f, conventions=conventions.as_dict(),
-                               seed=seed)
+    report = ConvergenceReport("crosscheck", f, conventions=conventions.as_dict())
     tol = 1e-10 * max(1.0, f.coeff_max())
     for m in levels:
-        d = cross_check(f, m, margin=margin)
+        d = cross_check(f, m)
         report.rows.append(ConvergenceRow.make(m, d, 0.0))
         report.check(f"agreement_m{m}", d <= tol, f"defect={d!r}")
     return report

@@ -28,7 +28,6 @@ relation Q_f = i T_{f - Laplacian(f)/(2m)} is the exactness check.
 from __future__ import annotations
 
 import functools
-import json
 import math
 
 import numpy as np
@@ -40,7 +39,6 @@ from .geometry import DEFAULT_CONVENTIONS, make_rule, phi_grid
 from .hilbert import TWO_PI, SectionVector, basis_eval_grid, binomial_row
 from .symbols import eval_ambient, laplace_beltrami, partial
 
-BINARY_HEADER = b"BTQOPV01"
 _HERM_TOL = 1e-12
 
 
@@ -170,34 +168,6 @@ class QuantumOperator:
             raise TypeError("expected a QuantumOperator")
         if self.m != other.m:
             raise LevelMismatchError(f"levels {self.m} and {other.m} differ")
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self):
-        return {"m": self.m,
-                "rows": [[[v.real, v.imag] for v in row] for row in self.mat]}
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        mat = np.array([[complex(r, i) for r, i in row] for row in obj["rows"]])
-        return cls(obj["m"], mat)
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict())
-
-    def to_binary(self):
-        """Header "BTQOPV01" + row-major little-endian float64 re/im pairs."""
-        return BINARY_HEADER + np.ascontiguousarray(self.mat.astype("<c16")).tobytes()
-
-    @classmethod
-    def from_binary(cls, blob):
-        if blob[:8] != BINARY_HEADER:
-            raise ValueError("bad operator binary header")
-        flat = np.frombuffer(blob[8:], dtype="<c16")
-        n = math.isqrt(flat.size)
-        if n * n != flat.size:
-            raise ValueError("operator binary payload is not square")
-        return cls(n - 1, flat.reshape(n, n).astype(complex))
 
 
 def identity(m):

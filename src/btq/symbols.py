@@ -16,7 +16,7 @@ import re
 
 import numpy as np
 
-from .errors import SymbolSyntaxError, UnknownIdentifierError
+from .errors import CapacityError, SymbolSyntaxError, UnknownIdentifierError
 from .geometry import DEFAULT_CONVENTIONS, LAPLACE_SCALE, SpherePoint
 
 _REAL_TOL = 1e-13
@@ -237,7 +237,12 @@ class _Parser:
         f = self.factor()
         while self.peek()[:2] == ("op", "*"):
             self.take()
-            f = f * self.factor()
+            g = self.factor()
+            if f.degree + g.degree > MAX_SYMBOL_DEGREE:
+                raise CapacityError(
+                    f"a product of degree {f.degree + g.degree} exceeds the "
+                    f"symbol degree cap {MAX_SYMBOL_DEGREE}")
+            f = f * g
         return f
 
     def factor(self):
@@ -247,7 +252,14 @@ class _Parser:
             nkind, nval, nat = self.take()
             if nkind != "num" or not nval.isdigit():
                 raise SymbolSyntaxError("exponent must be an unsigned integer", nat)
-            f = f ** int(nval)
+            # a power costs one product per unit of exponent: cap a constant's too
+            top = MAX_SYMBOL_DEGREE // max(f.degree, 1)
+            digits = nval.lstrip("0") or "0"
+            if len(digits) > 3 or int(digits) > top:
+                raise CapacityError(
+                    f"a degree-{f.degree} factor admits powers up to ^{top} "
+                    f"under the symbol degree cap {MAX_SYMBOL_DEGREE}")
+            f = f ** int(digits)
         return f
 
     def base(self):
@@ -271,6 +283,11 @@ class _Parser:
             f"expected a number, coordinate or '(' but found {found}", at)
 
 
+# the highest degree `parse` builds: the costliest fold it admits, a product
+# of two full degree-32 symbols, takes about 0.6 s (cost ~ degree^4)
+MAX_SYMBOL_DEGREE = 64
+
+
 # under this bound on `coeff_l1` (and on the product of two symbols' norms,
 # see cli) every operator, derivative and Laplacian the lab forms stays many
 # decades below float overflow
@@ -281,7 +298,8 @@ def parse(text):
     """Parse an expression string straight into its normal-form Symbol (no
     intermediate tree; see `_Parser`).  Coefficients whose l1 norm is above
     COEFF_L1_BOUND or not finite (an overflow, or nan from one) are a
-    SymbolSyntaxError."""
+    SymbolSyntaxError.  A product or power above MAX_SYMBOL_DEGREE, or an
+    exponent above it, is a CapacityError, raised before it is formed."""
     f = _Parser(text).parse()
     l1 = f.coeff_l1()
     if not l1 <= COEFF_L1_BOUND:
@@ -453,18 +471,21 @@ def _refine(f, u0, phi0, sign, rounds=48, local=7):
     return best, best_u, best_phi
 
 
-def grid_extrema(f, resolution=96):
+GRID_RESOLUTION = 96
+
+
+def grid_extrema(f):
     """(min, max, argmin point, argmax point) of a real symbol.
 
-    Dense (resolution x 2*resolution) grid in (u = x3, phi) -- accuracy
-    O(resolution^-2) -- then `_refine` from the 4 best cells of each sign,
-    all 8 starts together.  A search, not a certificate: an extremum outside
-    the basins of the starts is missed.
+    Dense (GRID_RESOLUTION x 2 GRID_RESOLUTION) grid in (u = x3, phi) --
+    accuracy O(GRID_RESOLUTION^-2) -- then `_refine` from the 4 best cells of
+    each sign, all 8 starts together.  A search, not a certificate: an
+    extremum outside the basins of the starts is missed.
     """
     if not f.is_real:
         raise ValueError("grid extrema are defined for real symbols only")
-    u = np.linspace(-1.0, 1.0, resolution)
-    phi = np.linspace(0.0, 2.0 * math.pi, 2 * resolution, endpoint=False)
+    u = np.linspace(-1.0, 1.0, GRID_RESOLUTION)
+    phi = np.linspace(0.0, 2.0 * math.pi, 2 * GRID_RESOLUTION, endpoint=False)
     uu, pp = np.meshgrid(u, phi, indexing="ij")
     uu, pp = uu.ravel(), pp.ravel()
     vals = _real_values(f, uu, pp)
@@ -483,24 +504,18 @@ def grid_extrema(f, resolution=96):
     return float(fmin), float(fmax), arg_min, arg_max
 
 
-def sup_norm(f, resolution=96):
+def sup_norm(f):
     """Sup of |f| over the sphere for a real symbol."""
-    fmin, fmax, _, _ = grid_extrema(f, resolution)
+    fmin, fmax, _, _ = grid_extrema(f)
     return max(abs(fmin), abs(fmax))
 
 
-def sup_norm_argmax(f, resolution=96):
+def sup_norm_argmax(f):
     """(sup |f|, maximizer SpherePoint) for a real symbol."""
-    fmin, fmax, arg_min, arg_max = grid_extrema(f, resolution)
+    fmin, fmax, arg_min, arg_max = grid_extrema(f)
     if abs(fmin) > abs(fmax):
         return abs(fmin), arg_min
     return abs(fmax), arg_max
-
-
-def grid_min(f, resolution=96):
-    """Min of a real symbol over the sup-norm grid (positivity checks)."""
-    fmin, _, _, _ = grid_extrema(f, resolution)
-    return fmin
 
 
 # -- serialization -------------------------------------------------------------

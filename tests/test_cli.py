@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import pathlib
+import re
 
 import pytest
 
@@ -142,7 +144,9 @@ def test_usage_errors(workdir, capsys):
     assert run(["thm1", "--f", "x3", "--levels", "abc"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["thm2", "--f", "x1", "--levels", "2,4"]) == 2  # missing --g
-    assert run(["thm1", "--f", "x3", "--levels", "8", "--margin", "-1"]) == 2
+    # the quadrature is exact and the runs deterministic: neither option exists
+    for flag, value in (("--margin", "2"), ("--seed", "7")):
+        assert run(["thm1", "--f", "x3", "--levels", "8", flag, value]) == 2
     # only the experiments that fit a rate take a window
     for cmd in ("tuynman", "crosscheck"):
         assert run([cmd, "--f", "x3", "--levels", "4,8,16", "--window", "8,16"]) == 2
@@ -156,11 +160,14 @@ def test_level_cap_is_capacity_error(workdir, capsys):
     assert run(["thm1", "--f", "x3", "--levels", "8,300",
                 "--max-level", "300"]) == 0
     capsys.readouterr()
-    # the radial quadrature cap, refused before any node is allocated
-    for f, margin in (("x3", "20000"), ("x3^5000", "0")):
-        assert run(["thm1", "--f", f, "--levels", "8", "--margin", margin]) == 3
+    # the radial quadrature cap, refused before any node is allocated, and
+    # the symbol degree cap, refused before the power is formed
+    for args, cap in ((["--f", "x3", "--levels", "4100", "--max-level", "5000"],
+                       "radial nodes"),
+                      (["--f", "x3^5000", "--levels", "8"], "degree cap")):
+        assert run(["thm1"] + args) == 3
         err = capsys.readouterr().err
-        assert err.startswith("btq: ") and "radial nodes" in err
+        assert err.startswith("btq: ") and cap in err
         assert err.count("\n") == 1
 
 
@@ -198,12 +205,11 @@ def test_csv_json_contain_identical_numbers(workdir):
 def test_runs_bit_reproducible(workdir):
     run(["calibrate"])
     args = ["thm3", "--f", "x1", "--g", "x2", "--levels", "4,8,16",
-            "--seed", "7", "--format", "json"]
+            "--format", "json"]
     assert run(args + ["--out", "a.json"]) == 0
     assert run(args + ["--out", "b.json"]) == 0
     assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
     obj = json.loads((workdir / "a.json").read_text())
-    assert obj["seed"] == 7
     assert obj["experiment"] == "thm3[N=2]"
 
 
@@ -256,6 +262,18 @@ def test_output_written_atomically(workdir):
     assert json.loads((workdir / "sub.json").read_text())["experiment"] == "thm1"
     leftovers = [p for p in os.listdir(workdir) if p.startswith(".btq_")]
     assert leftovers == []
+
+
+def test_readme_documents_every_flag():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    top = cli._build_parser()
+    subcommands = next(a for a in top._actions if isinstance(a.choices, dict))
+    parsers = [top, *subcommands.choices.values()]
+    options = {o for p in parsers for a in p._actions for o in a.option_strings
+               if o.startswith("--")} - {"--help"}
+    assert documented == options
 
 
 def test_help_exits_zero(capsys):

@@ -74,18 +74,11 @@ def test_rule_declares_its_exactness():
     assert np.all(rule.s_nodes > 0.0) and np.all(rule.s_nodes < 1.0)
 
 
-def test_margin_increases_rule():
-    base = make_rule(4, 2)
-    fat = make_rule(4, 2, margin=6)
-    assert fat.max_radial_degree >= base.max_radial_degree + 6
-    assert fat.n_nodes == base.n_nodes + 3
-
-
 def test_make_rule_is_memoised():
-    for args, kw in (((0, 0), {}), ((8, 4), {}), ((17, 6), {"margin": 2})):
-        rule = make_rule(*args, **kw)
-        assert make_rule(*args, **kw) is rule
-        fresh = make_rule.__wrapped__(*args, **kw)
+    for args in ((0, 0), (8, 4), (17, 8)):
+        rule = make_rule(*args)
+        assert make_rule(*args) is rule
+        fresh = make_rule.__wrapped__(*args)
         assert fresh is not rule
         for name in ("s_nodes", "s_weights"):
             arr = getattr(rule, name)
@@ -105,9 +98,9 @@ def test_capacity_error(monkeypatch):
         raise Allocated(n)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
-    for args, kw in (((4000, 4000), {}), ((8, 0), {"margin": 20000}), ((0, 4096), {})):
+    for args in ((4000, 4000), (8, 20000), (0, 4096)):
         with pytest.raises(CapacityError):
-            make_rule.__wrapped__(*args, **kw)
+            make_rule.__wrapped__(*args)
     # the largest admitted rule: 2 n_s - 1 = 4095
     with pytest.raises(Allocated) as hit:
         make_rule.__wrapped__(0, 4095)

@@ -382,7 +382,7 @@ def test_report_json_schema():
     rep = lab.thm1_run(X3, [4, 8, 16])
     obj = json.loads(rep.to_json())
     for key in ("experiment", "f", "g", "conventions", "rows", "fit",
-                "K_estimate", "seed", "checks"):
+                "K_estimate", "checks"):
         assert key in obj
     assert obj["g"] is None
     assert obj["experiment"] == "thm1"

@@ -201,7 +201,7 @@ def test_positivity(rng):
     for _ in range(5):
         g = random_symbol(rng, degree=2)
         f = g * g  # nonnegative on the sphere
-        assert sy.grid_min(f) >= -1e-12
+        assert sy.grid_extrema(f)[0] >= -1e-12
         t = op.toeplitz(f, 16)
         assert np.min(np.linalg.eigvalsh(t.mat)) >= -1e-10
 
@@ -433,44 +433,7 @@ def test_operator_norm_is_the_dense_eigvalsh():
         assert op.operator_norm(t) == float(np.max(np.abs(np.linalg.eigvalsh(t.mat))))
 
 
-# -- serialization and determinism ---------------------------------------------------
-
-
-def test_json_roundtrip(rng):
-    t = op.toeplitz(random_symbol(rng), 5)
-    back = op.QuantumOperator.from_json_dict(t.to_json_dict())
-    assert back.m == 5
-    assert np.array_equal(back.mat, t.mat)
-
-
-def test_binary_roundtrip(rng):
-    t = op.toeplitz(random_symbol(rng, real=False), 7)
-    blob = t.to_binary()
-    assert blob[:8] == b"BTQOPV01"
-    assert len(blob) == 8 + 16 * 64
-    back = op.QuantumOperator.from_binary(blob)
-    assert back.m == 7
-    assert np.array_equal(back.mat, t.mat)
-    with pytest.raises(ValueError):
-        op.QuantumOperator.from_binary(b"WRONGHDR" + blob[8:])
-
-
-def test_binary_payload_is_interleaved_le_float64():
-    import struct
-    mat = np.array([[1.5 + 2.5j, -3.0 + 0.25j],
-                    [0.0 - 1.0j, 4.0 + 0.0j]])
-    blob = op.QuantumOperator(1, mat).to_binary()
-    floats = struct.unpack("<8d", blob[8:])
-    assert floats == (1.5, 2.5, -3.0, 0.25, 0.0, -1.0, 4.0, 0.0)
-
-
-def test_json_dict_schema(rng):
-    t = op.toeplitz_exact(X3, 2)
-    obj = t.to_json_dict()
-    assert set(obj) == {"m", "rows"}
-    assert obj["m"] == 2
-    assert len(obj["rows"]) == 3 and len(obj["rows"][0]) == 3
-    assert obj["rows"][0][0] == [0.5, 0.0]
+# -- determinism ---------------------------------------------------------------------
 
 
 def test_assembly_bit_identical_across_threads():

@@ -1,11 +1,12 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from btq import symbols as sy
-from btq.errors import SymbolSyntaxError, UnknownIdentifierError
+from btq.errors import CapacityError, SymbolSyntaxError, UnknownIdentifierError
 from btq.geometry import KahlerConventions, SpherePoint, make_rule, phi_grid
 from conftest import random_symbol
 
@@ -40,6 +41,19 @@ def test_parse_rejects_non_finite_coefficients():
             sy.parse(text)
     assert sy.COEFF_L1_BOUND == 1e250
     assert sy.parse("1e250*x3").terms == {(0, 0, 1): 1e250}
+
+
+def test_parse_refuses_degree_above_cap_before_folding():
+    assert sy.MAX_SYMBOL_DEGREE == 64
+    for text in ("x1^400", "x1^65", "x1^40*x2^40", "(x1*x2)^33", "2^100000",
+                 "x3^" + "9" * 5000, "x1*" * 64 + "x1"):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            sy.parse(text)
+        assert time.perf_counter() - start < 0.1, text
+    assert sy.parse("x3^064").degree == 64
+    assert sy.parse("x1^32*x2^32").degree == 64
+    assert sy.parse("2^0001").terms == {(0, 0, 0): 2.0}
 
 
 def test_parse_syntax_errors_carry_positions():
@@ -362,9 +376,12 @@ def test_sup_norm_argmax_at_pole():
     assert abs(abs(point.ambient()[2]) - 1.0) < 1e-9
 
 
-def test_sup_norm_nondecreasing_in_resolution():
+def test_sup_norm_nondecreasing_in_resolution(monkeypatch):
     f = sy.parse("x3 + 0.4*x1*x2 - 0.2*x2^2")
-    vals = [sy.sup_norm(f, resolution=r) for r in (24, 48, 96, 192)]
+    vals = []
+    for r in (24, 48, 96, 192):
+        monkeypatch.setattr(sy, "GRID_RESOLUTION", r)
+        vals.append(sy.sup_norm(f))
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
     # refinement pins the value independently of the coarse grid
