@@ -39,7 +39,8 @@ for ordering in sy.C1_ORDERINGS:
     c1 = sy.c1_candidate(X3, X3, ordering)
     tag = "selected" if ordering == sy.SELECTED_C1_ORDERING else "rejected"
     print(f"  C1(x3, x3) [{ordering}, {tag}] = {c1}")
-eq4 = sy.c1_candidate(g, h) - sy.c1_candidate(h, g) + 1j * sy.poisson_bracket(g, h)
+c1 = lambda a, b: sy.c1_candidate(a, b, sy.SELECTED_C1_ORDERING)
+eq4 = c1(g, h) - c1(h, g) + 1j * sy.poisson_bracket(g, h)
 print(f"  antisymmetrization identity defect: {eq4.coeff_max()}")
 
 print("\nsup norms over the sphere:")

@@ -12,7 +12,7 @@ decaying, which is how the calibration selects the convention.
 from btq import symbols as sy
 from btq.geometry import KahlerConventions
 from btq.lab import thm2_run
-from btq.operators import QuantumOperator, commutator, operator_norm, toeplitz
+from btq.operators import commutator, operator_norm, toeplitz
 
 X1, X2 = sy.X1, sy.X2
 
@@ -28,5 +28,5 @@ wrong = KahlerConventions(poisson_constant=-2.0)
 for m in (8, 32, 128):
     tfg = toeplitz(sy.poisson_bracket(X1, X2, wrong), m)
     defect = (1j * m) * commutator(toeplitz(X1, m), toeplitz(X2, m)) - tfg
-    d = operator_norm(QuantumOperator(m, defect.mat))
+    d = operator_norm(defect)
     print(f"  m = {m:4d}: defect = {d:.6f}")

@@ -19,9 +19,9 @@ from .hilbert import (GridTable, SectionVector, basis_eval_grid,
 from .lab import (ConvergenceReport, ConvergenceRow, RateFit, coherent_run,
                   cross_check, crosscheck_run, default_window, fit_rate,
                   thm1_run, thm2_run, thm3_run, tuynman_run)
-from .operators import (QuantumOperator, commutator, identity, kernel_apply,
-                        kernel_matrix, operator_norm, prequantum, toeplitz,
-                        toeplitz_exact, tuynman_rhs)
+from .operators import (QuantumOperator, commutator, identity, kernel_matrix,
+                        operator_norm, prequantum, toeplitz, toeplitz_exact,
+                        tuynman_rhs)
 from .symbols import (ONE, REJECTED_C1_ORDERING, SELECTED_C1_ORDERING, X1, X2,
                       X3, Symbol, c1_candidate, constant, coordinate,
                       eval_ambient, evaluate, grid_extrema, laplace_beltrami,

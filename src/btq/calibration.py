@@ -101,7 +101,10 @@ def atomic_write(path, payload):
     """Write bytes to path through a temp file in the same directory and a
     rename, so readers see the old file or the new one, never a part."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".btq_")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".btq_")
+    except OSError as exc:  # name the destination, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

@@ -2,11 +2,12 @@
 
 Subcommands: thm1, thm2, thm3, tuynman, coherent, crosscheck, calibrate.
 Exit codes: 0 = run completed with all declared assertions passing;
-1 = assertions failed (the report is still written); 2 = usage or
-expression error (including coefficients above symbols.COEFF_L1_BOUND);
-3 = capacity error (including a symbol above symbols.MAX_SYMBOL_DEGREE),
-quadrature rule too weak for a requested level (UnderResolvedRuleError) or
-corrupted conventions ledger.
+1 = assertions failed (the report is still written); 2 = usage or expression
+error (including coefficients above symbols.COEFF_L1_BOUND and nesting above
+symbols.MAX_NESTING_DEPTH) or an unwritable output or ledger path; 3 = capacity
+error (including a symbol or a thm2/thm3 pair's summed degree above
+symbols.MAX_SYMBOL_DEGREE), quadrature rule too weak for a requested level
+(UnderResolvedRuleError) or corrupted conventions ledger.
 
 Experiments refuse to run without a conventions ledger (see `btq calibrate`)
 unless --auto-calibrate is given.  BTQ_LEDGER overrides the ledger path.
@@ -26,7 +27,7 @@ from . import calibration, lab
 from .errors import (CalibrationError, CapacityError, LedgerError,
                      SymbolParseError, UnderResolvedRuleError)
 from .geometry import LAPLACE_SCALE
-from .symbols import COEFF_L1_BOUND, parse, sup_norm_argmax
+from .symbols import COEFF_L1_BOUND, MAX_SYMBOL_DEGREE, parse, sup_norm_argmax
 
 DEFAULT_MAX_LEVEL = 256
 DEFAULT_LEVELS = "8,16,32,64"
@@ -151,6 +152,9 @@ def _dispatch(args):
     if g is not None and f.coeff_l1() * g.coeff_l1() > COEFF_L1_BOUND:
         raise UsageError("--f and --g: the product of their coefficient l1 "
                          f"norms exceeds {COEFF_L1_BOUND:g}")
+    if g is not None and f.degree + g.degree > MAX_SYMBOL_DEGREE:
+        raise CapacityError(f"--f and --g: degrees {f.degree} + {g.degree} "
+                            f"exceed the symbol degree cap {MAX_SYMBOL_DEGREE}")
     kw = dict(conventions=conv)
     if "window" in args:
         kw["window"] = window
@@ -201,6 +205,9 @@ def main(argv=None):
     except CalibrationError as exc:
         print(f"btq: calibration failed: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except OSError as exc:  # an unwritable --out or BTQ_LEDGER path
+        print(f"btq: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

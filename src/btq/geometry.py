@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._zpoly import zp_add, zp_dz, zp_eval, zp_mul
 from .errors import CapacityError
 
 TOTAL_AREA = 2.0 * math.pi
@@ -29,6 +28,9 @@ LAPLACE_SCALE = 2.0
 # cap on Gauss nodes in s, the one size make_rule allocates (leggauss
 # builds an n x n companion matrix: about 1 s at this size)
 MAX_RADIAL_NODES = 2048
+
+# how far x1^2 + x2^2 + x3^2 may stray from 1 in `SpherePoint.from_ambient`
+ON_SPHERE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,9 @@ class SpherePoint:
         return cls("infinity")
 
     @classmethod
-    def from_ambient(cls, x1, x2, x3, tol=1e-9):
+    def from_ambient(cls, x1, x2, x3):
         r2 = x1 * x1 + x2 * x2 + x3 * x3
-        if abs(r2 - 1.0) > tol:
+        if abs(r2 - 1.0) > ON_SPHERE_TOL:
             raise ValueError(f"({x1},{x2},{x3}) is not on the unit sphere")
         if 1.0 + x3 <= 1e-300:
             return cls.infinity()
@@ -179,20 +181,16 @@ def phi_grid(degree):
 def curvature_check(m, points):
     """Max defect of -dz dzbar log h_m = m/(1+z zbar)^2 for h_m = (1+z zbar)^-m.
 
-    The left side is differentiated symbolically on chart polynomials by the
-    quotient rule, the right side comes from the Kaehler form, so a zero
-    defect really does tie the bundle metric to omega rather than comparing
-    an expression with itself.
+    The left side is the quotient rule -dz (p/u) = (zbar p - u dz p)/u^2 on
+    dzbar log h_m = p/u, p = -m z, dz p = -m, u = 1 + z zbar, evaluated in
+    numbers at each point; the right side comes from the Kaehler form, so a
+    zero defect ties the bundle metric to omega.
     """
-    # dzbar log h_m = -m dzbar(u)/u = p/u with p = -m z; the quotient rule
-    # -dz (p/u) = (zbar p - u dz p)/u^2 puts the left side over u^2
-    p, minus_u = {(1, 0): -float(m)}, {(0, 0): -1.0, (1, 1): -1.0}
-    num = zp_add(zp_mul({(0, 1): 1.0}, p), zp_mul(minus_u, zp_dz(p)))
     worst = 0.0
     for pt in points:
         if pt.chart != "finite":
             continue
-        u = 1.0 + abs(pt.z) ** 2
-        lhs = zp_eval(num, pt.z) * u ** -2.0
-        worst = max(worst, abs(lhs - float(m) / u**2))
+        u, p, dz_p = 1.0 + abs(pt.z) ** 2, -m * pt.z, -m
+        lhs = (pt.z.conjugate() * p - u * dz_p) / u**2
+        worst = max(worst, abs(lhs - m / u**2))
     return worst

@@ -8,11 +8,12 @@ the angular Fourier coefficient of f taken by FFT on 2 deg f + 1 uniform
 phi nodes (exact, since f carries only the harmonics |q| <= deg f); only
 the band |q| <= deg f is assembled, by elementwise products and sums (no
 BLAS, so the bytes do not depend on any thread count); (2) exact radial
-moments, expanding the chart numerator of each monomial and integrating
-every z^a zbar^b (1+z zbar)^-(m+d) term as an exact Beta ratio, tabulated
-once per term degree from exact binomials -- no quadrature at all; (3) the
-explicit integral kernel, expanding (1 + z conj(zeta))^m binomially and
-re-projecting on the raw monomial frame.  Pairwise agreement of the three
+moments, expanding the chart numerator of each monomial by the binomial
+theorem in exact integers and integrating every z^a zbar^b (1+z zbar)^-(m+d)
+term as an exact Beta ratio, tabulated once per term degree from exact
+binomials -- no quadrature at all; (3) the explicit integral kernel,
+expanding (1 + z conj(zeta))^m binomially and re-projecting on the raw
+monomial frame.  Pairwise agreement of the three
 is the package's core self-test.  Operators are stored as their band of
 diagonals (`QuantumOperator`), filled directly by every path; only
 `operator_norm` builds the dense (m+1)^2 matrix, for LAPACK.  Whether an
@@ -33,7 +34,6 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._zpoly import chart_numerator
 from .errors import LevelMismatchError, UnderResolvedRuleError
 from .geometry import DEFAULT_CONVENTIONS, make_rule, phi_grid
 from .hilbert import TWO_PI, SectionVector, basis_eval_grid, binomial_row
@@ -239,6 +239,20 @@ def toeplitz(f, m, table=None):
 # -- path 2: exact Beta moments ------------------------------------------------
 
 
+def _chart_numerator(a, b, c):
+    """x1^a x2^b x3^c times (1+z zbar)^(a+b+c), i.e. (z + zbar)^a (i(zbar - z))^b
+    (1 - z zbar)^c by the binomial theorem: {(alpha, beta): coefficient of
+    z^alpha zbar^beta}, each the exact integer sum of (-1)^(j+l) C(a,i) C(b,j)
+    C(c,l) times i^b.  Zero sums are dropped."""
+    sums = {}
+    for i, ca in enumerate(binomial_row(a)):
+        for j, cb in enumerate(binomial_row(b)):
+            for l, cc in enumerate(binomial_row(c)):
+                e = (i + j + l, a - i + b - j + l)
+                sums[e] = sums.get(e, 0) + (-1) ** (j + l) * ca * cb * cc
+    return {e: (1, 1j, -1, -1j)[b % 4] * v for e, v in sums.items() if v}
+
+
 def toeplitz_exact(f, m):
     """T_f by exact radial Beta moments (no quadrature): the oracle path.
 
@@ -259,7 +273,7 @@ def toeplitz_exact(f, m):
             kappas[d] = np.array([(m + 1) / ((m + d + 1) * cb)
                                   for cb in binomial_row(m + d)])
         kappa = kappas[d]
-        poly = chart_numerator(a, b, c)
+        poly = _chart_numerator(a, b, c)
         for (alpha, beta), cc in sorted(poly.items()):
             q = alpha - beta  # row j = k + q
             kk = k[(k + q >= 0) & (k + q < n)]
@@ -271,22 +285,15 @@ def toeplitz_exact(f, m):
 # -- path 3: integral kernel ---------------------------------------------------
 
 
-def kernel_apply(f, m, sec, table=None):
-    """Apply T_f to a section through the explicit integral kernel.
+def kernel_matrix(f, m, table=None):
+    """T_f through the explicit integral kernel, band by band like `toeplitz`.
 
     (T_f s)(z) = (m+1)/(2 pi) int (1+z conj(zeta))^m f s (1+|zeta|^2)^-m
     Omega(zeta); the binomial expansion of the kernel gives the raw monomial
     coefficients directly, which are then re-expressed in the orthonormal
-    basis.  Agrees with toeplitz(f,...) applied to the coefficients.
+    basis.  Apply it to a section with `@`, which checks the levels.
     """
     table = _resolve_table(f.degree, m, table)
-    if sec.m != m:
-        raise LevelMismatchError(f"section level {sec.m} differs from {m}")
-    return _kernel_operator(f, table) @ sec
-
-
-def _kernel_operator(f, table):
-    m = table.m
     k = np.arange(m + 1)
     s = table.s[:, None]
     # raw monomial values |z^k| (1+|z|^2)^(-m/2) at the radial nodes (no norms)
@@ -298,11 +305,6 @@ def _kernel_operator(f, table):
     r = np.sqrt(np.array(binomial_row(m), dtype=float) * ((m + 1) / TWO_PI))
     rows = _band_index(len(integrals) // 2, m + 1)[0]
     return QuantumOperator.from_diags(m, r[rows] * integrals * r[None, :])
-
-
-def kernel_matrix(f, m, table=None):
-    """T_f from the kernel path, assembled band by band like `toeplitz`."""
-    return _kernel_operator(f, _resolve_table(f.degree, m, table))
 
 
 # -- geometric quantization ----------------------------------------------------

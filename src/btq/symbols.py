@@ -211,6 +211,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open '(' and unary '-' around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -270,18 +271,25 @@ class _Parser:
             if val in ("x1", "x2", "x3"):
                 return coordinate(int(val[1]))
             raise UnknownIdentifierError(f"unknown identifier {val!r}", at)
-        if kind == "op" and val == "(":
-            f = self.expr()
-            kind, val, at = self.take()
-            if kind != "op" or val != ")":
-                raise SymbolSyntaxError("expected ')'", at)
+        if kind == "op" and val in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING_DEPTH:
+                raise SymbolSyntaxError(
+                    f"'(' and unary '-' nest deeper than {MAX_NESTING_DEPTH}", at)
+            f = self.expr() if val == "(" else -self.factor()
+            if val == "(":
+                kind, val, at = self.take()
+                if kind != "op" or val != ")":
+                    raise SymbolSyntaxError("expected ')'", at)
+            self.depth -= 1
             return f
-        if kind == "op" and val == "-":
-            return -self.factor()
         found = repr(val) if val else "end of input"
         raise SymbolSyntaxError(
             f"expected a number, coordinate or '(' but found {found}", at)
 
+
+# each '(' costs `_Parser` four stack frames; 100 fit Python's recursion limit
+MAX_NESTING_DEPTH = 100
 
 # the highest degree `parse` builds: the costliest fold it admits, a product
 # of two full degree-32 symbols, takes about 0.6 s (cost ~ degree^4)
@@ -299,7 +307,9 @@ def parse(text):
     intermediate tree; see `_Parser`).  Coefficients whose l1 norm is above
     COEFF_L1_BOUND or not finite (an overflow, or nan from one) are a
     SymbolSyntaxError.  A product or power above MAX_SYMBOL_DEGREE, or an
-    exponent above it, is a CapacityError, raised before it is formed."""
+    exponent above it, is a CapacityError, raised before it is formed.
+    '(' and unary '-' nested deeper than MAX_NESTING_DEPTH are a
+    SymbolSyntaxError at the offending token."""
     f = _Parser(text).parse()
     l1 = f.coeff_l1()
     if not l1 <= COEFF_L1_BOUND:
@@ -387,9 +397,10 @@ def c1_contraction_table():
     return tuple(tuple(entry(i, j) for j in range(3)) for i in range(3))
 
 
-def c1_candidate(f, g, ordering="dzbar-dz"):
-    """First star-product coefficient candidate C1(f,g).
+def c1_candidate(f, g, ordering):
+    """First star-product coefficient candidate C1(f,g) in the named ordering.
 
+    SELECTED_C1_ORDERING names the Berezin-Toeplitz one.
     ordering "dzbar-dz" is the contraction g^{1bar1} (dzbar f)(dz g)
     = sum_ij G_ij (d_i f)(d_j g); "dz-dzbar" is -(1+z zbar)^2 (dz f)(dzbar g),
     its negated transpose.  Both satisfy the antisymmetrization identity

@@ -1,12 +1,22 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from btq.symbols import Symbol, X3
+
+# property tests replay the same examples on every run and keep no example
+# database; hypothesis still caches the literals it mines from local source
+# files, so that cache goes to the temp directory, not the checkout
+settings.register_profile("btq", derandomize=True, database=None, deadline=None)
+settings.load_profile("btq")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "btq-hypothesis"))
 
 
 def random_symbol(rng, degree=3, nterms=5, real=True):

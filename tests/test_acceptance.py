@@ -73,7 +73,7 @@ def test_criterion_04_thm2_defect_and_rate():
             tf, tg = op.toeplitz_exact(X1, m), op.toeplitz_exact(X2, m)
             tfg = op.toeplitz_exact(sy.poisson_bracket(X1, X2), m)
             defect = (1j * m) * op.commutator(tf, tg) - tfg
-            d = op.operator_norm(op.QuantumOperator(m, defect.mat))
+            d = op.operator_norm(defect)
             assert abs(d - 4 * m / (m + 2) ** 2) <= 1e-13
         rep = lab.thm2_run(X1, X2, [2, 8, 16, 32, 64, 128, 256])
         gaps = rep.gaps()

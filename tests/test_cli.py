@@ -171,6 +171,40 @@ def test_level_cap_is_capacity_error(workdir, capsys):
         assert err.count("\n") == 1
 
 
+def test_pair_above_degree_cap_is_capacity_error(workdir, capsys):
+    # f g, {f,g} and C1 would be folded at degree 65, above what parse admits
+    run(["calibrate"])
+    capsys.readouterr()
+    for cmd in ("thm2", "thm3"):
+        assert run([cmd, "--f", "x1^33", "--g", "x2^32", "--levels", "8"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("btq: --f and --g") and "degree cap" in err
+        assert err.count("\n") == 1
+
+
+def test_deep_nesting_is_expression_error(workdir, capsys):
+    run(["calibrate"])
+    capsys.readouterr()
+    for f in ("(" * 400 + "x3" + ")" * 400, "-" * 1200 + "x3"):
+        assert run(["thm1", f"--f={f}", "--levels", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("btq: expression error") and err.count("\n") == 1
+
+
+def test_unwritable_path_exit2(workdir, capsys, monkeypatch):
+    run(["calibrate"])
+    capsys.readouterr()
+    missing = workdir / "missing"
+    assert run(["thm1", "--f", "x3", "--levels", "8",
+                "--out", str(missing / "x.json")]) == 2
+    monkeypatch.setenv(LEDGER_ENV, str(missing / "l.json"))
+    assert run(["calibrate"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("btq: ") and str(missing) in line for line in lines)
+    assert not missing.exists()
+
+
 def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,
                                                      monkeypatch):
     from btq import lab

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from btq import operators as op
 from btq import symbols as sy
 from btq.errors import LevelMismatchError, UnderResolvedRuleError
-from btq.geometry import make_rule
+from btq.geometry import SpherePoint, make_rule
 from btq.hilbert import (SectionVector, basis_eval_grid, coefficient_inner,
                          quadrature_inner)
 from conftest import assemble_in_subprocess, dense_hermitian, random_symbol
@@ -94,6 +96,30 @@ def _chart_numerator(a, b, c):
     return poly
 
 
+def _normal_form_monomials(degree):
+    """Every exponent (a, b, c) with a <= 1 and a + b + c <= degree."""
+    return [(a, b, d - a - b) for d in range(degree + 1)
+            for a in range(min(d, 1) + 1) for b in range(d - a + 1)]
+
+
+def test_chart_numerator_is_the_exact_expansion():
+    for a, b, c in _normal_form_monomials(16):
+        expect = {e: v for e, v in _chart_numerator(a, b, c).items() if v != 0}
+        assert op._chart_numerator(a, b, c) == expect, (a, b, c)
+
+
+@given(st.sampled_from(_normal_form_monomials(12)),
+       st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False))
+def test_chart_numerator_matches_the_monomial_pointwise(abc, z):
+    # sum c z^alpha zbar^beta = (1+|z|^2)^d x1^a x2^b x3^c on the sphere
+    a, b, c = abc
+    num = sum(cc * z**alpha * z.conjugate()**beta
+              for (alpha, beta), cc in op._chart_numerator(a, b, c).items())
+    x1, x2, x3 = SpherePoint.from_z(z).ambient()
+    scale = (1.0 + abs(z) ** 2) ** (a + b + c)
+    assert abs(num - scale * x1**a * x2**b * x3**c) <= 1e-12 * scale
+
+
 def _toeplitz_exact_per_entry(f, m):
     """Reference: one math.comb and one Fraction per entry, over an
     independent expansion of the chart numerators."""
@@ -126,17 +152,17 @@ def test_toeplitz_exact_matches_per_entry_beta_ratios(rng):
 def test_kernel_apply_reproduces_sections(rng):
     m = 6
     sec = SectionVector(m, rng.randn(m + 1) + 1j * rng.randn(m + 1))
-    out = op.kernel_apply(ONE, m, sec)
+    out = op.kernel_matrix(ONE, m) @ sec
     assert np.max(np.abs(out.coeffs - sec.coeffs)) < 1e-12
 
 
 def test_kernel_apply_examples():
     e0 = SectionVector(2, np.array([1, 0, 0], dtype=complex))
-    out = op.kernel_apply(X3, 2, e0)
+    out = op.kernel_matrix(X3, 2) @ e0
     assert np.max(np.abs(out.coeffs - np.array([0.5, 0, 0]))) < 1e-13
 
     e0 = SectionVector(1, np.array([1, 0], dtype=complex))
-    out = op.kernel_apply(X1, 1, e0)
+    out = op.kernel_matrix(X1, 1) @ e0
     assert np.max(np.abs(out.coeffs - np.array([0, 1 / 3]))) < 1e-13
 
 
@@ -146,7 +172,7 @@ def test_kernel_apply_matches_toeplitz(rng):
     t = op.toeplitz(f, m)
     for _ in range(5):
         sec = SectionVector(m, rng.randn(m + 1) + 1j * rng.randn(m + 1))
-        out = op.kernel_apply(f, m, sec)
+        out = op.kernel_matrix(f, m) @ sec
         assert np.max(np.abs(out.coeffs - t.mat @ sec.coeffs)) < 1e-10
 
 
@@ -342,7 +368,7 @@ def test_level_mismatch():
     for call in (lambda: op.identity(3) @ b,
                  lambda: coefficient_inner(a, b),
                  lambda: quadrature_inner(a, a, table4),
-                 lambda: op.kernel_apply(X3, 3, b),
+                 lambda: op.kernel_matrix(X3, 3) @ b,
                  lambda: op.toeplitz(X3, 3, table=table4),
                  lambda: op.kernel_matrix(X3, 3, table=table4),
                  lambda: op.prequantum(X3, 3, table=table4)):

@@ -4,9 +4,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from btq import symbols as sy
-from btq.errors import CapacityError, SymbolSyntaxError, UnknownIdentifierError
+from btq.errors import (CapacityError, SymbolParseError, SymbolSyntaxError,
+                        UnknownIdentifierError)
 from btq.geometry import KahlerConventions, SpherePoint, make_rule, phi_grid
 from conftest import random_symbol
 
@@ -54,6 +57,42 @@ def test_parse_refuses_degree_above_cap_before_folding():
     assert sy.parse("x3^064").degree == 64
     assert sy.parse("x1^32*x2^32").degree == 64
     assert sy.parse("2^0001").terms == {(0, 0, 0): 2.0}
+
+
+def test_parse_refuses_deep_nesting_at_the_offending_token():
+    assert sy.MAX_NESTING_DEPTH == 100
+    for text, at in (("(" * 400 + "x3" + ")" * 400, 100), ("-" * 1200 + "x3", 100),
+                     ("x1 + " + "-(" * 51 + "x3" + ")" * 51, 105)):
+        with pytest.raises(SymbolSyntaxError) as err:
+            sy.parse(text)
+        assert err.value.position == at
+    assert sy.parse("(" * 100 + "x3" + ")" * 100) == X3
+    assert sy.parse("-" * 100 + "x3") == X3
+    assert sy.parse("+".join(["(((x3)))"] * 200)) == 200.0 * X3  # depth is not a count
+
+
+_TOKENS = st.sampled_from(["x1", "x2", "x3", "x4", "y", "0", "2", "1.5", "1e3",
+                           "1e400", ".5", "64", "+", "-", "*", "^", "(", ")",
+                           " ", "$"])
+
+
+@st.composite
+def _expression_texts(draw):
+    text = "".join(draw(st.lists(_TOKENS, max_size=40)))
+    # up to 4000 stack frames of nesting without the depth cap: beyond the
+    # recursion limit hypothesis sets while it runs a test
+    depth = draw(st.integers(0, 2000))
+    return draw(st.sampled_from(["(" * depth + text + ")" * depth,
+                                 "-" * depth + text, text]))
+
+
+@given(_expression_texts())
+def test_parse_returns_a_symbol_or_a_parse_or_capacity_error(text):
+    try:
+        f = sy.parse(text)
+    except (SymbolParseError, CapacityError):
+        return
+    assert isinstance(f, sy.Symbol)
 
 
 def test_parse_syntax_errors_carry_positions():
@@ -249,11 +288,12 @@ def test_laplacian_symmetric_against_quadrature(rng):
 
 
 def test_c1_examples():
-    assert sy.c1_candidate(X3, X3) == ONE - X3 ** 2
-    assert sy.c1_candidate(X1, sy.constant(5.0)).is_zero
-    assert sy.c1_candidate(sy.constant(5.0), X1).is_zero
+    c1 = lambda a, b: sy.c1_candidate(a, b, "dzbar-dz")
+    assert c1(X3, X3) == ONE - X3 ** 2
+    assert c1(X1, sy.constant(5.0)).is_zero
+    assert c1(sy.constant(5.0), X1).is_zero
     expect = 0.5 * (ONE + X3**2 - X1**2 + X2**2)
-    assert sy.c1_candidate(X1, X1) == expect
+    assert c1(X1, X1) == expect
 
 
 def test_c1_orderings_relation(rng):
@@ -288,7 +328,7 @@ def test_c1_associativity_cocycle_exact(rng):
 
 def test_c1_bilinear(rng):
     f, g, h = (random_symbol(rng) for _ in range(3))
-    c1 = sy.c1_candidate
+    c1 = lambda a, b: sy.c1_candidate(a, b, "dzbar-dz")
     assert c1(f + g, h) == c1(f, h) + c1(g, h)
     assert c1(f, g + h) == c1(f, g) + c1(f, h)
 
