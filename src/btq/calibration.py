@@ -101,18 +101,17 @@ def atomic_write(path, payload):
     """Write bytes to path through a temp file in the same directory and a
     rename, so readers see the old file or the new one, never a part."""
     d = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".btq_")
-    except OSError as exc:  # name the destination, not the temp file
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # name the destination, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_ledger(path, conv, diagnostics):

@@ -5,9 +5,10 @@ Exit codes: 0 = run completed with all declared assertions passing;
 1 = assertions failed (the report is still written); 2 = usage or expression
 error (including coefficients above symbols.COEFF_L1_BOUND and nesting above
 symbols.MAX_NESTING_DEPTH) or an unwritable output or ledger path; 3 = capacity
-error (including a symbol or a thm2/thm3 pair's summed degree above
-symbols.MAX_SYMBOL_DEGREE), quadrature rule too weak for a requested level
-(UnderResolvedRuleError) or corrupted conventions ledger.
+error (a level above --max-level or hilbert.MAX_LEVEL, both refused before
+any rule or table is built, or a symbol or a thm2/thm3 pair's summed degree
+above symbols.MAX_SYMBOL_DEGREE), quadrature rule too weak for a requested
+level (UnderResolvedRuleError) or corrupted conventions ledger.
 
 Experiments refuse to run without a conventions ledger (see `btq calibrate`)
 unless --auto-calibrate is given.  BTQ_LEDGER overrides the ledger path.
@@ -27,6 +28,7 @@ from . import calibration, lab
 from .errors import (CalibrationError, CapacityError, LedgerError,
                      SymbolParseError, UnderResolvedRuleError)
 from .geometry import LAPLACE_SCALE
+from .hilbert import MAX_LEVEL
 from .symbols import COEFF_L1_BOUND, MAX_SYMBOL_DEGREE, parse, sup_norm_argmax
 
 DEFAULT_MAX_LEVEL = 256
@@ -101,6 +103,9 @@ def _levels(args):
     if levels[-1] > args.max_level:
         raise CapacityError(
             f"level {levels[-1]} exceeds --max-level {args.max_level}")
+    if levels[-1] > MAX_LEVEL:
+        raise CapacityError(f"level {levels[-1]} exceeds the level cap "
+                            f"{MAX_LEVEL} (float binomial range)")
     window = getattr(args, "window", None)
     if window is not None:
         window = _int_list(window)
@@ -145,8 +150,8 @@ def _dispatch(args):
     if args.experiment == "calibrate":
         return _run_calibrate(args)
 
+    levels, window = _levels(args)  # refused before any rule or table is built
     conv = _conventions(args)
-    levels, window = _levels(args)
     f = parse(args.f)
     g = parse(args.g) if args.experiment in ("thm2", "thm3") else None
     if g is not None and f.coeff_l1() * g.coeff_l1() > COEFF_L1_BOUND:

@@ -19,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-
 TOTAL_AREA = 2.0 * math.pi
 # the metric g(X,Y) = omega(X, IY) scales the ambient-identity Laplacian by 2
 LAPLACE_SCALE = 2.0
 
-# cap on Gauss nodes in s, the one size make_rule allocates (leggauss
-# builds an n x n companion matrix: about 1 s at this size)
-MAX_RADIAL_NODES = 2048
+# Newton steps in `make_rule`: 4 land every node within 1 ulp of the
+# companion-matrix eigenvalues up to n = 559 (3 do not); the basis Gram
+# defect on these rules is at most 1.33e-13 for levels up to 1020, degree 8
+NEWTON_STEPS = 4
 
 # how far x1^2 + x2^2 + x3^2 may stray from 1 in `SpherePoint.from_ambient`
 ON_SPHERE_TOL = 1e-9
@@ -150,20 +149,20 @@ class QuadratureRule:
 def make_rule(m, degree):
     """Radial rule exact for every level-m matrix-element integrand with
     symbols of total degree <= degree: radial degree >= m + degree.
-    Memoised, so the node and weight arrays are read-only."""
+    Memoised, so the node and weight arrays are read-only.  The Legendre
+    nodes x are Newton iterates on the three-term recurrence from Tricomi's
+    guesses cos(pi (4k-1)/(4n+2)); the weights are 2/((1-x^2) P_n'(x)^2)."""
     if m < 0 or degree < 0:
         raise ValueError("level and degree must be nonnegative")
     n_s = max((m + degree + 2) // 2, 1)  # 2 n_s - 1 >= m + degree
-    if n_s > MAX_RADIAL_NODES:
-        raise CapacityError(
-            f"quadrature would need {n_s} radial nodes (cap {MAX_RADIAL_NODES})")
-    x, _ = np.polynomial.legendre.leggauss(n_s)
-    # leggauss weights are off by up to 1.8e-10 (relative) at 502 nodes;
-    # w = 2/((1-x^2) P_n'(x)^2) from the three-term recurrence by 8e-13
-    p_prev, p = np.ones_like(x), x
-    for j in range(2, n_s + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    dp = n_s * (x * p - p_prev) / (x * x - 1.0)
+    x = np.cos(np.pi * (4 * np.arange(n_s, 0, -1) - 1) / (4 * n_s + 2))
+    for step in range(NEWTON_STEPS + 1):  # the last pass is for the weights
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n_s + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n_s * (x * p - p_prev) / (x * x - 1.0)
+        if step < NEWTON_STEPS:
+            x = x - p / dp
     s = 0.5 * (x + 1.0)
     ws = 1.0 / ((1.0 - x * x) * dp * dp)
     s.flags.writeable = ws.flags.writeable = False

@@ -10,16 +10,15 @@ The orthonormal basis is e_k = z^k/sqrt(norm), norm ||z^k||^2 =
 only the radial factor R_k at the Gauss nodes in s: the angular integral of
 any two basis values is an exact Kronecker delta.  R_k is built from exact
 binomials and correctly-rounded powers (no naive factorials, no log-space
-error); with the recurrence weights of `make_rule` the radial Gram defect
-measured 1.22e-13 at worst over every level up to MAX_LEVEL and symbol
-degree up to 8.
+error); on the Newton nodes and recurrence weights of `make_rule` the
+radial Gram defect measured 1.33e-13 at worst (m = 988, degree 6) over every
+level up to MAX_LEVEL and symbol degree up to 8.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,10 +46,11 @@ def binomial_row(n):
 
 
 def monomial_norm(m, k):
-    """||z^k||^2 = 2 pi k!(m-k)!/(m+1)! by exact integer arithmetic."""
+    """||z^k||^2 = 2 pi k!(m-k)!/(m+1)! by exact integer arithmetic (int / int
+    rounds correctly: the float nearest 1/((m+1) C(m,k)))."""
     if not 0 <= k <= m:
         raise IndexError(f"k={k} out of range for level {m}")
-    return TWO_PI * float(Fraction(1, (m + 1) * math.comb(m, k)))
+    return TWO_PI * (1 / ((m + 1) * math.comb(m, k)))
 
 
 @dataclass

@@ -263,14 +263,18 @@ def toeplitz_exact(f, m):
     """
     n, top = m + 1, f.degree
     diags = np.zeros((2 * top + 1, n), dtype=complex)
-    sq = np.sqrt(np.array(binomial_row(m), dtype=float))
+    # kappa_A sinks to 2^-(m+d) while sqrt(C(m,k)) climbs to 2^(m/2): carry
+    # 2^e on kappa and 2^(-e/2) on each root, an exact rescaling that keeps
+    # both in the normal range at every level up to MAX_LEVEL
+    e = math.comb(m, m // 2).bit_length() & ~1
+    sq = np.ldexp(np.sqrt(np.array(binomial_row(m), dtype=float)), -e // 2)
     k = np.arange(n)
     kappas = {}
     for (a, b, c), coeff in sorted(f.terms.items()):
         d = a + b + c
         if d not in kappas:
-            # kappa_A = (m+1)/((m+d+1) C(m+d, A)); int / int rounds correctly
-            kappas[d] = np.array([(m + 1) / ((m + d + 1) * cb)
+            # 2^e kappa_A = 2^e (m+1)/((m+d+1) C(m+d, A)), int / int: rounded once
+            kappas[d] = np.array([((m + 1) << e) / ((m + d + 1) * cb)
                                   for cb in binomial_row(m + d)])
         kappa = kappas[d]
         poly = _chart_numerator(a, b, c)

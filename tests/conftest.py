@@ -68,15 +68,26 @@ sys.stdout.buffer.write(repr(wall).encode() + b"\\n" + t.mat.tobytes())
 """
 
 
+def _fresh_env(**extra):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def assemble_in_subprocess(expr, m, blas_threads):
     """T_f (table plus assembly) in a fresh process whose BLAS and OpenMP
     pools have blas_threads threads; returns (matrix bytes, wall seconds)."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
-               OMP_NUM_THREADS=str(blas_threads),
-               PYTHONPATH=os.pathsep.join(
-                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _fresh_env(OPENBLAS_NUM_THREADS=str(blas_threads),
+                     OMP_NUM_THREADS=str(blas_threads))
     proc = subprocess.run([sys.executable, "-c", _ASSEMBLE, expr, str(m)],
                           env=env, capture_output=True, check=True)
     wall, _, payload = proc.stdout.partition(b"\n")
     return payload, float(wall)
+
+
+def modules_after(code):
+    """The names in sys.modules after running code in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        env=_fresh_env(), capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())

@@ -160,15 +160,34 @@ def test_level_cap_is_capacity_error(workdir, capsys):
     assert run(["thm1", "--f", "x3", "--levels", "8,300",
                 "--max-level", "300"]) == 0
     capsys.readouterr()
-    # the radial quadrature cap, refused before any node is allocated, and
-    # the symbol degree cap, refused before the power is formed
+    # the level cap, refused before any rule is built, and the symbol
+    # degree cap, refused before the power is formed
     for args, cap in ((["--f", "x3", "--levels", "4100", "--max-level", "5000"],
-                       "radial nodes"),
+                       "level cap"),
                       (["--f", "x3^5000", "--levels", "8"], "degree cap")):
         assert run(["thm1"] + args) == 3
         err = capsys.readouterr().err
         assert err.startswith("btq: ") and cap in err
         assert err.count("\n") == 1
+
+
+def test_levels_above_max_level_refused_before_any_work(workdir, capsys,
+                                                      monkeypatch):
+    from btq import lab
+
+    def built(*args):
+        raise AssertionError("a rule or table was built")
+
+    run(["calibrate"])
+    capsys.readouterr()
+    monkeypatch.setattr(lab, "make_rule", built)
+    monkeypatch.setattr(lab, "basis_eval_grid", built)
+    for levels, top in (("8,1000,1021", "2000"), ("4100", "5000")):
+        assert run(["thm1", "--f", "x3", "--levels", levels,
+                    "--max-level", top]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("btq: ") and err.count("\n") == 1
+        assert "level cap 1020" in err
 
 
 def test_pair_above_degree_cap_is_capacity_error(workdir, capsys):
@@ -203,6 +222,23 @@ def test_unwritable_path_exit2(workdir, capsys, monkeypatch):
     assert len(lines) == 2
     assert all(line.startswith("btq: ") and str(missing) in line for line in lines)
     assert not missing.exists()
+
+
+def test_directory_as_output_path_is_named(workdir, capsys, monkeypatch):
+    run(["calibrate"])
+    capsys.readouterr()
+    target = workdir / "d"
+    target.mkdir()
+    assert run(["thm1", "--f", "x3", "--levels", "8", "--out", str(target)]) == 2
+    monkeypatch.setenv(LEDGER_ENV, str(target))
+    assert run(["calibrate", "--force"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    # the message names the given path, not the temp file beside it
+    assert all(line.startswith("btq: ") and line.endswith(repr(str(target)))
+               and ".btq_" not in line for line in lines)
+    assert [p for p in os.listdir(workdir) if p.startswith(".btq_")] == []
+    assert os.listdir(target) == []
 
 
 def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,

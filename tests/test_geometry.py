@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from btq.errors import CapacityError
-from btq.geometry import (DEFAULT_CONVENTIONS, MAX_RADIAL_NODES, TOTAL_AREA,
-                          QuadratureRule, SpherePoint, curvature_check,
-                          diastasis, make_rule, phi_grid)
+from btq.geometry import (DEFAULT_CONVENTIONS, TOTAL_AREA, QuadratureRule,
+                          SpherePoint, curvature_check, diastasis, make_rule,
+                          phi_grid)
+from conftest import modules_after
 
 
 def beta_closed_form(a, b):
@@ -90,21 +90,19 @@ def test_make_rule_is_memoised():
             (fresh.n_nodes, fresh.max_radial_degree)
 
 
-def test_capacity_error(monkeypatch):
-    class Allocated(Exception):
-        pass
+def test_nodes_match_the_companion_eigenvalues():
+    # leggauss (an n x n eigensolve) is the reference here only
+    for n_s in [*range(1, 65), 129, 257, 503, 504, 543, 544]:
+        x, _ = np.polynomial.legendre.leggauss(n_s)
+        rule = make_rule.__wrapped__(0, 2 * n_s - 1)
+        assert rule.n_nodes == n_s
+        assert np.max(np.abs(rule.s_nodes - 0.5 * (x + 1.0))) <= 2.3e-16
+        assert np.all(np.diff(rule.s_nodes) > 0.0)
 
-    def leggauss(n):
-        raise Allocated(n)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", leggauss)
-    for args in ((4000, 4000), (8, 20000), (0, 4096)):
-        with pytest.raises(CapacityError):
-            make_rule.__wrapped__(*args)
-    # the largest admitted rule: 2 n_s - 1 = 4095
-    with pytest.raises(Allocated) as hit:
-        make_rule.__wrapped__(0, 4095)
-    assert hit.value.args == (MAX_RADIAL_NODES,)
+def test_rule_loads_no_polynomial_module():
+    assert "numpy.polynomial" not in modules_after(
+        "import btq\nbtq.make_rule(1000, 6)")
 
 
 def test_chart_roundtrip(rng):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from btq import hilbert as hb
 from btq.errors import UnderResolvedRuleError
 from btq.geometry import QuadratureRule, SpherePoint, make_rule
-from conftest import random_point
+from conftest import modules_after, random_point
 
 TWO_PI = 2.0 * math.pi
 
@@ -19,6 +20,16 @@ def test_monomial_norm_examples():
         hb.monomial_norm(3, 4)
     with pytest.raises(IndexError):
         hb.monomial_norm(3, -1)
+
+
+def test_monomial_norm_is_the_rounded_exact_reciprocal():
+    # reference: the exact rational 1/((m+1) C(m,k)), rounded once
+    for m in [*range(64), 255, 256, 511, 512, 1000, 1019, 1020]:
+        for k in range(m + 1):
+            ref = float(Fraction(1, (m + 1) * math.comb(m, k)))
+            assert hb.monomial_norm(m, k) == TWO_PI * ref
+    loaded = modules_after("import btq")
+    assert "fractions" not in loaded and "decimal" not in loaded
 
 
 def test_monomial_norm_against_quadrature():

@@ -369,6 +369,15 @@ def test_cross_check_examples(rng):
     assert lab.cross_check(X1 * X2, 32) < 1e-10
 
 
+def test_cross_check_holds_at_the_top_levels():
+    # the exact path's Beta ratios reach 2^-(m + deg f): unscaled, they went
+    # subnormal against sqrt(C(m,k)) ~ 2^(m/2) and missed by up to 0.09
+    for expr in ("x3^40", "x3^64", "x1*x3^63"):
+        f = sy.parse(expr)
+        for m in (1000, 1020):
+            assert lab.cross_check(f, m) <= 1e-10, (expr, m)
+
+
 def test_crosscheck_run_passes():
     rep = lab.crosscheck_run(X1 * X2, [4, 8])
     assert rep.passed
