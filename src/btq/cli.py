@@ -7,8 +7,9 @@ error (including coefficients above symbols.COEFF_L1_BOUND and nesting above
 symbols.MAX_NESTING_DEPTH) or an unwritable output or ledger path; 3 = capacity
 error (a level above --max-level or hilbert.MAX_LEVEL, both refused before
 any rule or table is built, or a symbol or a thm2/thm3 pair's summed degree
-above symbols.MAX_SYMBOL_DEGREE), quadrature rule too weak for a requested
-level (UnderResolvedRuleError) or corrupted conventions ledger.
+above symbols.MAX_SYMBOL_DEGREE), UnderResolvedRuleError (a basis table
+that fails its Gram self-test, or a real symbol whose T_f fails the
+hermiticity check) or corrupted conventions ledger.
 
 Experiments refuse to run without a conventions ledger (see `btq calibrate`)
 unless --auto-calibrate is given.  BTQ_LEDGER overrides the ledger path.

@@ -45,6 +45,13 @@ def binomial_row(n):
     return row
 
 
+def binomial_floats(m):
+    """[C(m, 0), ..., C(m, m)] as floats; refused above MAX_LEVEL."""
+    if m > MAX_LEVEL:
+        raise CapacityError(f"level {m} beyond float binomial range {MAX_LEVEL}")
+    return np.array(binomial_row(m), dtype=float)
+
+
 def monomial_norm(m, k):
     """||z^k||^2 = 2 pi k!(m-k)!/(m+1)! by exact integer arithmetic (int / int
     rounds correctly: the float nearest 1/((m+1) C(m,k)))."""
@@ -78,10 +85,11 @@ def radial_factors(m, s):
     """R[i, k] = R_k(s_i) = |e_k(z)| (1+|z|^2)^(-m/2) for k = 0..m at the
     points s_i = |z|^2/(1+|z|^2) in [0, 1]: the root of the binomial weight
     (m+1)/(2 pi) C(m,k) s^k (1-s)^(m-k), so every entry is at most
-    sqrt((m+1)/(2 pi)) and in float range at every level up to MAX_LEVEL."""
+    sqrt((m+1)/(2 pi)) and in float range at every level up to MAX_LEVEL
+    (refused above it)."""
     s = np.asarray(s, dtype=float)
     k = np.arange(m + 1)
-    comb = np.array(binomial_row(m), dtype=float)
+    comb = binomial_floats(m)
     mag2 = comb * s[:, None] ** k[None, :] * (1.0 - s)[:, None] ** (m - k)[None, :]
     return np.sqrt(mag2 * ((m + 1) / TWO_PI))
 
@@ -98,8 +106,6 @@ class GridTable:
     def __init__(self, m, rule):
         if m < 0:
             raise ValueError("level must be nonnegative")
-        if m > MAX_LEVEL:
-            raise CapacityError(f"level {m} beyond float binomial range {MAX_LEVEL}")
         if rule.max_radial_degree < m:
             raise UnderResolvedRuleError(
                 f"rule exact to radial degree {rule.max_radial_degree} cannot "
@@ -147,8 +153,8 @@ def kernel_density(m, p):
     z2 = abs(p.z) ** 2
     s = z2 / (1.0 + z2)
     total = 0.0
-    for k, c in enumerate(binomial_row(m)):
-        total += float(c) * s**k * (1.0 - s) ** (m - k)
+    for k, c in enumerate(binomial_floats(m).tolist()):
+        total += c * s**k * (1.0 - s) ** (m - k)
     return (m + 1) / TWO_PI * total
 
 
@@ -161,8 +167,8 @@ def coherent_state(m, z0):
     (1+|z0|^2)^(-m/2) phi = sum_k R_k(s0) e^{-i k phi0} e_k instead."""
     z0 = complex(z0)
     pref = math.sqrt(TWO_PI / (m + 1))
-    coeffs = np.array([pref * math.sqrt(float(c)) * np.conj(z0) ** k
-                       for k, c in enumerate(binomial_row(m))])
+    coeffs = np.array([pref * math.sqrt(c) * np.conj(z0) ** k
+                       for k, c in enumerate(binomial_floats(m).tolist())])
     return SectionVector(m, coeffs)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError
+# make_rule and basis_eval_grid go unused: benchmark/selftest.py expects the bindings
 from .geometry import DEFAULT_CONVENTIONS, make_rule
 from .hilbert import SectionVector, basis_eval_grid, radial_factors
 from .operators import (commutator, kernel_matrix, operator_norm, prequantum,
@@ -172,8 +173,7 @@ def thm1_run(f, levels, window=None, conventions=DEFAULT_CONVENTIONS):
     ref = sup_norm(f)
     tol = 1e-9 * max(1.0, f.coeff_max())
     for m in levels:
-        table = basis_eval_grid(m, make_rule(m, f.degree))
-        t = toeplitz(f, m, table=table)
+        t = toeplitz(f, m)
         measured = operator_norm(t)
         report.rows.append(ConvergenceRow.make(m, measured, ref))
         report.check(f"upper_bound_m{m}", measured <= ref + tol,
@@ -186,10 +186,8 @@ def thm2_run(f, g, levels, window=None, conventions=DEFAULT_CONVENTIONS):
     """Commutator limit: ||m i [T_f, T_g] - T_{f,g}|| = O(1/m)."""
     report = ConvergenceReport("thm2", f, g, conventions=conventions.as_dict())
     fg = poisson_bracket(f, g, conventions)
-    deg = max(f.degree, g.degree, fg.degree)
     for m in levels:
-        table = basis_eval_grid(m, make_rule(m, deg))
-        tf, tg, tfg = (toeplitz(h, m, table=table) for h in (f, g, fg))
+        tf, tg, tfg = (toeplitz(h, m) for h in (f, g, fg))
         measured = operator_norm(commutator(tf, tg) * (1j * m) - tfg)
         report.rows.append(ConvergenceRow.make(m, measured, 0.0))
     _try_fit(report, window)
@@ -207,12 +205,10 @@ def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
     """
     c0 = multiply(f, g)
     c1 = c1_candidate(f, g, c1_ordering)
-    deg = max(f.degree, g.degree, c0.degree, c1.degree)
     rep1 = ConvergenceReport("thm3[N=1]", f, g, conventions=conventions.as_dict())
     rep2 = ConvergenceReport("thm3[N=2]", f, g, conventions=conventions.as_dict())
     for m in levels:
-        table = basis_eval_grid(m, make_rule(m, deg))
-        tf, tg, tc0, tc1 = (toeplitz(h, m, table=table) for h in (f, g, c0, c1))
+        tf, tg, tc0, tc1 = (toeplitz(h, m) for h in (f, g, c0, c1))
         r1 = tf @ tg - tc0
         r2 = r1 - tc1 / m
         for rep, r in ((rep1, r1), (rep2, r2)):
@@ -231,15 +227,16 @@ def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
 def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS):
     """Exact identity Q_f = i T_{f - Lap f/(2m)}: defects at quadrature scale.
 
-    Checks defect <= 1e-8 (1 + ||Q_f||) per level; no rate fit (the relation
-    is exact, not asymptotic).  ||Q_f|| is the norm of -i Q_f, by eigvalsh
+    Q_f and i T_g come from their own rules (degrees deg f + 2 and deg f),
+    so the defect is the roundoff of two exact quadratures.  Checks defect
+    <= 1e-8 (1 + ||Q_f||) per level; no rate fit (the relation is exact, not
+    asymptotic).  ||Q_f|| is the norm of -i Q_f, by eigvalsh
     when that passes the hermiticity check (real f), else by the SVD.
     """
     report = ConvergenceReport("tuynman", f, conventions=conventions.as_dict())
     for m in levels:
-        table = basis_eval_grid(m, make_rule(m, f.degree + 2))
-        q = prequantum(f, m, table=table)
-        rhs = tuynman_rhs(f, m, conventions, table=table)
+        q = prequantum(f, m)
+        rhs = tuynman_rhs(f, m, conventions)
         defect = float(np.max(np.abs((q - rhs).diags)))
         qnorm = operator_norm(-1j * q)
         report.rows.append(ConvergenceRow.make(m, defect, 0.0))
@@ -270,8 +267,7 @@ def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS):
     phi0 = math.atan2(x2, x1)
     tol = 1e-9 * max(1.0, f.coeff_max())
     for m in levels:
-        table = basis_eval_grid(m, make_rule(m, f.degree))
-        t = toeplitz(f, m, table=table)
+        t = toeplitz(f, m)
         r = radial_factors(m, [t0])[0]
         c = (r if x3 >= 0 else r[::-1]) * np.exp(-1j * np.arange(m + 1) * phi0)
         num = abs(complex(np.vdot(c, (t @ SectionVector(m, c)).coeffs)))
@@ -291,10 +287,9 @@ def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS):
 
 def cross_check(f, m):
     """Max pairwise entry defect of the three Toeplitz constructions."""
-    table = basis_eval_grid(m, make_rule(m, f.degree))
-    a = toeplitz(f, m, table=table)
+    a = toeplitz(f, m)
     b = toeplitz_exact(f, m)
-    c = kernel_matrix(f, m, table=table)
+    c = kernel_matrix(f, m)
     return float(max(np.max(np.abs((x - y).diags)) for x, y in ((a, b), (a, c), (b, c))))
 
 

@@ -1,6 +1,10 @@
 """Quantum operators at level m: Toeplitz matrices by three independent
 construction paths, geometric-quantization matrices, norms and commutators.
 
+Each quadrature maker sizes its own radial rule from its inputs,
+`make_rule(m, deg f)` (deg f + 2 for the derivative in Q_f); a basis
+table lives only inside the maker that builds it.
+
 Paths for T_f: (1) quadrature: the angular integral of every matrix
 element is an exact Kronecker delta, so (T_f)_{k+q,k} is the radial Gauss
 sum 2 pi sum_s w_s R_{k+q}(s) R_k(s) f_q(s) over the basis table, with f_q
@@ -13,12 +17,12 @@ theorem in exact integers and integrating every z^a zbar^b (1+z zbar)^-(m+d)
 term as an exact Beta ratio, tabulated once per term degree from exact
 binomials -- no quadrature at all; (3) the explicit integral kernel,
 expanding (1 + z conj(zeta))^m binomially and re-projecting on the raw
-monomial frame.  Pairwise agreement of the three
-is the package's core self-test.  Operators are stored as their band of
-diagonals (`QuantumOperator`), filled directly by every path; only
-`operator_norm` builds the dense (m+1)^2 matrix, for LAPACK.  Whether an
-operator is Hermitian is read off its band when it is built; no path
-asserts it.
+monomial frame at the rule's nodes, with no basis table.  Pairwise
+agreement of the three is the package's core self-test.  Operators are
+stored as their band of diagonals (`QuantumOperator`), filled directly by
+every path; only `operator_norm` builds the dense (m+1)^2 matrix, for
+LAPACK.  Whether an operator is Hermitian is read off its band when it is
+built; no path asserts it.
 
 The geometric-quantization operator is Q_f = Pi(-(1/m) nabla_{X_f} + i f)Pi
 with the Hamiltonian field of the area form; the 1/m is the level-m scaling
@@ -36,7 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LevelMismatchError, UnderResolvedRuleError
 from .geometry import DEFAULT_CONVENTIONS, make_rule, phi_grid
-from .hilbert import TWO_PI, SectionVector, basis_eval_grid, binomial_row
+from .hilbert import (TWO_PI, SectionVector, basis_eval_grid, binomial_floats,
+                      binomial_row)
 from .symbols import eval_ambient, laplace_beltrami, partial
 
 _HERM_TOL = 1e-12
@@ -199,35 +204,23 @@ def _band_matrix(left, right, w, samples, band):
     return diags
 
 
-def _ambient_grid(table, degree):
-    """Ambient coordinates at the radial nodes times `phi_grid(degree)`,
+def _ambient_grid(s, degree):
+    """Ambient coordinates at the radial nodes s times `phi_grid(degree)`,
     broadcasting to (n_s, 2 degree + 1)."""
-    s = table.s[:, None]
+    s = s[:, None]
     phi = phi_grid(degree)[None, :]
     rho = 2.0 * np.sqrt(s * (1.0 - s))
     return rho * np.cos(phi), rho * np.sin(phi), 1.0 - 2.0 * s
 
 
-def _resolve_table(f_degree, m, table=None, extra_degree=0):
-    if table is None:
-        table = basis_eval_grid(m, make_rule(m, f_degree + extra_degree))
-    need = m + f_degree + extra_degree
-    if table.rule.max_radial_degree < need:
-        raise UnderResolvedRuleError(
-            f"rule resolves degree {table.rule.max_radial_degree}, need {need}")
-    if table.m != m:
-        raise LevelMismatchError(f"table level {table.m} differs from {m}")
-    return table
-
-
 # -- path 1: quadrature --------------------------------------------------------
 
 
-def toeplitz(f, m, table=None):
+def toeplitz(f, m):
     """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>.  For real
     f, an operator that fails the hermiticity check is refused."""
-    table = _resolve_table(f.degree, m, table)
-    fv = eval_ambient(f, *_ambient_grid(table, f.degree))
+    table = basis_eval_grid(m, make_rule(m, f.degree))
+    fv = eval_ambient(f, *_ambient_grid(table.s, f.degree))
     diags = _band_matrix(table.B, table.B, table.w, fv, f.degree)
     t = QuantumOperator.from_diags(m, diags)
     if f.is_real and not t.hermitian:
@@ -267,7 +260,7 @@ def toeplitz_exact(f, m):
     # 2^e on kappa and 2^(-e/2) on each root, an exact rescaling that keeps
     # both in the normal range at every level up to MAX_LEVEL
     e = math.comb(m, m // 2).bit_length() & ~1
-    sq = np.ldexp(np.sqrt(np.array(binomial_row(m), dtype=float)), -e // 2)
+    sq = np.ldexp(np.sqrt(binomial_floats(m)), -e // 2)
     k = np.arange(n)
     kappas = {}
     for (a, b, c), coeff in sorted(f.terms.items()):
@@ -289,24 +282,25 @@ def toeplitz_exact(f, m):
 # -- path 3: integral kernel ---------------------------------------------------
 
 
-def kernel_matrix(f, m, table=None):
+def kernel_matrix(f, m):
     """T_f through the explicit integral kernel, band by band like `toeplitz`.
 
     (T_f s)(z) = (m+1)/(2 pi) int (1+z conj(zeta))^m f s (1+|zeta|^2)^-m
     Omega(zeta); the binomial expansion of the kernel gives the raw monomial
     coefficients directly, which are then re-expressed in the orthonormal
-    basis.  Apply it to a section with `@`, which checks the levels.
+    basis.  The integrals run on the nodes and weights of `make_rule`, with
+    no basis table.  Apply it to a section with `@`, which checks the levels.
     """
-    table = _resolve_table(f.degree, m, table)
-    k = np.arange(m + 1)
-    s = table.s[:, None]
-    # raw monomial values |z^k| (1+|z|^2)^(-m/2) at the radial nodes (no norms)
-    frame = s ** (k / 2.0) * (1.0 - s) ** ((m - k) / 2.0)
-    fv = eval_ambient(f, *_ambient_grid(table, f.degree))
-    integrals = _band_matrix(frame, frame, table.w, fv, f.degree)
     # kernel coefficient (m+1)/(2 pi) C(m,j) of z^j, with z^j and z^k
     # re-expressed in the orthonormal basis (||z^k||^2 = 2 pi/((m+1) C(m,k)))
-    r = np.sqrt(np.array(binomial_row(m), dtype=float) * ((m + 1) / TWO_PI))
+    r = np.sqrt(binomial_floats(m) * ((m + 1) / TWO_PI))
+    rule = make_rule(m, f.degree)
+    k = np.arange(m + 1)
+    s = rule.s_nodes[:, None]
+    # raw monomial values |z^k| (1+|z|^2)^(-m/2) at the radial nodes (no norms)
+    frame = s ** (k / 2.0) * (1.0 - s) ** ((m - k) / 2.0)
+    fv = eval_ambient(f, *_ambient_grid(rule.s_nodes, f.degree))
+    integrals = _band_matrix(frame, frame, rule.s_weights, fv, f.degree)
     rows = _band_index(len(integrals) // 2, m + 1)[0]
     return QuantumOperator.from_diags(m, r[rows] * integrals * r[None, :])
 
@@ -314,7 +308,7 @@ def kernel_matrix(f, m, table=None):
 # -- geometric quantization ----------------------------------------------------
 
 
-def prequantum(f, m, table=None):
+def prequantum(f, m):
     """Q_f = Pi P_f Pi with P_f = -(1/m) nabla_{X_f} + i f at level m.
 
     In the chart, for a holomorphic representative p:
@@ -328,8 +322,8 @@ def prequantum(f, m, table=None):
     sampled on the 2 deg f + 1 nodes of `phi_grid`, and Q_f has the band of
     T_f.  Anti-Hermitian (to quadrature accuracy) for real f.
     """
-    table = _resolve_table(f.degree, m, table, extra_degree=2)
-    x = _ambient_grid(table, f.degree)
+    table = basis_eval_grid(m, make_rule(m, f.degree + 2))
+    x = _ambient_grid(table.s, f.degree)
     s = table.s[:, None]
     z = np.sqrt(s / (1.0 - s)) * np.exp(1j * phi_grid(f.degree))[None, :]
     u = 1.0 / (1.0 - s)
@@ -347,12 +341,12 @@ def prequantum(f, m, table=None):
     return QuantumOperator.from_diags(m, diags)
 
 
-def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS, table=None):
+def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS):
     """i T_{f - Laplacian(f)/(2m)}: the Toeplitz side of Tuynman's relation."""
     if m < 1:
         raise ValueError("Tuynman's relation needs m >= 1")
     g = f - laplace_beltrami(f, conventions) * (1.0 / (2.0 * m))
-    return toeplitz(g, m, table) * 1j
+    return toeplitz(g, m) * 1j
 
 
 # -- norms and commutators -----------------------------------------------------

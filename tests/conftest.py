@@ -59,10 +59,10 @@ def rng():
 
 _ASSEMBLE = """
 import sys, time
-from btq import basis_eval_grid, make_rule, parse, toeplitz
+from btq import parse, toeplitz
 f, m = parse(sys.argv[1]), int(sys.argv[2])
 t0 = time.monotonic()
-t = toeplitz(f, m, table=basis_eval_grid(m, make_rule(m, f.degree)))
+t = toeplitz(f, m)
 wall = time.monotonic() - t0
 sys.stdout.buffer.write(repr(wall).encode() + b"\\n" + t.mat.tobytes())
 """

@@ -173,15 +173,15 @@ def test_level_cap_is_capacity_error(workdir, capsys):
 
 def test_levels_above_max_level_refused_before_any_work(workdir, capsys,
                                                       monkeypatch):
-    from btq import lab
+    from btq import operators
 
     def built(*args):
         raise AssertionError("a rule or table was built")
 
     run(["calibrate"])
     capsys.readouterr()
-    monkeypatch.setattr(lab, "make_rule", built)
-    monkeypatch.setattr(lab, "basis_eval_grid", built)
+    monkeypatch.setattr(operators, "make_rule", built)
+    monkeypatch.setattr(operators, "basis_eval_grid", built)
     for levels, top in (("8,1000,1021", "2000"), ("4100", "5000")):
         assert run(["thm1", "--f", "x3", "--levels", levels,
                     "--max-level", top]) == 3
@@ -243,7 +243,7 @@ def test_directory_as_output_path_is_named(workdir, capsys, monkeypatch):
 
 def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,
                                                      monkeypatch):
-    from btq import lab
+    from btq import operators
     from btq.errors import UnderResolvedRuleError
 
     def refuse(m, rule):
@@ -251,7 +251,7 @@ def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,
 
     run(["calibrate"])
     capsys.readouterr()
-    monkeypatch.setattr(lab, "basis_eval_grid", refuse)
+    monkeypatch.setattr(operators, "basis_eval_grid", refuse)
     assert run(["thm2", "--f", "x1", "--g", "x2", "--levels", "2,4,8"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err

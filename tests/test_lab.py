@@ -11,8 +11,7 @@ from btq import operators as op
 from btq import symbols as sy
 from btq.errors import InsufficientDataError
 from btq.geometry import SpherePoint
-from btq.geometry import make_rule
-from btq.hilbert import basis_eval_grid, coherent_state
+from btq.hilbert import coherent_state
 from conftest import dense_hermitian, random_symbol
 from test_symbols import _extrema_symbols
 
@@ -217,22 +216,35 @@ def test_tuynman_and_crosscheck_rows_match_dense_reference():
     # of -i Q_f by eigvalsh or the SVD on the dense array
     f = sy.parse("x1*x2*x3^2 + 0.25*x1^2*x2^2 - x3 + 0.125")
     for m in (64, 300):
-        table = basis_eval_grid(m, make_rule(m, f.degree + 2))
-        q = op.prequantum(f, m, table=table).mat
-        defect = float(np.max(np.abs(q - op.tuynman_rhs(f, m, table=table).mat)))
+        q = op.prequantum(f, m).mat
+        defect = float(np.max(np.abs(q - op.tuynman_rhs(f, m).mat)))
         h = -1j * q
         qnorm = float(np.max(np.abs(np.linalg.eigvalsh(h)))) if dense_hermitian(h) \
             else float(np.linalg.norm(h, 2))
         rep = lab.tuynman_run(f, [m])
         assert rep.rows[0].measured == defect
         assert rep.checks[0].detail == f"defect={defect!r} |Q|={qnorm!r}"
-        table = basis_eval_grid(m, make_rule(m, f.degree))
-        a = op.toeplitz(f, m, table=table).mat
+        a = op.toeplitz(f, m).mat
         b = op.toeplitz_exact(f, m).mat
-        c = op.kernel_matrix(f, m, table=table).mat
+        c = op.kernel_matrix(f, m).mat
         d = float(max(np.max(np.abs(a - b)), np.max(np.abs(a - c)),
                       np.max(np.abs(b - c))))
         assert lab.crosscheck_run(f, [m]).rows[0].measured == d
+
+
+def test_cross_check_builds_one_table_per_level(monkeypatch):
+    # only the quadrature path reads a basis table; the kernel path uses
+    # the rule's nodes and weights
+    built, grid = [], op.basis_eval_grid
+
+    def spy(m, rule):
+        built.append(m)
+        return grid(m, rule)
+
+    monkeypatch.setattr(op, "basis_eval_grid", spy)
+    for m in (4, 16, 64):
+        assert lab.cross_check(X1 * X2 + X3, m) < 1e-10
+    assert built == [4, 16, 64]
 
 
 def test_thm_residuals_keep_the_band(monkeypatch):

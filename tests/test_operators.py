@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from btq import operators as op
 from btq import symbols as sy
-from btq.errors import LevelMismatchError, UnderResolvedRuleError
+from btq.errors import CapacityError, LevelMismatchError
 from btq.geometry import SpherePoint, make_rule
 from btq.hilbert import (SectionVector, basis_eval_grid, coefficient_inner,
-                         quadrature_inner)
+                         coherent_state, kernel_density, quadrature_inner,
+                         radial_factors)
 from conftest import assemble_in_subprocess, dense_hermitian, random_symbol
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
@@ -36,12 +37,6 @@ def test_toeplitz_x3_and_x3sq():
     assert np.max(np.abs(t.mat - np.diag([0.5, 0.0, -0.5]))) < 1e-13
     t2 = op.toeplitz(X3 * X3, 2)
     assert np.max(np.abs(t2.mat - np.diag([0.4, 0.2, 0.4]))) < 1e-13
-
-
-def test_toeplitz_under_resolved_rejected():
-    table = basis_eval_grid(8, make_rule(8, 0))  # no headroom for a degree-2 symbol
-    with pytest.raises(UnderResolvedRuleError):
-        op.toeplitz(X3 * X3, 8, table=table)
 
 
 # -- Toeplitz path 2: exact moments ---------------------------------------------
@@ -188,11 +183,10 @@ def test_band_limited_paths_match_exact_at_high_level(rng):
     symbols = [random_symbol(rng, degree=d) for d in (1, 3, 6)]
     symbols += [random_symbol(rng, degree=d, real=False) for d in (2, 6)]
     for m in (256, 1000):
-        table = basis_eval_grid(m, make_rule(m, 6))
         for f in symbols:
             exact = op.toeplitz_exact(f, m).mat
             for path in (op.toeplitz, op.kernel_matrix):
-                assert np.max(np.abs(path(f, m, table=table).mat - exact)) < 1e-12
+                assert np.max(np.abs(path(f, m).mat - exact)) < 1e-12
 
 
 # -- structure ------------------------------------------------------------------
@@ -311,10 +305,9 @@ def test_prequantum_matches_tuynman_rhs_up_to_degree_6(rng):
     symbols = [random_symbol(rng, degree=d) for d in (1, 2, 4, 6)]
     symbols.append(random_symbol(rng, degree=6, real=False))
     for m in (1, 7, 64, 1000):
-        table = basis_eval_grid(m, make_rule(m, 8))
         for f in symbols:
-            q = op.prequantum(f, m, table=table)
-            rhs = op.tuynman_rhs(f, m, table=table)
+            q = op.prequantum(f, m)
+            rhs = op.tuynman_rhs(f, m)
             bound = 1e-12 * (1 + op.operator_norm(op.QuantumOperator(m, -1j * q.mat)))
             assert np.max(np.abs(q.mat - rhs.mat)) <= bound
 
@@ -368,12 +361,24 @@ def test_level_mismatch():
     for call in (lambda: op.identity(3) @ b,
                  lambda: coefficient_inner(a, b),
                  lambda: quadrature_inner(a, a, table4),
-                 lambda: op.kernel_matrix(X3, 3) @ b,
-                 lambda: op.toeplitz(X3, 3, table=table4),
-                 lambda: op.kernel_matrix(X3, 3, table=table4),
-                 lambda: op.prequantum(X3, 3, table=table4)):
+                 lambda: op.kernel_matrix(X3, 3) @ b):
         with pytest.raises(LevelMismatchError):
             call()
+
+
+def test_levels_above_max_level_are_capacity_errors():
+    # the float binomials C(m, k) own the level cap, so every path refuses
+    # alike rather than overflowing or running on
+    p = SpherePoint.from_z(0.5)
+    for m in (1021, 1100):
+        for call in (lambda: op.toeplitz(X3, m),
+                     lambda: op.toeplitz_exact(X3, m),
+                     lambda: op.kernel_matrix(X3, m),
+                     lambda: coherent_state(m, 0.5),
+                     lambda: kernel_density(m, p),
+                     lambda: radial_factors(m, [0.5])):
+            with pytest.raises(CapacityError):
+                call()
 
 
 # -- banded storage -----------------------------------------------------------------
@@ -444,10 +449,8 @@ def test_band_hermiticity_matches_dense_check(rng):
 def test_operators_store_only_their_band():
     f = sy.parse(CRITERION10)
     m = 1000
-    table = basis_eval_grid(m, make_rule(m, f.degree + 2))
-    for t in (op.toeplitz(f, m, table=table), op.toeplitz_exact(f, m),
-              op.kernel_matrix(f, m, table=table), op.prequantum(f, m, table=table),
-              op.tuynman_rhs(f, m, table=table)):
+    for t in (op.toeplitz(f, m), op.toeplitz_exact(f, m), op.kernel_matrix(f, m),
+              op.prequantum(f, m), op.tuynman_rhs(f, m)):
         assert t.band == f.degree
         assert t.diags.size <= (2 * f.degree + 1) * (m + 1)
 
