@@ -12,7 +12,7 @@ import numpy as np
 
 from btq import symbols as sy
 from btq.calibration import calibrate
-from btq.geometry import KahlerConventions
+from btq.geometry import DEFAULT_CONVENTIONS, KahlerConventions
 from btq.lab import tuynman_run
 from btq.operators import operator_norm, prequantum, tuynman_rhs
 
@@ -25,6 +25,8 @@ print(f"  commutator defects by Poisson sign (m=8 -> 32): "
       f"{diag['commutator_defects']}")
 print(f"  selected: laplace_sign={conv.laplace_sign}, "
       f"poisson_constant={conv.poisson_constant}")
+print(f"  the built-in conventions every experiment uses: "
+      f"{conv == DEFAULT_CONVENTIONS}")
 
 print("\nQ_x3 at level 4 (closed form i diag((m-2k)/m)):")
 print(np.round(prequantum(X3, 4).mat.imag, 12))
@@ -32,7 +34,7 @@ print(np.round(prequantum(X3, 4).mat.imag, 12))
 print("\nidentity defects ||Q_f - i T_{f - Lap f/2m}||_max:")
 for text in ("x1", "x3", "x3^2", "x1*x2 - 0.5*x3"):
     f = sy.parse(text)
-    rep = tuynman_run(f, [2, 4, 8, 16, 32], conventions=conv)
+    rep = tuynman_run(f, [2, 4, 8, 16, 32])
     worst = max(r.measured for r in rep.rows)
     print(f"  f = {text:14s} worst defect = {worst:.3e}   passed: {rep.passed}")
 

@@ -6,10 +6,10 @@ operators, Tuynman's relation, and convergence experiments for the
 sup-norm, commutator and star-product asymptotics.
 """
 
-from .calibration import calibrate, ledger_path, load_ledger, write_ledger
+from .calibration import calibrate
 from .errors import (CalibrationError, CapacityError, InsufficientDataError,
-                     LedgerError, LevelMismatchError, SymbolParseError,
-                     SymbolSyntaxError, UnderResolvedRuleError)
+                     LevelMismatchError, SymbolParseError, SymbolSyntaxError,
+                     UnderResolvedRuleError)
 from .geometry import (DEFAULT_CONVENTIONS, TOTAL_AREA, KahlerConventions,
                        QuadratureRule, SpherePoint, curvature_check, diastasis,
                        make_rule)

@@ -1,5 +1,4 @@
-"""Runtime calibration of the open sign conventions, and the ledger file
-that freezes them.
+"""Calibration check of the two open sign conventions.
 
 Two signs are not pinned by the formulas alone: the analyst-vs-geometer
 sign of the Laplacian (selected by requiring Tuynman's relation
@@ -7,36 +6,25 @@ Q_f = i T_{f - Lap f/(2m)} to hold against the directly assembled
 geometric-quantization operator) and the global sign of the Poisson
 structure constant (selected by requiring the commutator defect
 ||m i [T_f, T_g] - T_{f,g}|| to decay instead of saturating at O(1)).
-Both selections are recorded with their measured defects in a small JSON
-ledger so later runs can load rather than re-measure them.
+Both signs are constants of the calculus, fixed by the Kähler form and
+the prequantum condition c(L) = omega/2pi, so every experiment uses
+geometry.DEFAULT_CONVENTIONS; `btq calibrate` re-measures them and fails
+when the measurement selects anything else.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-
 import numpy as np
 
-from .errors import CalibrationError, LedgerError
-from .geometry import LAPLACE_SCALE, TOTAL_AREA, KahlerConventions
+from .errors import CalibrationError
+from .geometry import KahlerConventions
 from .operators import commutator, operator_norm, prequantum, toeplitz, tuynman_rhs
 from .symbols import X1, X2, X3, poisson_bracket
-
-LEDGER_ENV = "BTQ_LEDGER"
-LEDGER_NAME = "btq_conventions.json"
-LEDGER_FORMAT = "btq-conventions-v1"
 
 _TUYNMAN_LEVEL = 4
 _TUYNMAN_TOL = 1e-8
 _POISSON_LEVELS = (8, 32)
 _DECAY_RATIO = 0.8
-
-
-def ledger_path():
-    """Resolve the ledger location: BTQ_LEDGER env, or cwd."""
-    return os.environ.get(LEDGER_ENV) or os.path.join(os.getcwd(), LEDGER_NAME)
 
 
 def _laplace_defect(sign, m):
@@ -86,64 +74,3 @@ def calibrate():
         "commutator_defects": {str(s): list(pois[s]) for s in (1, -1)},
     }
     return conv, diagnostics
-
-
-def ledger_payload(conv, diagnostics):
-    return {"format": LEDGER_FORMAT, **conv.as_dict(), "diagnostics": diagnostics}
-
-
-def ledger_bytes(conv, diagnostics):
-    return (json.dumps(ledger_payload(conv, diagnostics),
-                       indent=2, sort_keys=True) + "\n").encode()
-
-
-def atomic_write(path, payload):
-    """Write bytes to path through a temp file in the same directory and a
-    rename, so readers see the old file or the new one, never a part."""
-    d = os.path.dirname(os.path.abspath(path))
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".btq_")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except OSError as exc:  # name the destination, not the temp file
-        raise OSError(exc.errno, exc.strerror, path) from None
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def write_ledger(path, conv, diagnostics):
-    """Atomic write; byte-deterministic for identical input."""
-    atomic_write(path, ledger_bytes(conv, diagnostics))
-    return path
-
-
-def load_ledger(path):
-    """Read a conventions ledger; LedgerError when missing keys or invalid."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LedgerError(f"unreadable conventions ledger {path}: {exc}") from exc
-    try:
-        if obj["format"] != LEDGER_FORMAT:
-            raise LedgerError(f"unknown ledger format {obj['format']!r}")
-        conv = KahlerConventions(
-            poisson_constant=float(obj["poisson_constant"]),
-            laplace_sign=int(obj["laplace_sign"]),
-        )
-        fixed = (float(obj["total_area"]), float(obj["laplace_scale"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LedgerError(f"conventions ledger {path} is corrupted: {exc}") from exc
-    if conv.laplace_sign not in (1, -1) or abs(conv.poisson_constant) != 2.0:
-        raise LedgerError(f"conventions ledger {path} holds out-of-range values")
-    # the calculus integrates over TOTAL_AREA and scales the Laplacian by
-    # LAPLACE_SCALE; a ledger naming other values would be reported, not used
-    if fixed != (TOTAL_AREA, LAPLACE_SCALE):
-        raise LedgerError(f"conventions ledger {path} holds a total_area or "
-                          "laplace_scale that btq does not use")
-    return conv

@@ -4,19 +4,21 @@ Subcommands: thm1, thm2, thm3, tuynman, coherent, crosscheck, calibrate.
 Exit codes: 0 = run completed with all declared assertions passing;
 1 = assertions failed (the report is still written); 2 = usage or expression
 error (including coefficients above symbols.COEFF_L1_BOUND and nesting above
-symbols.MAX_NESTING_DEPTH) or an unwritable output or ledger path; 3 = capacity
+symbols.MAX_NESTING_DEPTH) or an unwritable --out path; 3 = capacity
 error (a level above --max-level or hilbert.MAX_LEVEL, both refused before
 any rule or table is built, or a symbol or a thm2/thm3 pair's summed degree
 above symbols.MAX_SYMBOL_DEGREE), UnderResolvedRuleError (a basis table
 that fails its Gram self-test, or a real symbol whose T_f fails the
-hermiticity check) or corrupted conventions ledger.
+hermiticity check) or CalibrationError.
 
-Experiments refuse to run without a conventions ledger (see `btq calibrate`)
-unless --auto-calibrate is given.  BTQ_LEDGER overrides the ledger path.
-All numeric output uses shortest round-trip decimals and files are written
-atomically, so runs with the same configuration and the same BLAS thread
-count are byte-reproducible (the dense eigvalsh norm can change its last
-digits with the thread count from level 256 up).
+Every experiment uses geometry.DEFAULT_CONVENTIONS and reads or writes no
+file but --out.  `btq calibrate` measures both sign choices of each
+convention, prints the defects and writes nothing; it exits 3 unless the
+measurement selects the defaults.  All numeric output uses shortest
+round-trip decimals and files are written atomically, so runs with the
+same configuration and the same BLAS thread count are byte-reproducible
+(the dense eigvalsh norm can change its last digits with the thread count
+from level 256 up).
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 from . import calibration, lab
-from .errors import (CalibrationError, CapacityError, LedgerError,
-                     SymbolParseError, UnderResolvedRuleError)
-from .geometry import LAPLACE_SCALE
+from .errors import (CalibrationError, CapacityError, SymbolParseError,
+                     UnderResolvedRuleError)
+from .geometry import DEFAULT_CONVENTIONS
 from .hilbert import MAX_LEVEL
 from .symbols import COEFF_L1_BOUND, MAX_SYMBOL_DEGREE, parse, sup_norm_argmax
 
@@ -66,8 +69,6 @@ def _build_parser():
                         help="comma-separated strictly increasing levels")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--auto-calibrate", action="store_true",
-                        help="write the conventions ledger if it is missing")
         sp.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
 
     common(sub.add_parser("thm1", help="sup-norm limit of ||T_f||"))
@@ -83,16 +84,31 @@ def _build_parser():
     for name in ("thm1", "thm2", "thm3", "coherent"):  # the ones that fit a rate
         sub.choices[name].add_argument("--window", default=None,
                                        help="fit window, a subset of --levels")
-    spc = sub.add_parser("calibrate", help="measure and freeze sign conventions")
-    spc.add_argument("--force", action="store_true",
-                     help="overwrite a corrupted ledger")
+    sub.add_parser("calibrate", help="check the sign conventions by measurement")
     return p
+
+
+def atomic_write(path, payload):
+    """Write bytes to path through a temp file in the same directory and a
+    rename, so readers see the old file or the new one, never a part."""
+    d = os.path.dirname(os.path.abspath(path))
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".btq_")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError as exc:  # name the destination, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _emit(report, args):
     text = report.to_csv() if args.format == "csv" else report.to_json()
     if args.out:
-        calibration.atomic_write(args.out, text.encode())
+        atomic_write(args.out, text.encode())
     else:
         sys.stdout.write(text)
 
@@ -115,44 +131,28 @@ def _levels(args):
     return levels, window
 
 
-def _conventions(args):
-    path = calibration.ledger_path()
-    if os.path.exists(path):
-        return calibration.load_ledger(path)
-    if not args.auto_calibrate:
-        raise UsageError(
-            f"no conventions ledger at {path}; run `btq calibrate` first "
-            "or pass --auto-calibrate")
+def _run_calibrate():
     conv, diag = calibration.calibrate()
-    calibration.write_ledger(path, conv, diag)
-    print(f"calibrated conventions written to {path}", file=sys.stderr)
-    return conv
-
-
-def _run_calibrate(args):
-    path = calibration.ledger_path()
-    if os.path.exists(path) and not args.force:
-        try:
-            calibration.load_ledger(path)
-        except LedgerError as exc:
-            print(f"btq: {exc}\nbtq: delete the ledger or rerun with --force",
-                  file=sys.stderr)
-            return EXIT_CAPACITY
-    conv, diag = calibration.calibrate()
-    calibration.write_ledger(path, conv, diag)
-    print(f"conventions ledger written to {path}")
-    print(f"  poisson_constant = {conv.poisson_constant!r}")
-    print(f"  laplace_sign     = {conv.laplace_sign} "
-          f"(scale {LAPLACE_SCALE!r})")
+    print(f"Tuynman defect at m = {diag['tuynman_level']}, by laplace_sign:")
+    for sign, defect in diag["tuynman_defects"].items():
+        print(f"  {sign:>2}: {defect!r}")
+    m_lo, m_hi = diag["poisson_levels"]
+    print(f"commutator defect at m = {m_lo} -> {m_hi}, by poisson_constant sign:")
+    for sign, (lo, hi) in diag["commutator_defects"].items():
+        print(f"  {sign:>2}: {lo!r} -> {hi!r}")
+    if conv != DEFAULT_CONVENTIONS:
+        raise CalibrationError(f"the measurement selects {conv}, not the "
+                               f"built-in {DEFAULT_CONVENTIONS}")
+    print(f"selected poisson_constant = {conv.poisson_constant!r}, "
+          f"laplace_sign = {conv.laplace_sign}: the built-in conventions")
     return EXIT_OK
 
 
 def _dispatch(args):
     if args.experiment == "calibrate":
-        return _run_calibrate(args)
+        return _run_calibrate()
 
     levels, window = _levels(args)  # refused before any rule or table is built
-    conv = _conventions(args)
     f = parse(args.f)
     g = parse(args.g) if args.experiment in ("thm2", "thm3") else None
     if g is not None and f.coeff_l1() * g.coeff_l1() > COEFF_L1_BOUND:
@@ -161,9 +161,7 @@ def _dispatch(args):
     if g is not None and f.degree + g.degree > MAX_SYMBOL_DEGREE:
         raise CapacityError(f"--f and --g: degrees {f.degree} + {g.degree} "
                             f"exceed the symbol degree cap {MAX_SYMBOL_DEGREE}")
-    kw = dict(conventions=conv)
-    if "window" in args:
-        kw["window"] = window
+    kw = {"window": window} if "window" in args else {}
 
     if args.experiment == "thm1":
         report = lab.thm1_run(f, levels, **kw)
@@ -204,14 +202,13 @@ def main(argv=None):
     except UsageError as exc:
         print(f"btq: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapacityError, LedgerError, UnderResolvedRuleError) as exc:
-        hint = "; rerun `btq calibrate`" if isinstance(exc, LedgerError) else ""
-        print(f"btq: {exc}{hint}", file=sys.stderr)
+    except (CapacityError, UnderResolvedRuleError) as exc:
+        print(f"btq: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except CalibrationError as exc:
         print(f"btq: calibration failed: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except OSError as exc:  # an unwritable --out or BTQ_LEDGER path
+    except OSError as exc:  # an unwritable --out path
         print(f"btq: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

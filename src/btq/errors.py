@@ -13,10 +13,6 @@ class CalibrationError(RuntimeError):
     """Neither sign choice met the calibration tolerance."""
 
 
-class LedgerError(RuntimeError):
-    """Conventions ledger file missing keys or unreadable."""
-
-
 class InsufficientDataError(ValueError):
     """Not enough usable rows for a rate fit."""
 

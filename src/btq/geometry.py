@@ -39,7 +39,8 @@ class KahlerConventions:
     poisson_constant is the c in {x_i, x_j} = c eps_ijk x_k; laplace_sign
     and LAPLACE_SCALE turn the ambient-identity Laplacian into the one the
     metric g(X,Y) = omega(X, IY) defines (eigenvalues -2 l(l+1) here).
-    The defaults are the values the runtime calibration selects.  `as_dict`
+    The defaults are the values every experiment uses; `btq calibrate`
+    checks that measurement selects them.  `as_dict`
     also records the fixed TOTAL_AREA and LAPLACE_SCALE.
     """
 

@@ -76,7 +76,6 @@ class ConvergenceReport:
     experiment: str
     f: Symbol
     g: Symbol = None
-    conventions: dict = field(default_factory=lambda: DEFAULT_CONVENTIONS.as_dict())
     rows: list = field(default_factory=list)
     fit: RateFit = None
     k_estimate: float = None
@@ -97,7 +96,7 @@ class ConvergenceReport:
             "experiment": self.experiment,
             "f": symbol_to_json(self.f),
             "g": symbol_to_json(self.g) if self.g is not None else None,
-            "conventions": self.conventions,
+            "conventions": DEFAULT_CONVENTIONS.as_dict(),
             "rows": [r.as_dict() for r in self.rows],
             "fit": self.fit.as_dict() if self.fit is not None else None,
             "K_estimate": self.k_estimate,
@@ -162,14 +161,14 @@ def _try_fit(report, window, rows=None):
 # -- experiments ---------------------------------------------------------------
 
 
-def thm1_run(f, levels, window=None, conventions=DEFAULT_CONVENTIONS):
+def thm1_run(f, levels, window=None):
     """Sup-norm limit: ||T_f|| increases to ||f||_inf with an O(1/m) gap.
 
     measured = operator norm, reference = sup norm; asserts the upper bound
     measured <= reference + 1e-9 max(1, largest |coefficient|) at every level
     (the slack scales with f, as both norms do).
     """
-    report = ConvergenceReport("thm1", f, conventions=conventions.as_dict())
+    report = ConvergenceReport("thm1", f)
     ref = sup_norm(f)
     tol = 1e-9 * max(1.0, f.coeff_max())
     for m in levels:
@@ -182,10 +181,10 @@ def thm1_run(f, levels, window=None, conventions=DEFAULT_CONVENTIONS):
     return report
 
 
-def thm2_run(f, g, levels, window=None, conventions=DEFAULT_CONVENTIONS):
+def thm2_run(f, g, levels, window=None):
     """Commutator limit: ||m i [T_f, T_g] - T_{f,g}|| = O(1/m)."""
-    report = ConvergenceReport("thm2", f, g, conventions=conventions.as_dict())
-    fg = poisson_bracket(f, g, conventions)
+    report = ConvergenceReport("thm2", f, g)
+    fg = poisson_bracket(f, g)
     for m in levels:
         tf, tg, tfg = (toeplitz(h, m) for h in (f, g, fg))
         measured = operator_norm(commutator(tf, tg) * (1j * m) - tfg)
@@ -194,8 +193,7 @@ def thm2_run(f, g, levels, window=None, conventions=DEFAULT_CONVENTIONS):
     return report
 
 
-def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
-             conventions=DEFAULT_CONVENTIONS):
+def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING):
     """Star-product asymptotics at orders N=1,2.
 
     Returns {1: report, 2: report}: order N measures
@@ -205,8 +203,8 @@ def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
     """
     c0 = multiply(f, g)
     c1 = c1_candidate(f, g, c1_ordering)
-    rep1 = ConvergenceReport("thm3[N=1]", f, g, conventions=conventions.as_dict())
-    rep2 = ConvergenceReport("thm3[N=2]", f, g, conventions=conventions.as_dict())
+    rep1 = ConvergenceReport("thm3[N=1]", f, g)
+    rep2 = ConvergenceReport("thm3[N=2]", f, g)
     for m in levels:
         tf, tg, tc0, tc1 = (toeplitz(h, m) for h in (f, g, c0, c1))
         r1 = tf @ tg - tc0
@@ -224,7 +222,7 @@ def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING,
     return {1: rep1, 2: rep2}
 
 
-def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS):
+def tuynman_run(f, levels):
     """Exact identity Q_f = i T_{f - Lap f/(2m)}: defects at quadrature scale.
 
     Q_f and i T_g come from their own rules (degrees deg f + 2 and deg f),
@@ -233,10 +231,10 @@ def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS):
     asymptotic).  ||Q_f|| is the norm of -i Q_f, by eigvalsh
     when that passes the hermiticity check (real f), else by the SVD.
     """
-    report = ConvergenceReport("tuynman", f, conventions=conventions.as_dict())
+    report = ConvergenceReport("tuynman", f)
     for m in levels:
         q = prequantum(f, m)
-        rhs = tuynman_rhs(f, m, conventions)
+        rhs = tuynman_rhs(f, m)
         defect = float(np.max(np.abs((q - rhs).diags)))
         qnorm = operator_norm(-1j * q)
         report.rows.append(ConvergenceRow.make(m, defect, 0.0))
@@ -245,7 +243,7 @@ def tuynman_run(f, levels, conventions=DEFAULT_CONVENTIONS):
     return report
 
 
-def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS):
+def coherent_run(f, x0, levels, window=None):
     """Coherent-state expectations l_m = |<phi, T_f phi>|/<phi,phi> -> |f(x0)|.
 
     Checks the sandwich l_m <= ||T_f|| <= ||f||_inf, each with a slack of
@@ -256,7 +254,7 @@ def coherent_run(f, x0, levels, window=None, conventions=DEFAULT_CONVENTIONS):
     formula for every base point, the south pole included, with every entry
     in float range at every admitted level.
     """
-    report = ConvergenceReport("coherent", f, conventions=conventions.as_dict())
+    report = ConvergenceReport("coherent", f)
     sup = sup_norm(f)
     ref = abs(evaluate(f, x0))
     x1, x2, x3 = x0.ambient()
@@ -293,11 +291,11 @@ def cross_check(f, m):
     return float(max(np.max(np.abs((x - y).diags)) for x, y in ((a, b), (a, c), (b, c))))
 
 
-def crosscheck_run(f, levels, conventions=DEFAULT_CONVENTIONS):
+def crosscheck_run(f, levels):
     """Oracle-equivalence harness over a level list.  The defect must be
     <= 1e-10 max(1, largest |coefficient|): T_{cf} = c T_f, so the roundoff
     of the three paths scales with the symbol."""
-    report = ConvergenceReport("crosscheck", f, conventions=conventions.as_dict())
+    report = ConvergenceReport("crosscheck", f)
     tol = 1e-10 * max(1.0, f.coeff_max())
     for m in levels:
         d = cross_check(f, m)

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from btq import calibration, lab
+from btq import lab
 from btq import operators as op
 from btq import symbols as sy
 from btq.geometry import SpherePoint, make_rule
@@ -109,14 +109,13 @@ def test_criterion_05_star_product(rng):
 
 def test_criterion_06_tuynman_identity():
     with criterion(6, "Q_f = i T_{f - Lap f/2m} within 1e-8 (1 + ||Q||)"):
-        conv, _ = calibration.calibrate()  # one-time calibration
         for f in (X1, X3, X3 * X3):
-            rep = lab.tuynman_run(f, [4, 8, 16, 32], conventions=conv)
+            rep = lab.tuynman_run(f, [4, 8, 16, 32])
             assert rep.passed, f
         for m in (4, 8, 16, 32):
             expect = 1j * np.diag([(m - 2 * k) / m for k in range(m + 1)])
             q = op.prequantum(X3, m)
-            rhs = op.tuynman_rhs(X3, m, conv)
+            rhs = op.tuynman_rhs(X3, m)
             assert np.max(np.abs(q.mat - expect)) <= 1e-10
             assert np.max(np.abs(rhs.mat - expect)) <= 1e-10
 

@@ -7,15 +7,14 @@ import re
 
 import pytest
 
-from btq import cli
-from btq.calibration import LEDGER_ENV, LEDGER_NAME
+from btq import calibration, cli
+from btq.geometry import DEFAULT_CONVENTIONS, KahlerConventions
 from btq.symbols import parse, symbol_to_json
 
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(LEDGER_ENV, raising=False)
     return tmp_path
 
 
@@ -23,68 +22,27 @@ def run(argv):
     return cli.main(argv)
 
 
-def test_calibrate_writes_definite_ledger(workdir, capsys):
+def test_calibrate_is_a_check_that_writes_nothing(workdir, capsys, monkeypatch):
     assert run(["calibrate"]) == 0
-    ledger = workdir / LEDGER_NAME
-    assert ledger.exists()
-    obj = json.loads(ledger.read_text())
-    assert obj["laplace_sign"] in (1, -1)
-    assert obj["poisson_constant"] in (2.0, -2.0)
     out = capsys.readouterr().out
-    assert "poisson_constant" in out
-
-
-def test_calibrate_idempotent_bytes(workdir):
-    assert run(["calibrate"]) == 0
-    first = (workdir / LEDGER_NAME).read_bytes()
-    assert run(["calibrate"]) == 0
-    assert (workdir / LEDGER_NAME).read_bytes() == first
-
-
-def test_calibrate_corrupted_ledger_exit3(workdir, capsys):
-    (workdir / LEDGER_NAME).write_text("{broken")
-    assert run(["calibrate"]) == 3
-    assert "force" in capsys.readouterr().err
-    assert run(["calibrate", "--force"]) == 0
-    assert run(["calibrate"]) == 0
-
-
-def test_experiments_require_ledger(workdir, capsys):
-    rc = run(["thm1", "--f", "x3", "--levels", "2,4"])
-    assert rc == 2
-    assert "calibrate" in capsys.readouterr().err
-    rc = run(["thm1", "--f", "x3", "--levels", "2,4", "--auto-calibrate"])
-    assert rc == 0
-    assert (workdir / LEDGER_NAME).exists()
-
-
-def test_corrupted_ledger_blocks_experiments(workdir, capsys):
-    (workdir / LEDGER_NAME).write_text('{"format": "btq-conventions-v1"}')
-    rc = run(["thm1", "--f", "x3", "--levels", "2,4"])
-    assert rc == 3
-    assert "calibrate" in capsys.readouterr().err
-    # conventions the calculus never uses are refused, not reported
-    run(["calibrate", "--force"])
-    capsys.readouterr()
-    ledger = json.loads((workdir / LEDGER_NAME).read_text())
-    ledger.update(laplace_scale=3.0, total_area=5.0)
-    (workdir / LEDGER_NAME).write_text(json.dumps(ledger))
-    assert run(["tuynman", "--f", "x3^2", "--levels", "4,8"]) == 3
-    assert "calibrate" in capsys.readouterr().err
-
-
-def test_ledger_env_override(workdir, monkeypatch, tmp_path_factory):
-    other = tmp_path_factory.mktemp("ledger") / "conv.json"
-    monkeypatch.setenv(LEDGER_ENV, str(other))
-    assert run(["calibrate"]) == 0
-    assert other.exists()
-    assert not (workdir / LEDGER_NAME).exists()
+    assert "poisson_constant = 2.0" in out and "laplace_sign = 1" in out
+    assert os.listdir(workdir) == []
+    # experiments take the built-in conventions: no flag, no file
     assert run(["thm1", "--f", "x3", "--levels", "2,4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["conventions"] == DEFAULT_CONVENTIONS.as_dict()
+    assert os.listdir(workdir) == []
+    # a measurement that selects another sign fails the check
+    _, diag = calibration.calibrate()
+    monkeypatch.setattr(calibration, "calibrate",
+                        lambda: (KahlerConventions(laplace_sign=-1), diag))
+    assert run(["calibrate"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("btq: calibration failed") and err.count("\n") == 1
+    assert os.listdir(workdir) == []
 
 
 def test_thm1_csv_gap_column(workdir, capsys):
-    run(["calibrate"])
-    capsys.readouterr()
     rc = run(["thm1", "--f", "x3", "--levels", "8,16,32,64,128",
               "--format", "csv"])
     assert rc == 0
@@ -96,8 +54,6 @@ def test_thm1_csv_gap_column(workdir, capsys):
 
 
 def test_thm2_same_symbol_all_gaps_zero(workdir, capsys):
-    run(["calibrate"])
-    capsys.readouterr()
     rc = run(["thm2", "--f", "x3", "--g", "x3", "--levels", "2,4,8",
               "--format", "csv"])
     assert rc == 0
@@ -106,15 +62,12 @@ def test_thm2_same_symbol_all_gaps_zero(workdir, capsys):
 
 
 def test_unknown_identifier_exit2(workdir, capsys):
-    run(["calibrate"])
     rc = run(["thm1", "--f", "x4"])
     assert rc == 2
     assert "x4" in capsys.readouterr().err
 
 
 def test_non_finite_coefficient_exit2(workdir, capsys):
-    run(["calibrate"])
-    capsys.readouterr()
     assert run(["crosscheck", "--f", "1e400*x1", "--levels", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("btq: expression error") and err.count("\n") == 1
@@ -136,7 +89,6 @@ def test_non_finite_coefficient_exit2(workdir, capsys):
 
 
 def test_usage_errors(workdir, capsys):
-    run(["calibrate"])
     assert run(["thm1", "--f", "x3", "--levels", "8,4"]) == 2
     assert run(["thm1", "--f", "x3", "--levels", "0,4"]) == 2
     assert run(["thm1", "--f", "x3", "--levels", "4,8",
@@ -153,8 +105,6 @@ def test_usage_errors(workdir, capsys):
 
 
 def test_level_cap_is_capacity_error(workdir, capsys):
-    run(["calibrate"])
-    capsys.readouterr()
     assert run(["thm1", "--f", "x3", "--levels", "8,512"]) == 3
     assert "max-level" in capsys.readouterr().err
     assert run(["thm1", "--f", "x3", "--levels", "8,300",
@@ -178,8 +128,6 @@ def test_levels_above_max_level_refused_before_any_work(workdir, capsys,
     def built(*args):
         raise AssertionError("a rule or table was built")
 
-    run(["calibrate"])
-    capsys.readouterr()
     monkeypatch.setattr(operators, "make_rule", built)
     monkeypatch.setattr(operators, "basis_eval_grid", built)
     for levels, top in (("8,1000,1021", "2000"), ("4100", "5000")):
@@ -192,8 +140,6 @@ def test_levels_above_max_level_refused_before_any_work(workdir, capsys,
 
 def test_pair_above_degree_cap_is_capacity_error(workdir, capsys):
     # f g, {f,g} and C1 would be folded at degree 65, above what parse admits
-    run(["calibrate"])
-    capsys.readouterr()
     for cmd in ("thm2", "thm3"):
         assert run([cmd, "--f", "x1^33", "--g", "x2^32", "--levels", "8"]) == 3
         err = capsys.readouterr().err
@@ -202,41 +148,31 @@ def test_pair_above_degree_cap_is_capacity_error(workdir, capsys):
 
 
 def test_deep_nesting_is_expression_error(workdir, capsys):
-    run(["calibrate"])
-    capsys.readouterr()
     for f in ("(" * 400 + "x3" + ")" * 400, "-" * 1200 + "x3"):
         assert run(["thm1", f"--f={f}", "--levels", "8"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("btq: expression error") and err.count("\n") == 1
 
 
-def test_unwritable_path_exit2(workdir, capsys, monkeypatch):
-    run(["calibrate"])
-    capsys.readouterr()
+def test_unwritable_path_exit2(workdir, capsys):
     missing = workdir / "missing"
     assert run(["thm1", "--f", "x3", "--levels", "8",
                 "--out", str(missing / "x.json")]) == 2
-    monkeypatch.setenv(LEDGER_ENV, str(missing / "l.json"))
-    assert run(["calibrate"]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 2
-    assert all(line.startswith("btq: ") and str(missing) in line for line in lines)
+    assert len(lines) == 1
+    assert lines[0].startswith("btq: ") and str(missing) in lines[0]
     assert not missing.exists()
 
 
-def test_directory_as_output_path_is_named(workdir, capsys, monkeypatch):
-    run(["calibrate"])
-    capsys.readouterr()
+def test_directory_as_output_path_is_named(workdir, capsys):
     target = workdir / "d"
     target.mkdir()
     assert run(["thm1", "--f", "x3", "--levels", "8", "--out", str(target)]) == 2
-    monkeypatch.setenv(LEDGER_ENV, str(target))
-    assert run(["calibrate", "--force"]) == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 1
     # the message names the given path, not the temp file beside it
-    assert all(line.startswith("btq: ") and line.endswith(repr(str(target)))
-               and ".btq_" not in line for line in lines)
+    assert lines[0].startswith("btq: ") and lines[0].endswith(repr(str(target)))
+    assert ".btq_" not in lines[0]
     assert [p for p in os.listdir(workdir) if p.startswith(".btq_")] == []
     assert os.listdir(target) == []
 
@@ -249,8 +185,6 @@ def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,
     def refuse(m, rule):
         raise UnderResolvedRuleError("Gram self-test defect 1.4e-12 exceeds 1.0e-12")
 
-    run(["calibrate"])
-    capsys.readouterr()
     monkeypatch.setattr(operators, "basis_eval_grid", refuse)
     assert run(["thm2", "--f", "x1", "--g", "x2", "--levels", "2,4,8"]) == 3
     err = capsys.readouterr().err
@@ -259,7 +193,6 @@ def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,
 
 
 def test_csv_json_contain_identical_numbers(workdir):
-    run(["calibrate"])
     assert run(["thm1", "--f", "0.3 + x1 + 0.5*x2*x3", "--levels", "4,8,16",
                 "--format", "csv", "--out", "r.csv"]) == 0
     assert run(["thm1", "--f", "0.3 + x1 + 0.5*x2*x3", "--levels", "4,8,16",
@@ -273,7 +206,6 @@ def test_csv_json_contain_identical_numbers(workdir):
 
 
 def test_runs_bit_reproducible(workdir):
-    run(["calibrate"])
     args = ["thm3", "--f", "x1", "--g", "x2", "--levels", "4,8,16",
             "--format", "json"]
     assert run(args + ["--out", "a.json"]) == 0
@@ -284,7 +216,6 @@ def test_runs_bit_reproducible(workdir):
 
 
 def test_thm3_order_flag(workdir):
-    run(["calibrate"])
     assert run(["thm3", "--f", "x3", "--g", "x3", "--levels", "2,4",
                 "--order", "1", "--out", "o1.json"]) == 0
     obj = json.loads((workdir / "o1.json").read_text())
@@ -293,8 +224,6 @@ def test_thm3_order_flag(workdir):
 
 
 def test_coherent_and_crosscheck_subcommands(workdir, capsys):
-    run(["calibrate"])
-    capsys.readouterr()
     rc = run(["coherent", "--f", "x3", "--levels", "4,8,16", "--format", "csv"])
     assert rc == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
@@ -313,8 +242,6 @@ def test_coherent_and_crosscheck_subcommands(workdir, capsys):
 
 def test_leading_minus_expressions(workdir, capsys):
     # argparse reads "--f -x3" as an option; "--f=-x3" passes the expression
-    run(["calibrate"])
-    capsys.readouterr()
     assert run(["coherent", "--f", "-x3", "--levels", "4,8"]) == 2
     assert "expected one argument" in capsys.readouterr().err
     assert run(["coherent", "--f=-x3", "--levels", "4,8"]) == 0
@@ -326,7 +253,6 @@ def test_leading_minus_expressions(workdir, capsys):
 
 
 def test_output_written_atomically(workdir):
-    run(["calibrate"])
     assert run(["thm1", "--f", "x3", "--levels", "2,4", "--out",
                 "sub.json"]) == 0
     assert json.loads((workdir / "sub.json").read_text())["experiment"] == "thm1"
@@ -361,4 +287,4 @@ def test_console_script_installed(workdir):
     proc = subprocess.run([exe, "calibrate"], capture_output=True, text=True,
                           cwd=workdir)
     assert proc.returncode == 0
-    assert (workdir / LEDGER_NAME).exists()
+    assert os.listdir(workdir) == []

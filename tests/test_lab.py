@@ -33,6 +33,21 @@ def test_fit_rate_model_family():
     assert fit.r_squared > 0.999
 
 
+def test_fit_rate_r_squared_is_the_squared_correlation(rng):
+    # noisy, non-collinear rows: r2 must be the least-squares coefficient of
+    # determination, which for a line is the squared correlation of the logs
+    levels = (8, 16, 32, 64, 128, 256)
+    for _ in range(5):
+        rows = rows_from_gaps({m: m ** -1.0 * math.exp(0.4 * rng.randn())
+                               for m in levels})
+        fit = lab.fit_rate(rows, window=levels)
+        x = np.log([r.m for r in rows])
+        y = np.log([r.gap for r in rows])
+        r2 = np.corrcoef(x, y)[0, 1] ** 2
+        assert 0.0 < r2 < 0.999
+        assert abs(fit.r_squared - r2) <= 1e-12
+
+
 def test_fit_rate_constant_gaps():
     rows = rows_from_gaps({m: 0.37 for m in (4, 8, 16, 32)})
     fit = lab.fit_rate(rows, window=[4, 8, 16, 32])

@@ -189,6 +189,32 @@ def test_band_limited_paths_match_exact_at_high_level(rng):
                 assert np.max(np.abs(path(f, m).mat - exact)) < 1e-12
 
 
+def _sphere_mean(f):
+    """Mean of f over the sphere: mean(x1^a x2^b x3^c) =
+    G((a+1)/2) G((b+1)/2) G((c+1)/2) G(3/2) / (G(1/2)^3 G((a+b+c+3)/2))
+    for a, b, c all even, else 0."""
+    g = math.gamma
+    return sum(v * g((a + 1) / 2) * g((b + 1) / 2) * g((c + 1) / 2) * g(1.5)
+               / (g(0.5) ** 3 * g((a + b + c + 3) / 2))
+               for (a, b, c), v in f.terms.items()
+               if a % 2 == b % 2 == c % 2 == 0)
+
+
+def test_trace_is_level_times_sphere_mean(rng):
+    # the kernel diagonal is the constant (m+1)/2pi, so tr T_f = (m+1) mean(f)
+    # exactly; each path must meet it without reference to the other two
+    symbols = [sy.parse("(1+x1+x2+x3)^6"), sy.parse(CRITERION10)]
+    symbols += [random_symbol(rng, degree=d, nterms=6, real=real)
+                for d in (2, 4, 6) for real in (True, False)]
+    for f in symbols:
+        mean = _sphere_mean(f)
+        for m in (1, 7, 64, 300):
+            for path in (op.toeplitz, op.toeplitz_exact, op.kernel_matrix):
+                t = path(f, m)
+                trace = complex(np.sum(t.diags[t.band]))
+                assert abs(trace - (m + 1) * mean) <= 1e-13 * (m + 1) * f.coeff_l1()
+
+
 # -- structure ------------------------------------------------------------------
 
 
@@ -444,6 +470,15 @@ def test_band_hermiticity_matches_dense_check(rng):
                 assert x.hermitian == dense_hermitian(a)
                 assert expected is None or x.hermitian is expected
                 assert x.hermitian_defect() == float(np.max(np.abs(a - a.conj().T)))
+
+
+def test_from_diags_refuses_a_band_wider_than_the_level():
+    for m in (2, 5, 16):
+        for rows in (2 * m + 3, 2 * m + 2, 2 * m):
+            with pytest.raises(ValueError):
+                op.QuantumOperator.from_diags(m, np.zeros((rows, m + 1), complex))
+        x = op.QuantumOperator.from_diags(m, np.zeros((2 * m + 1, m + 1), complex))
+        assert x.band == m
 
 
 def test_operators_store_only_their_band():

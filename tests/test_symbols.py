@@ -142,6 +142,13 @@ def test_parse_matches_python_evaluation(rng):
 # -- ring operations ----------------------------------------------------------
 
 
+def test_repr_shows_real_and_complex_coefficients():
+    assert repr(sy.parse("1 + 2*x3 - 0.5*x1*x2^2")) == \
+        "Symbol(1 + 2*x3 + -0.5*x1*x2^2)"
+    assert repr(3 + (1 + 2j) * X1) == "Symbol(3 + (1+2j)*x1)"
+    assert repr(sy.parse("0")) == "Symbol(0)"
+
+
 def test_multiply_examples():
     assert X3 * X3 == sy.Symbol({(0, 0, 2): 1.0})
     assert X1 * X1 == ONE - X2 ** 2 - X3 ** 2
