@@ -151,11 +151,7 @@ def kernel_density(m, p):
     if p.chart != "finite":
         raise ValueError("kernel_density needs a finite-chart point")
     z2 = abs(p.z) ** 2
-    s = z2 / (1.0 + z2)
-    total = 0.0
-    for k, c in enumerate(binomial_floats(m).tolist()):
-        total += c * s**k * (1.0 - s) ** (m - k)
-    return (m + 1) / TWO_PI * total
+    return float(np.sum(radial_factors(m, [z2 / (1.0 + z2)]) ** 2))
 
 
 def coherent_state(m, z0):

@@ -12,10 +12,10 @@ the angular Fourier coefficient of f taken by FFT on 2 deg f + 1 uniform
 phi nodes (exact, since f carries only the harmonics |q| <= deg f); only
 the band |q| <= deg f is assembled, by elementwise products and sums (no
 BLAS, so the bytes do not depend on any thread count); (2) exact radial
-moments, expanding the chart numerator of each monomial by the binomial
-theorem in exact integers and integrating every z^a zbar^b (1+z zbar)^-(m+d)
-term as an exact Beta ratio, tabulated once per term degree from exact
-binomials -- no quadrature at all; (3) the explicit integral kernel,
+moments: each monomial's chart numerator, expanded by the binomial theorem,
+integrates term by term to Beta ratios that are Pochhammer products, summed
+in exact integers and rounded once per factor -- no quadrature and no float
+binomial; (3) the explicit integral kernel,
 expanding (1 + z conj(zeta))^m binomially and re-projecting on the raw
 monomial frame at the rule's nodes, with no basis table.  Pairwise
 agreement of the three is the package's core self-test.  Operators are
@@ -233,50 +233,50 @@ def toeplitz(f, m):
 
 
 def _chart_numerator(a, b, c):
-    """x1^a x2^b x3^c times (1+z zbar)^(a+b+c), i.e. (z + zbar)^a (i(zbar - z))^b
-    (1 - z zbar)^c by the binomial theorem: {(alpha, beta): coefficient of
-    z^alpha zbar^beta}, each the exact integer sum of (-1)^(j+l) C(a,i) C(b,j)
-    C(c,l) times i^b.  Zero sums are dropped."""
+    """x1^a x2^b x3^c times (1+z zbar)^(a+b+c) is i^b (z + zbar)^a (zbar - z)^b
+    (1 - z zbar)^c.  By the binomial theorem, {(alpha, beta): integer
+    coefficient of z^alpha zbar^beta}, each the exact sum of (-1)^(j+l)
+    C(a,i) C(b,j) C(c,l).  Zero sums are dropped; the caller applies i^b."""
     sums = {}
     for i, ca in enumerate(binomial_row(a)):
         for j, cb in enumerate(binomial_row(b)):
             for l, cc in enumerate(binomial_row(c)):
                 e = (i + j + l, a - i + b - j + l)
                 sums[e] = sums.get(e, 0) + (-1) ** (j + l) * ca * cb * cc
-    return {e: (1, 1j, -1, -1j)[b % 4] * v for e, v in sums.items() if v}
+    return {e: v for e, v in sums.items() if v}
 
 
 def toeplitz_exact(f, m):
     """T_f by exact radial Beta moments (no quadrature): the oracle path.
 
-    Every chart monomial z^alpha zbar^beta over (1+z zbar)^(m+d) integrates
-    to an exact rational multiple of the monomial norms; entries are finite
-    sums of such ratios, and the angular selection rule |j-k| <= a+b with
-    parity is automatic.
+    Entry (k+q, k) of coeff x1^a x2^b x3^c is coeff i^b (m+1)/(m+d+1)
+    sqrt(C(m,k+q)/C(m,k)) sum_alpha n_(alpha,alpha-q) (k+1)_alpha
+    (m-k+1)_(d-alpha) / (m+1)_d, n the chart numerator: the Beta ratio
+    C(m,k)/C(m+d,k+alpha) as Pochhammer symbols.  Sum and ratio are exact
+    integers, each rounded once by int / int, so the terms cancel exactly
+    and no float binomial caps the level (OverflowError past m ~ 1.6e6 at
+    degree 64).  The selection rule |j-k| <= a+b, with parity, is automatic.
     """
-    n, top = m + 1, f.degree
-    diags = np.zeros((2 * top + 1, n), dtype=complex)
-    # kappa_A sinks to 2^-(m+d) while sqrt(C(m,k)) climbs to 2^(m/2): carry
-    # 2^e on kappa and 2^(-e/2) on each root, an exact rescaling that keeps
-    # both in the normal range at every level up to MAX_LEVEL
-    e = math.comb(m, m // 2).bit_length() & ~1
-    sq = np.ldexp(np.sqrt(binomial_floats(m)), -e // 2)
-    k = np.arange(n)
-    kappas = {}
+    n, band = m + 1, min(f.degree, m)  # diagonals |q| > m hold no entry
+    poch = [np.ones(n, dtype=object)]  # poch[r][x] = (x+1)_r for x = 0..m, exact
+    for r in range(1, f.degree + 1):
+        poch.append(poch[-1] * np.arange(r, n + r, dtype=object))
+    rows, roots, diags = {}, {}, np.zeros((2 * band + 1, n), dtype=complex)
     for (a, b, c), coeff in sorted(f.terms.items()):
-        d = a + b + c
-        if d not in kappas:
-            # 2^e kappa_A = 2^e (m+1)/((m+d+1) C(m+d, A)), int / int: rounded once
-            kappas[d] = np.array([((m + 1) << e) / ((m + d + 1) * cb)
-                                  for cb in binomial_row(m + d)])
-        kappa = kappas[d]
-        poly = _chart_numerator(a, b, c)
-        for (alpha, beta), cc in sorted(poly.items()):
-            q = alpha - beta  # row j = k + q
-            kk = k[(k + q >= 0) & (k + q < n)]
-            diags[top + q, kk] += coeff * cc * (kappa[kk + alpha] * sq[kk + q] * sq[kk])
-    band = min(top, m)  # diagonals |q| > m hold no entry
-    return QuantumOperator.from_diags(m, diags[top - band:top + band + 1])
+        d, sums = a + b + c, {}
+        if d not in rows:  # rows[d][alpha][k] = (k+1)_alpha (m-k+1)_(d-alpha)
+            rows[d] = [poch[al] * poch[d - al][::-1] for al in range(d + 1)]
+        for (alpha, beta), cc in sorted(_chart_numerator(a, b, c).items()):
+            if abs(alpha - beta) <= band:
+                sums[alpha - beta] = sums.get(alpha - beta, 0) + cc * rows[d][alpha]
+        scale = coeff * (1, 1j, -1, -1j)[b % 4] * ((m + 1) / (m + d + 1))
+        for q, s in sums.items():
+            lo, hi = max(-q, 0), n - max(q, 0)  # columns k with 0 <= k + q <= m
+            if q not in roots:  # C(m,k+q)/C(m,k) = (m-k-q+1)_q / (k+1)_q for q >= 0
+                up, down = poch[abs(q)][::-1][abs(q):], poch[abs(q)][:n - abs(q)]
+                roots[q] = np.sqrt((up / down if q >= 0 else down / up).astype(float))
+            diags[band + q, lo:hi] += scale * (s[lo:hi] / poch[d][m]).astype(float) * roots[q]
+    return QuantumOperator.from_diags(m, diags)
 
 
 # -- path 3: integral kernel ---------------------------------------------------

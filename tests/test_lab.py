@@ -397,8 +397,8 @@ def test_cross_check_examples(rng):
 
 
 def test_cross_check_holds_at_the_top_levels():
-    # the exact path's Beta ratios reach 2^-(m + deg f): unscaled, they went
-    # subnormal against sqrt(C(m,k)) ~ 2^(m/2) and missed by up to 0.09
+    # 1/C(m+d, A) reaches 2^-(m + deg f) here, below the normal floats: a path
+    # that carries it as a float goes subnormal and misses by up to 0.09
     for expr in ("x3^40", "x3^64", "x1*x3^63"):
         f = sy.parse(expr)
         for m in (1000, 1020):

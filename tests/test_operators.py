@@ -71,24 +71,39 @@ def test_toeplitz_exact_selection_rule(rng):
 
 
 def _chart_numerator(a, b, c):
-    """(z+zbar)^a (-i(z-zbar))^b (1-z zbar)^c expanded exactly, zeros kept."""
-    poly = {(0, 0): complex(1.0)}
+    """(z+zbar)^a (zbar-z)^b (1-z zbar)^c expanded exactly in integers, zeros
+    kept; x1^a x2^b x3^c (1+z zbar)^(a+b+c) is i^b times it."""
+    poly = {(0, 0): 1}
 
     def mul(p, q):
         out = {}
         for (i1, j1), c1 in p.items():
             for (i2, j2), c2 in q.items():
                 e = (i1 + i2, j1 + j2)
-                out[e] = out.get(e, 0j) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return out
 
     for _ in range(a):
-        poly = mul(poly, {(1, 0): 1.0 + 0j, (0, 1): 1.0 + 0j})
+        poly = mul(poly, {(1, 0): 1, (0, 1): 1})
     for _ in range(b):
-        poly = mul(poly, {(1, 0): -1j, (0, 1): 1j})
+        poly = mul(poly, {(1, 0): -1, (0, 1): 1})
     for _ in range(c):
-        poly = mul(poly, {(0, 0): 1.0 + 0j, (1, 1): -1.0 + 0j})
+        poly = mul(poly, {(0, 0): 1, (1, 1): -1})
     return poly
+
+
+def _i_power(b):
+    return (1, 1j, -1, -1j)[b % 4]
+
+
+def _chart_terms_by_q(a, b, c):
+    """{q: [(alpha, n_(alpha, alpha-q))]} over the nonzero chart coefficients:
+    the terms that reach diagonal q of the monomial's Toeplitz matrix."""
+    by_q = {}
+    for (alpha, beta), cc in _chart_numerator(a, b, c).items():
+        if cc:
+            by_q.setdefault(alpha - beta, []).append((alpha, cc))
+    return by_q
 
 
 def _normal_form_monomials(degree):
@@ -100,7 +115,9 @@ def _normal_form_monomials(degree):
 def test_chart_numerator_is_the_exact_expansion():
     for a, b, c in _normal_form_monomials(16):
         expect = {e: v for e, v in _chart_numerator(a, b, c).items() if v != 0}
-        assert op._chart_numerator(a, b, c) == expect, (a, b, c)
+        got = op._chart_numerator(a, b, c)
+        assert got == expect, (a, b, c)
+        assert all(type(v) is int for v in got.values())
 
 
 @given(st.sampled_from(_normal_form_monomials(12)),
@@ -108,27 +125,28 @@ def test_chart_numerator_is_the_exact_expansion():
 def test_chart_numerator_matches_the_monomial_pointwise(abc, z):
     # sum c z^alpha zbar^beta = (1+|z|^2)^d x1^a x2^b x3^c on the sphere
     a, b, c = abc
-    num = sum(cc * z**alpha * z.conjugate()**beta
-              for (alpha, beta), cc in op._chart_numerator(a, b, c).items())
+    num = _i_power(b) * sum(cc * z**alpha * z.conjugate()**beta
+                            for (alpha, beta), cc in op._chart_numerator(a, b, c).items())
     x1, x2, x3 = SpherePoint.from_z(z).ambient()
     scale = (1.0 + abs(z) ** 2) ** (a + b + c)
     assert abs(num - scale * x1**a * x2**b * x3**c) <= 1e-12 * scale
 
 
 def _toeplitz_exact_per_entry(f, m):
-    """Reference: one math.comb and one Fraction per entry, over an
-    independent expansion of the chart numerators."""
+    """Reference: per entry, the Beta ratios sum_alpha n C(m,k)/C(m+d,k+alpha)
+    and the root's C(m,j)/C(m,k) as exact Fractions, each rounded once, over
+    an independent expansion of the chart numerators."""
     n = m + 1
     mat = np.zeros((n, n), dtype=complex)
-    sq = np.array([math.sqrt(float(math.comb(m, k))) for k in range(n)])
     for (a, b, c), coeff in sorted(f.terms.items()):
         d = a + b + c
-        for (alpha, beta), cc in sorted(_chart_numerator(a, b, c).items()):
-            for k in range(n):
-                j = k + alpha - beta
-                if 0 <= j < n:
-                    kappa = Fraction(m + 1, (m + d + 1) * math.comb(m + d, k + alpha))
-                    mat[j, k] += coeff * cc * (float(kappa) * sq[j] * sq[k])
+        scale = coeff * _i_power(b) * ((m + 1) / (m + d + 1))
+        for q, terms in _chart_terms_by_q(a, b, c).items():
+            for k in range(max(-q, 0), n - max(q, 0)):
+                ratio = sum(Fraction(cc * math.comb(m, k), math.comb(m + d, k + alpha))
+                            for alpha, cc in terms)
+                root = math.sqrt(float(Fraction(math.comb(m, k + q), math.comb(m, k))))
+                mat[k + q, k] += scale * float(ratio) * root
     return mat
 
 
@@ -139,6 +157,55 @@ def test_toeplitz_exact_matches_per_entry_beta_ratios(rng):
         for m in (0, 1, 5, 40):
             got = op.toeplitz_exact(f, m).mat
             assert got.tobytes() == _toeplitz_exact_per_entry(f, m).tobytes()
+
+
+def _mp_entries(f, m, entries, dps=60):
+    """Entries (j, k) of T_f from the Beta ratios: coeff i^b (m+1)/(m+d+1)
+    sqrt(C(m,j) C(m,k)) sum n / C(m+d, k+alpha).  The sum is an exact
+    integer over (m+d)!, and the root and the products run in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    terms = [(a + b + c, coeff * _i_power(b), _chart_terms_by_q(a, b, c))
+             for (a, b, c), coeff in f.terms.items()]
+    out = []
+    with mpmath.workdps(dps):
+        for j, k in entries:
+            total = mpmath.mpc(0)
+            for d, coeff, by_q in terms:
+                fact = math.factorial(m + d)
+                num = sum(cc * (fact // math.comb(m + d, k + alpha))
+                          for alpha, cc in by_q.get(j - k, ()))
+                root = mpmath.sqrt(mpmath.mpf(math.comb(m, j) * math.comb(m, k)))
+                total += mpmath.mpc(coeff) * (m + 1) / (m + d + 1) * root * num / fact
+            out.append(complex(total))
+    return np.array(out)
+
+
+def test_toeplitz_exact_cancels_high_degree_chart_terms():
+    # the chart terms of these monomials cancel by many orders of magnitude;
+    # rounded to float before the sum they lost up to 3e-7 of the largest entry
+    for expr in ("x2^20*x3^20", "x1*x2^30*x3^28", "x2^32*x3^32"):
+        f = sy.parse(expr)
+        for m in (5, 40):
+            got = op.toeplitz_exact(f, m).mat
+            ref = _mp_entries(f, m, np.ndindex(got.shape)).reshape(got.shape)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (expr, m)
+
+
+def test_toeplitz_exact_runs_above_the_float_binomial_cap(rng):
+    # sampled entries, the largest among them, against the mpmath reference
+    for expr in (CRITERION10, "x1*x3^20 - 2*x2^5*x1^3"):
+        f = sy.parse(expr)
+        for m in (1021, 2048, 4096):
+            t = op.toeplitz_exact(f, m)
+            q, k = np.unravel_index(np.argmax(np.abs(t.diags)), t.diags.shape)
+            entries = [(int(k) + int(q) - t.band, int(k))]
+            for k in rng.randint(0, m + 1, 16).tolist():  # j stays on the band
+                j = k + int(rng.randint(-t.band, t.band + 1))
+                entries.append((min(max(j, 0), m), k))
+            ref = _mp_entries(f, m, entries)
+            got = np.array([t.diags[t.band + j - k, k] for j, k in entries])
+            assert np.all(np.isfinite(t.diags))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(t.diags)), (expr, m)
 
 
 # -- Toeplitz path 3: integral kernel --------------------------------------------
@@ -208,11 +275,13 @@ def test_trace_is_level_times_sphere_mean(rng):
                 for d in (2, 4, 6) for real in (True, False)]
     for f in symbols:
         mean = _sphere_mean(f)
-        for m in (1, 7, 64, 300):
-            for path in (op.toeplitz, op.toeplitz_exact, op.kernel_matrix):
-                t = path(f, m)
-                trace = complex(np.sum(t.diags[t.band]))
-                assert abs(trace - (m + 1) * mean) <= 1e-13 * (m + 1) * f.coeff_l1()
+        cases = [(m, path) for m in (1, 7, 64, 300)
+                 for path in (op.toeplitz, op.toeplitz_exact, op.kernel_matrix)]
+        # above the float binomial cap only the exact path runs
+        for m, path in cases + [(2048, op.toeplitz_exact)]:
+            t = path(f, m)
+            trace = complex(np.sum(t.diags[t.band]))
+            assert abs(trace - (m + 1) * mean) <= 1e-13 * (m + 1) * f.coeff_l1()
 
 
 # -- structure ------------------------------------------------------------------
@@ -393,12 +462,11 @@ def test_level_mismatch():
 
 
 def test_levels_above_max_level_are_capacity_errors():
-    # the float binomials C(m, k) own the level cap, so every path refuses
-    # alike rather than overflowing or running on
+    # the float binomials C(m, k) own the level cap, so every caller refuses
+    # alike rather than overflowing or running on; the exact path has none
     p = SpherePoint.from_z(0.5)
     for m in (1021, 1100):
         for call in (lambda: op.toeplitz(X3, m),
-                     lambda: op.toeplitz_exact(X3, m),
                      lambda: op.kernel_matrix(X3, m),
                      lambda: coherent_state(m, 0.5),
                      lambda: kernel_density(m, p),
