@@ -16,9 +16,9 @@ file but --out.  `btq calibrate` measures both sign choices of each
 convention, prints the defects and writes nothing; it exits 3 unless the
 measurement selects the defaults.  All numeric output uses shortest
 round-trip decimals and files are written atomically, so runs with the
-same configuration and the same BLAS thread count are byte-reproducible
-(the dense eigvalsh norm can change its last digits with the thread count
-from level 256 up).
+same configuration and the same BLAS thread count are byte-reproducible,
+and rows normed on the band (operators.operator_norm) at any count; the
+dense LAPACK norm below can change its last digits from level 256 up.
 """
 
 from __future__ import annotations

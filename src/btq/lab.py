@@ -228,8 +228,8 @@ def tuynman_run(f, levels):
     Q_f and i T_g come from their own rules (degrees deg f + 2 and deg f),
     so the defect is the roundoff of two exact quadratures.  Checks defect
     <= 1e-8 (1 + ||Q_f||) per level; no rate fit (the relation is exact, not
-    asymptotic).  ||Q_f|| is the norm of -i Q_f, by eigvalsh
-    when that passes the hermiticity check (real f), else by the SVD.
+    asymptotic).  ||Q_f|| is the norm of -i Q_f, as a Hermitian operator
+    when that passes the hermiticity check (real f), else as a general one.
     """
     report = ConvergenceReport("tuynman", f)
     for m in levels:

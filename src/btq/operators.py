@@ -21,8 +21,9 @@ monomial frame at the rule's nodes, with no basis table.  Pairwise
 agreement of the three is the package's core self-test.  Operators are
 stored as their band of diagonals (`QuantumOperator`), filled directly by
 every path; only `operator_norm` builds the dense (m+1)^2 matrix, for
-LAPACK.  Whether an operator is Hermitian is read off its band when it is
-built; no path asserts it.
+LAPACK, and only below `BANDED_NORM_ROWS` (band + 8) rows.  Whether an
+operator is Hermitian is read off its band when it is built; no path
+asserts it.
 
 The geometric-quantization operator is Q_f = Pi(-(1/m) nabla_{X_f} + i f)Pi
 with the Hamiltonian field of the area form; the 1/m is the level-m scaling
@@ -36,7 +37,7 @@ import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import LevelMismatchError, UnderResolvedRuleError
 from .geometry import DEFAULT_CONVENTIONS, make_rule, phi_grid
@@ -45,6 +46,9 @@ from .hilbert import (TWO_PI, SectionVector, basis_eval_grid, binomial_floats,
 from .symbols import eval_ambient, laplace_beltrami, partial
 
 _HERM_TOL = 1e-12
+# dense LAPACK takes O(n^3); a multisection step about one elementwise pass
+# over a (band + 8)^2 window.  Measured break-even: n = 50 (band + 8) rows
+BANDED_NORM_ROWS = 50
 
 
 @functools.lru_cache(maxsize=64)
@@ -60,11 +64,15 @@ def _band_index(band, n):
     return out
 
 
-def _hermitian_defect(diags):
-    """max |A - A^H| on the band: (A^H)[k+q, k] = conj(A[k, k+q])."""
+def _band_adjoint(diags):
+    """Stack of A^H: (A^H)[k+q, k] = conj(A[k, k+q])."""
     rows, inside, _ = _band_index(len(diags) // 2, diags.shape[1])
-    adj = np.where(inside, np.take_along_axis(diags[::-1], rows, axis=1).conj(), 0)
-    return float(np.max(np.abs(diags - adj)))
+    return np.where(inside, np.take_along_axis(diags[::-1], rows, axis=1).conj(), 0)
+
+
+def _hermitian_defect(diags):
+    """max |A - A^H| on the band."""
+    return float(np.max(np.abs(diags - _band_adjoint(diags))))
 
 
 def _is_hermitian(diags):
@@ -95,7 +103,7 @@ class QuantumOperator:
 
     `hermitian` is that check, made by both constructors on the stored band
     (|A - A^H| <= 1e-12 max(1, max |A|)); no caller sets it, and
-    `operator_norm` reads it to choose eigvalsh or the SVD."""
+    `operator_norm` reads it to norm A itself or A^H A."""
 
     __slots__ = ("m", "band", "diags", "hermitian")
 
@@ -199,8 +207,11 @@ def _band_matrix(left, right, w, samples, band):
     for q in range(-top, top + 1):
         a, b = max(q, 0), max(-q, 0)  # band q starts at row a, column b
         wc = w * coeffs[:, q]  # negative q wraps modulo the node count
-        prod = left[:, a:n - b] * right[:, b:n - a]
-        diags[top + q, b:n - a] = np.sum(wc[:, None] * prod, axis=0)
+        # chunks of 64-127 columns (a 1-wide one would sum pairwise): same bytes
+        cuts = [b, *range(b + 64, n - a - 63, 64), n - a]
+        for lo, hi in zip(cuts, cuts[1:]):
+            prod = left[:, lo + q:hi + q] * right[:, lo:hi]
+            diags[top + q, lo:hi] = np.sum(wc[:, None] * prod, axis=0)
     return diags
 
 
@@ -352,9 +363,57 @@ def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS):
 # -- norms and commutators -----------------------------------------------------
 
 
+def _band_inertia(diags, shifts, pivmin):
+    """Eigenvalues below each shift of the Hermitian band (its lower triangle):
+    the negative pivots of a banded LDL^H of A - sigma I (Sylvester), for all
+    shifts at once by elementwise steps on views of a store of rows
+    A[r, r-b .. r].  A pivot below pivmin in size becomes -pivmin (dstebz)."""
+    b, n, ns = len(diags) // 2, diags.shape[1], len(shifts)
+    store = np.zeros((n + b, b + 1, ns), dtype=complex)  # b zero rows past the end
+    for j in range(b + 1):
+        store[b - j:n, j] = diags[2 * b - j, :n - b + j, None]
+    store[:n, b] -= shifts
+    flat, (step, entry, shift) = store.reshape(-1, ns), store.strides
+    piv = flat[b::b + 1][:n].real
+    # below[k][i] = A[k+1+i, k]; window[k][i, j] = A[k+1+i, k+1+j] for i >= j,
+    # while i < j lands on columns <= k, which no later step reads
+    below = as_strided(flat[2 * b:], (n, b, ns), (step, b * entry, shift))
+    window = as_strided(flat[2 * b + 1:], (n, b, b, ns), (step, b * entry, entry, shift))
+    for k in range(n):
+        p = piv[k]
+        np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
+        c = below[k]
+        window[k] -= c[:, None] * (c.conj() / p)
+    return np.count_nonzero(piv < 0, axis=0)
+
+
+def _band_norm(op):
+    """||A|| from the band: the spectral radius of A, or of A^H A (rooted) if A
+    is not Hermitian, by multisection on `_band_inertia`.  Each sweep puts 8
+    shifts in the brackets of lambda_min and lambda_max, from +-(Gershgorin
+    bound g) until both are 4 eps g wide."""
+    d = op.diags if op.hermitian else _band_product(_band_adjoint(op.diags), op.diags)
+    b = len(d) // 2
+    # column sums of the Hermitian matrix the lower triangle defines
+    g = float(np.max(np.abs(np.concatenate([_band_adjoint(d)[:b], d[b:]])).sum(axis=0)))
+    pivmin = np.finfo(float).eps * g  # g = 0 skips the loop: the zero operator
+    lo, hi = np.full(2, -g - pivmin), np.full(2, g + pivmin)
+    while np.any(hi - lo > 4 * pivmin):
+        shifts = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 9) / 9)
+        # lambda_min < sigma iff the count is >= 1, lambda_max iff it is >= n
+        passed = _band_inertia(d, shifts.ravel(), pivmin).reshape(2, -1) >= [[1], [len(d[0])]]
+        hi = np.minimum(hi, np.min(np.where(passed, shifts, np.inf), axis=1))
+        lo = np.maximum(lo, np.max(np.where(passed, -np.inf, shifts), axis=1))
+    radius = float(np.max(np.abs(lo + hi))) / 2
+    return radius if op.hermitian else math.sqrt(radius)
+
+
 def operator_norm(op):
-    """Largest singular value on the dense matrix, a run's one O(m^2) allocation:
-    eigvalsh when the band passed the hermiticity check, else the LAPACK 2-norm."""
+    """Largest singular value: by `_band_norm` from BANDED_NORM_ROWS (b + 8) rows
+    up, b the band of A or A^H A (no dense matrix or BLAS: thread-independent);
+    below, by LAPACK: eigvalsh if `op.hermitian`, else the 2-norm."""
+    if op.m + 1 >= BANDED_NORM_ROWS * ((op.band if op.hermitian else 2 * op.band) + 8):
+        return _band_norm(op)
     if op.hermitian:
         if op.m == 0:
             return float(abs(op.mat[0, 0]))

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +16,7 @@ from btq.geometry import SpherePoint, make_rule
 from btq.hilbert import (SectionVector, basis_eval_grid, coefficient_inner,
                          coherent_state, kernel_density, quadrature_inner,
                          radial_factors)
-from conftest import assemble_in_subprocess, dense_hermitian, random_symbol
+from conftest import _fresh_env, assemble_in_subprocess, dense_hermitian, random_symbol
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
 CRITERION10 = "x1*x2*x3^2 + 0.25*x1^2*x2^2 - x3 + 0.125"
@@ -565,6 +568,99 @@ def test_operator_norm_is_the_dense_eigvalsh():
         assert op.operator_norm(t) == float(np.max(np.abs(np.linalg.eigvalsh(t.mat))))
 
 
+def _dense_norm(x):
+    """The dense norm: eigvalsh for a band that passed the hermiticity check,
+    else the LAPACK 2-norm."""
+    if x.hermitian:
+        return float(np.max(np.abs(np.linalg.eigvalsh(x.mat))))
+    return float(np.linalg.norm(x.mat, 2))
+
+
+def _lab_norm_cases(rng, m, degrees):
+    """T_f and -i Q_f of random real symbols, the thm2 residual and both thm3
+    residuals, as the lab builds them."""
+    cases = []
+    for d in degrees:
+        f = random_symbol(rng, degree=d)
+        cases += [op.toeplitz(f, m), -1j * op.prequantum(f, m)]
+    f, g = random_symbol(rng, degree=2), random_symbol(rng, degree=3)
+    tf, tg = op.toeplitz(f, m), op.toeplitz(g, m)
+    cases.append(op.commutator(tf, tg) * (1j * m) - op.toeplitz(sy.poisson_bracket(f, g), m))
+    r1 = tf @ tg - op.toeplitz(sy.multiply(f, g), m)
+    c1 = sy.c1_candidate(f, g, sy.SELECTED_C1_ORDERING)
+    return cases + [r1] + ([r1 - op.toeplitz(c1, m) / m] if m else [])
+
+
+def _special_norm_cases(m):
+    """Zero, identity, repeated eigenvalues at both ends, and a zero diagonal
+    (an exact-zero leading pivot at the shift 0)."""
+    n, band = m + 1, min(1, m)
+    zero_diag = np.zeros((2 * band + 1, n), complex)
+    zero_diag[0, 1:] = zero_diag[-1, :n - 1] = 1.0  # empty slices when n = 1
+    repeated = np.resize([2.0, -2.0, 0.5, 0.5], (1, n)).astype(complex)
+    return [op.QuantumOperator.from_diags(m, np.zeros((2 * band + 1, n), complex)),
+            op.identity(m), op.QuantumOperator.from_diags(m, repeated),
+            op.QuantumOperator.from_diags(m, zero_diag)]
+
+
+def test_banded_norm_matches_the_dense_norm(rng):
+    for m in (0, 1, 2, 7, 64):
+        cases = _lab_norm_cases(rng, m, range(1, 7)) + _special_norm_cases(m)
+        assert m == 0 or any(not x.hermitian for x in cases)  # both branches
+        for x in cases:
+            ref = _dense_norm(x)
+            assert abs(op._band_norm(x) - ref) <= 1e-12 * ref, (m, x.band, x.hermitian)
+
+
+def test_band_inertia_counts_through_exact_zero_pivots():
+    # zero diagonal, unit off-diagonals: eigenvalues 2 cos(k pi/(n+1)); at
+    # the shift 0 every second pivot is exactly zero before the guard
+    for n in (2, 8, 64):
+        x = _special_norm_cases(n - 1)[-1]
+        assert x.hermitian and x.band == 1
+        lam = 2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+        shifts = np.array([0.0, -2.5, 2.5, lam[0] + 1e-9, lam[-1] - 1e-9])
+        counts = op._band_inertia(x.diags, shifts, np.finfo(float).eps * 2)
+        assert counts.tolist() == [n // 2, 0, n, n, 0]
+
+
+def test_operator_norm_at_high_level_is_the_band_norm(rng):
+    m = 1000
+    cases = _lab_norm_cases(rng, m, (4,))
+    for x in cases:
+        ref = _dense_norm(x)
+        assert abs(op.operator_norm(x) - ref) <= 1e-12 * ref, (x.band, x.hermitian)
+
+
+def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
+    # band 4 for T_f and for A^H A of the band-2 residual: both cut over at
+    # 50 (4 + 8) = 600 rows; a band-16 operator of that size stays dense
+    m = op.BANDED_NORM_ROWS * (4 + 8) - 1
+    f = sy.parse(CRITERION10)
+    for x in (op.toeplitz(f, m - 1), op.toeplitz(X1, m - 1) @ op.toeplitz(X3, m - 1)
+              - op.toeplitz(X1 * X3, m - 1), op.toeplitz_exact(X3 ** 16, m)):
+        assert op.operator_norm(x) == _dense_norm(x)
+    cases = [op.toeplitz(f, m), op.toeplitz(X1, m) @ op.toeplitz(X3, m) - op.toeplitz(X1 * X3, m)]
+    assert [(x.band, x.hermitian) for x in cases] == [(4, True), (2, False)]
+    refs = [_dense_norm(x) for x in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix or LAPACK call above the cutover")
+
+    monkeypatch.setattr(op.QuantumOperator, "mat", property(refuse))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    for x, ref in zip(cases, refs):
+        tracemalloc.start()
+        try:
+            got = op.operator_norm(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - ref) <= 1e-12 * ref
+        assert peak < (m + 1) ** 2 * 16 / 4, peak  # a quarter of one dense complex matrix
+
+
 # -- determinism ---------------------------------------------------------------------
 
 
@@ -572,3 +668,15 @@ def test_assembly_bit_identical_across_threads():
     runs = [assemble_in_subprocess("x1*x2*x3 - 0.5*x3^2", 24, n)[0]
             for n in (1, 3, 8)]
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_thm1_report_bit_identical_across_threads():
+    # a band-4 norm at m = 1000 is past the cutover and makes no BLAS call,
+    # so it reports the same bytes under any thread count (dense eigvalsh did not)
+    argv = [sys.executable, "-m", "btq.cli", "thm1", "--f", CRITERION10,
+            "--levels", "1000", "--max-level", "1020"]
+    runs = [subprocess.run(argv, env=_fresh_env(OPENBLAS_NUM_THREADS=str(n),
+                                                OMP_NUM_THREADS=str(n)),
+                           capture_output=True, check=True).stdout
+            for n in (1, 2)]
+    assert runs[0] == runs[1]

@@ -556,3 +556,49 @@ def test_symbol_json_roundtrip_sorted(rng):
     assert exps == sorted(exps)
     assert sy.symbol_from_json(obj) == f
     assert sy.symbol_from_json(json.loads(json.dumps(obj))) == f
+
+
+# -- properties on random symbols ------------------------------------------------
+
+
+@st.composite
+def _symbols(draw, max_degree=4, real=True):
+    """Up to 5 terms of degree <= max_degree with coefficients in [-3, 3];
+    exponents with a >= 2 exercise the x1^2 reduction."""
+    coeff = st.floats(-3.0, 3.0, allow_nan=False)
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.integers(0, max_degree))
+        b = draw(st.integers(0, max_degree - a))
+        c = draw(st.integers(0, max_degree - a - b))
+        terms[(a, b, c)] = complex(draw(coeff), 0.0 if real else draw(coeff))
+    return sy.Symbol(terms)
+
+
+@given(_symbols(max_degree=6, real=False))
+def test_normal_form_is_idempotent(f):
+    assert all(a <= 1 and v != 0 for (a, _, _), v in f.terms.items())
+    assert sy.Symbol(f.terms).terms == f.terms
+
+
+@given(_symbols(max_degree=6, real=False))
+def test_symbol_json_round_trip(f):
+    obj = json.loads(json.dumps(sy.symbol_to_json(f)))
+    assert sy.symbol_from_json(obj).terms == f.terms
+
+
+def _vanishes(parts, scale):
+    """sum(parts) is zero to 1e-12 of scale in every coefficient."""
+    total = parts[0]
+    for p in parts[1:]:
+        total = total + p
+    return all(abs(v) <= 1e-12 * scale for v in total.terms.values())
+
+
+@given(_symbols(), _symbols(), _symbols())
+def test_bracket_leibniz_and_jacobi(f, g, h):
+    # both identities are trilinear: measure them against |f|_1 |g|_1 |h|_1
+    pb = sy.poisson_bracket
+    scale = f.coeff_l1() * g.coeff_l1() * h.coeff_l1()
+    assert _vanishes([pb(f * g, h), -(f * pb(g, h)), -(pb(f, h) * g)], scale)
+    assert _vanishes([pb(f, pb(g, h)), pb(g, pb(h, f)), pb(h, pb(f, g))], scale)
