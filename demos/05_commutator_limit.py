@@ -10,7 +10,6 @@ decaying, which is how the calibration selects the convention.
 """
 
 from btq import symbols as sy
-from btq.geometry import KahlerConventions
 from btq.lab import thm2_run
 from btq.operators import commutator, operator_norm, toeplitz
 
@@ -24,9 +23,9 @@ for r in rep.rows:
 print(f"fitted decay exponent over {rep.fit.window}: {rep.fit.slope:.4f}")
 
 print("\nwith the wrong Poisson sign the defect saturates:")
-wrong = KahlerConventions(poisson_constant=-2.0)
+wrong = -sy.poisson_bracket(X1, X2)  # {x1, x2} = -2 x3
 for m in (8, 32, 128):
-    tfg = toeplitz(sy.poisson_bracket(X1, X2, wrong), m)
+    tfg = toeplitz(wrong, m)
     defect = (1j * m) * commutator(toeplitz(X1, m), toeplitz(X2, m)) - tfg
     d = operator_norm(defect)
     print(f"  m = {m:4d}: defect = {d:.6f}")

@@ -12,21 +12,21 @@ import numpy as np
 
 from btq import symbols as sy
 from btq.calibration import calibrate
-from btq.geometry import DEFAULT_CONVENTIONS, KahlerConventions
+from btq.geometry import LAPLACE_SIGN, POISSON_CONSTANT
 from btq.lab import tuynman_run
-from btq.operators import operator_norm, prequantum, tuynman_rhs
+from btq.operators import operator_norm, prequantum, toeplitz
 
 X1, X3 = sy.X1, sy.X3
 
-conv, diag = calibrate()
+(poisson_constant, laplace_sign), diag = calibrate()
 print("calibration:")
 print(f"  Tuynman defect by Laplacian sign: {diag['tuynman_defects']}")
 print(f"  commutator defects by Poisson sign (m=8 -> 32): "
       f"{diag['commutator_defects']}")
-print(f"  selected: laplace_sign={conv.laplace_sign}, "
-      f"poisson_constant={conv.poisson_constant}")
+print(f"  selected: laplace_sign={laplace_sign}, "
+      f"poisson_constant={poisson_constant}")
 print(f"  the built-in conventions every experiment uses: "
-      f"{conv == DEFAULT_CONVENTIONS}")
+      f"{(poisson_constant, laplace_sign) == (POISSON_CONSTANT, LAPLACE_SIGN)}")
 
 print("\nQ_x3 at level 4 (closed form i diag((m-2k)/m)):")
 print(np.round(prequantum(X3, 4).mat.imag, 12))
@@ -39,8 +39,7 @@ for text in ("x1", "x3", "x3^2", "x1*x2 - 0.5*x3"):
     print(f"  f = {text:14s} worst defect = {worst:.3e}   passed: {rep.passed}")
 
 print("\nwrong Laplacian sign at m=8, f=x3:")
-wrong = KahlerConventions(laplace_sign=-1)
 q = prequantum(X3, 8)
-bad = tuynman_rhs(X3, 8, wrong)
+bad = toeplitz(X3 + sy.laplace_beltrami(X3) * (1.0 / 16.0), 8) * 1j  # f + Lap f/2m
 print(f"  defect = {float(np.max(np.abs(q.mat - bad.mat))):.6f} "
       f" (vs ||Q|| = {operator_norm(q):.6f})")

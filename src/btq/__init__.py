@@ -10,7 +10,7 @@ from .calibration import calibrate
 from .errors import (CalibrationError, CapacityError, InsufficientDataError,
                      LevelMismatchError, SymbolParseError, SymbolSyntaxError,
                      UnderResolvedRuleError)
-from .geometry import (DEFAULT_CONVENTIONS, TOTAL_AREA, KahlerConventions,
+from .geometry import (LAPLACE_SIGN, POISSON_CONSTANT, TOTAL_AREA,
                        QuadratureRule, SpherePoint, curvature_check, diastasis,
                        make_rule)
 from .hilbert import (GridTable, SectionVector, basis_eval_grid,

@@ -11,11 +11,11 @@ above symbols.MAX_SYMBOL_DEGREE), UnderResolvedRuleError (a basis table
 that fails its Gram self-test, or a real symbol whose T_f fails the
 hermiticity check) or CalibrationError.
 
-Every experiment uses geometry.DEFAULT_CONVENTIONS and reads or writes no
-file but --out.  `btq calibrate` measures both sign choices of each
-convention, prints the defects and writes nothing; it exits 3 unless the
-measurement selects the defaults.  All numeric output uses shortest
-round-trip decimals and files are written atomically, so runs with the
+Every experiment uses the signs geometry.POISSON_CONSTANT and LAPLACE_SIGN
+and reads or writes no file but --out.  `btq calibrate` measures both
+choices of each sign, prints the defects and writes nothing; it exits 3
+unless the measurement selects the constants.  All numeric output uses
+shortest round-trip decimals and files are written atomically, so runs with the
 same configuration and the same BLAS thread count are byte-reproducible,
 and rows normed on the band (operators.operator_norm) at any count; the
 dense LAPACK norm below can change its last digits from level 256 up.
@@ -31,7 +31,7 @@ import tempfile
 from . import calibration, lab
 from .errors import (CalibrationError, CapacityError, SymbolParseError,
                      UnderResolvedRuleError)
-from .geometry import DEFAULT_CONVENTIONS
+from .geometry import LAPLACE_SIGN, POISSON_CONSTANT
 from .hilbert import MAX_LEVEL
 from .symbols import COEFF_L1_BOUND, MAX_SYMBOL_DEGREE, parse, sup_norm_argmax
 
@@ -132,7 +132,7 @@ def _levels(args):
 
 
 def _run_calibrate():
-    conv, diag = calibration.calibrate()
+    signs, diag = calibration.calibrate()
     print(f"Tuynman defect at m = {diag['tuynman_level']}, by laplace_sign:")
     for sign, defect in diag["tuynman_defects"].items():
         print(f"  {sign:>2}: {defect!r}")
@@ -140,11 +140,11 @@ def _run_calibrate():
     print(f"commutator defect at m = {m_lo} -> {m_hi}, by poisson_constant sign:")
     for sign, (lo, hi) in diag["commutator_defects"].items():
         print(f"  {sign:>2}: {lo!r} -> {hi!r}")
-    if conv != DEFAULT_CONVENTIONS:
-        raise CalibrationError(f"the measurement selects {conv}, not the "
-                               f"built-in {DEFAULT_CONVENTIONS}")
-    print(f"selected poisson_constant = {conv.poisson_constant!r}, "
-          f"laplace_sign = {conv.laplace_sign}: the built-in conventions")
+    selected = f"poisson_constant = {signs[0]!r}, laplace_sign = {signs[1]}"
+    if signs != (POISSON_CONSTANT, LAPLACE_SIGN):
+        raise CalibrationError(f"the measurement selects {selected}, not the "
+                               f"built-in {(POISSON_CONSTANT, LAPLACE_SIGN)}")
+    print(f"selected {selected}: the built-in conventions")
     return EXIT_OK
 
 

@@ -20,6 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TOTAL_AREA = 2.0 * math.pi
+# the c in {x_i, x_j} = c eps_ijk x_k and the sign of the Laplacian are fixed
+# by the prequantum condition c(L) = omega/2pi; `btq calibrate` checks both
+POISSON_CONSTANT = 2.0
+LAPLACE_SIGN = 1
 # the metric g(X,Y) = omega(X, IY) scales the ambient-identity Laplacian by 2
 LAPLACE_SCALE = 2.0
 
@@ -30,33 +34,6 @@ NEWTON_STEPS = 4
 
 # how far x1^2 + x2^2 + x3^2 may stray from 1 in `SpherePoint.from_ambient`
 ON_SPHERE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class KahlerConventions:
-    """The two signs the formulas leave open, pinned in one place.
-
-    poisson_constant is the c in {x_i, x_j} = c eps_ijk x_k; laplace_sign
-    and LAPLACE_SCALE turn the ambient-identity Laplacian into the one the
-    metric g(X,Y) = omega(X, IY) defines (eigenvalues -2 l(l+1) here).
-    The defaults are the values every experiment uses; `btq calibrate`
-    checks that measurement selects them.  `as_dict`
-    also records the fixed TOTAL_AREA and LAPLACE_SCALE.
-    """
-
-    poisson_constant: float = 2.0
-    laplace_sign: int = 1
-
-    def as_dict(self):
-        return {
-            "total_area": TOTAL_AREA,
-            "poisson_constant": self.poisson_constant,
-            "laplace_sign": self.laplace_sign,
-            "laplace_scale": LAPLACE_SCALE,
-        }
-
-
-DEFAULT_CONVENTIONS = KahlerConventions()
 
 
 class SpherePoint:

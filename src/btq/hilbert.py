@@ -111,10 +111,8 @@ class GridTable:
                 f"rule exact to radial degree {rule.max_radial_degree} cannot "
                 f"resolve level {m}")
         self.m = m
-        self.rule = rule
-        s = rule.s_nodes
-        self.s, self.w = s, rule.s_weights
-        self.B = radial_factors(m, s)
+        self.s, self.w = rule.s_nodes, rule.s_weights
+        self.B = radial_factors(m, self.s)
         self.gram_defect = float(np.max(np.abs(self.gram_diagonal() - 1.0)))
         if self.gram_defect > GRAM_TOL:
             raise UnderResolvedRuleError(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 # make_rule and basis_eval_grid go unused: benchmark/selftest.py expects the bindings
-from .geometry import DEFAULT_CONVENTIONS, make_rule
+from .geometry import LAPLACE_SCALE, LAPLACE_SIGN, POISSON_CONSTANT, TOTAL_AREA, make_rule
 from .hilbert import SectionVector, basis_eval_grid, radial_factors
 from .operators import (commutator, kernel_matrix, operator_norm, prequantum,
                         toeplitz, toeplitz_exact, tuynman_rhs)
@@ -96,7 +96,8 @@ class ConvergenceReport:
             "experiment": self.experiment,
             "f": symbol_to_json(self.f),
             "g": symbol_to_json(self.g) if self.g is not None else None,
-            "conventions": DEFAULT_CONVENTIONS.as_dict(),
+            "conventions": {"total_area": TOTAL_AREA, "poisson_constant": POISSON_CONSTANT,
+                            "laplace_sign": LAPLACE_SIGN, "laplace_scale": LAPLACE_SCALE},
             "rows": [r.as_dict() for r in self.rows],
             "fit": self.fit.as_dict() if self.fit is not None else None,
             "K_estimate": self.k_estimate,

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import LevelMismatchError, UnderResolvedRuleError
-from .geometry import DEFAULT_CONVENTIONS, make_rule, phi_grid
+from .geometry import make_rule, phi_grid
 from .hilbert import (TWO_PI, SectionVector, basis_eval_grid, binomial_floats,
                       binomial_row)
 from .symbols import eval_ambient, laplace_beltrami, partial
@@ -102,8 +102,9 @@ class QuantumOperator:
     hermiticity check act on the diagonals.
 
     `hermitian` is that check, made by both constructors on the stored band
-    (|A - A^H| <= 1e-12 max(1, max |A|)); no caller sets it, and
-    `operator_norm` reads it to norm A itself or A^H A."""
+    (|A - A^H| <= 1e-12 max(1, max |A|)); no caller sets it.  `toeplitz`
+    reads it to refuse a real symbol's non-Hermitian T_f, and
+    `operator_norm` to norm A itself or A^H A."""
 
     __slots__ = ("m", "band", "diags", "hermitian")
 
@@ -352,11 +353,11 @@ def prequantum(f, m):
     return QuantumOperator.from_diags(m, diags)
 
 
-def tuynman_rhs(f, m, conventions=DEFAULT_CONVENTIONS):
+def tuynman_rhs(f, m):
     """i T_{f - Laplacian(f)/(2m)}: the Toeplitz side of Tuynman's relation."""
     if m < 1:
         raise ValueError("Tuynman's relation needs m >= 1")
-    g = f - laplace_beltrami(f, conventions) * (1.0 / (2.0 * m))
+    g = f - laplace_beltrami(f) * (1.0 / (2.0 * m))
     return toeplitz(g, m) * 1j
 
 
@@ -410,9 +411,9 @@ def _band_norm(op):
 
 def operator_norm(op):
     """Largest singular value: by `_band_norm` from BANDED_NORM_ROWS (b + 8) rows
-    up, b the band of A or A^H A (no dense matrix or BLAS: thread-independent);
-    below, by LAPACK: eigvalsh if `op.hermitian`, else the 2-norm."""
-    if op.m + 1 >= BANDED_NORM_ROWS * ((op.band if op.hermitian else 2 * op.band) + 8):
+    up, b the band of A (no dense matrix or BLAS: thread-independent); below,
+    by LAPACK: eigvalsh if `op.hermitian`, else the 2-norm."""
+    if op.m + 1 >= BANDED_NORM_ROWS * (op.band + 8):
         return _band_norm(op)
     if op.hermitian:
         if op.m == 0:

@@ -17,7 +17,7 @@ import re
 import numpy as np
 
 from .errors import CapacityError, SymbolSyntaxError, UnknownIdentifierError
-from .geometry import DEFAULT_CONVENTIONS, LAPLACE_SCALE, SpherePoint
+from .geometry import LAPLACE_SCALE, LAPLACE_SIGN, POISSON_CONSTANT, SpherePoint
 
 _REAL_TOL = 1e-13
 
@@ -36,11 +36,20 @@ def _reduced(terms):
                 out.pop((a, b, c), None)
             else:
                 out[(a, b, c)] = v
-        else:
-            # x1^2 -> 1 - x2^2 - x3^2
+        elif a <= 3:
+            # x1^2 -> 1 - x2^2 - x3^2 (a product of normal forms has a <= 2)
             stack.append(((a - 2, b, c), coeff))
             stack.append(((a - 2, b + 2, c), -coeff))
             stack.append(((a - 2, b, c + 2), -coeff))
+        else:
+            # x1^(2j) = (1 - x2^2 - x3^2)^j by the trinomial theorem, in one
+            # step: (j+1)(j+2)/2 leaves, not the 3^j of repeated rewriting
+            j = a // 2
+            for q in range(j + 1):
+                for r in range(j - q + 1):
+                    n = math.comb(j, q) * math.comb(j - q, r)
+                    stack.append(((a % 2, b + 2 * q, c + 2 * r),
+                                  coeff * (-n if (q + r) % 2 else n)))
     return out
 
 
@@ -335,28 +344,28 @@ def partial(f, i):
     return Symbol(out)
 
 
-def poisson_bracket(f, g, conventions=DEFAULT_CONVENTIONS):
-    """{f,g} as the biderivation generated by {x_i,x_j} = c eps_ijk x_k.
+def poisson_bracket(f, g):
+    """{f,g} as the biderivation generated by {x_i,x_j} = c eps_ijk x_k,
+    c = POISSON_CONSTANT.
 
     Well defined on the quotient ring because the sphere relation is a
-    Casimir of this bracket; the sign of c is the calibrated convention.
+    Casimir of this bracket; `btq calibrate` checks the sign of c.
     """
-    c = conventions.poisson_constant
     d = [partial(f, i) for i in (1, 2, 3)]
     e = [partial(g, i) for i in (1, 2, 3)]
     out = X3 * (d[0] * e[1] - d[1] * e[0]) \
         + X1 * (d[1] * e[2] - d[2] * e[1]) \
         + X2 * (d[2] * e[0] - d[0] * e[2])
-    return out * c
+    return out * POISSON_CONSTANT
 
 
-def laplace_beltrami(f, conventions=DEFAULT_CONVENTIONS):
+def laplace_beltrami(f):
     """Laplacian of the metric g(X,Y) = omega(X, IY).
 
     Computed per homogeneous ambient monomial p of degree d through
-    (laplacian_R3 p - d(d+1) p)|_sphere, then scaled by the convention
-    (scale 2, sign +1 here: eigenvalue -2 l(l+1) on degree-l harmonics,
-    e.g. x3 -> -4 x3 for the area-2pi sphere).
+    (laplacian_R3 p - d(d+1) p)|_sphere, then scaled by LAPLACE_SIGN
+    LAPLACE_SCALE = 2: eigenvalue -2 l(l+1) on degree-l harmonics,
+    e.g. x3 -> -4 x3 for the area-2pi sphere.
     """
     amb = {}
     for (a, b, c), v in f.terms.items():
@@ -369,7 +378,7 @@ def laplace_beltrami(f, conventions=DEFAULT_CONVENTIONS):
                 amb[key] = amb.get(key, 0j) + v * e * (e - 1)
         key = (a, b, c)
         amb[key] = amb.get(key, 0j) - v * d * (d + 1)
-    return Symbol(amb) * (conventions.laplace_sign * LAPLACE_SCALE)
+    return Symbol(amb) * (LAPLACE_SIGN * LAPLACE_SCALE)
 
 
 # -- first star-product bidifferential ---------------------------------------
@@ -458,16 +467,23 @@ def _real_values(f, u, phi):
     return sum(terms[1:], terms[0]) if terms else np.zeros(np.shape(u))
 
 
-def _refine(f, u0, phi0, sign, rounds=48, local=7):
+# `_refine`: REFINE_ROUNDS halvings of a REFINE_LOCAL^2 grid around each start
+REFINE_ROUNDS = 48
+REFINE_LOCAL = 7
+
+
+def _refine(f, u0, phi0, sign):
     """Shrinking local grid search for the maximum of sign*f from each start
     (one row of u0, phi0, sign).  All starts advance together, one
-    (starts, local^2) batch per round; a start moves to the first maximum of
-    its grid only on a strict gain.  Returns (best sign*f, u, phi) per start."""
+    (starts, REFINE_LOCAL^2) batch per round; a start moves to the first
+    maximum of its grid only on a strict gain.  Returns (best sign*f, u, phi)
+    per start."""
+    local = REFINE_LOCAL
     du, dphi = 2.0 / local, 2.0 * math.pi / local
     rows = np.arange(len(sign))
     best_u, best_phi = u0, phi0
     best = sign * _real_values(f, u0, phi0)
-    for _ in range(rounds):
+    for _ in range(REFINE_ROUNDS):
         us = np.clip(np.linspace(best_u - du, best_u + du, local, axis=-1), -1, 1)
         ps = np.linspace(best_phi - dphi, best_phi + dphi, local, axis=-1)
         uu, pp = np.repeat(us, local, axis=-1), np.tile(ps, local)

@@ -8,7 +8,6 @@ import re
 import pytest
 
 from btq import calibration, cli
-from btq.geometry import DEFAULT_CONVENTIONS, KahlerConventions
 from btq.symbols import parse, symbol_to_json
 
 
@@ -30,14 +29,17 @@ def test_calibrate_is_a_check_that_writes_nothing(workdir, capsys, monkeypatch):
     # experiments take the built-in conventions: no flag, no file
     assert run(["thm1", "--f", "x3", "--levels", "2,4"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["conventions"] == DEFAULT_CONVENTIONS.as_dict()
+    conventions = {"total_area": 6.283185307179586, "poisson_constant": 2.0,
+                   "laplace_sign": 1, "laplace_scale": 2.0}
+    assert report["conventions"] == conventions
+    assert list(report["conventions"]) == list(conventions)
     assert os.listdir(workdir) == []
     # a measurement that selects another sign fails the check
     _, diag = calibration.calibrate()
-    monkeypatch.setattr(calibration, "calibrate",
-                        lambda: (KahlerConventions(laplace_sign=-1), diag))
+    monkeypatch.setattr(calibration, "calibrate", lambda: ((2.0, -1), diag))
     assert run(["calibrate"]) == 3
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out.startswith("Tuynman defect at m = 4") and "selected" not in out
     assert err.startswith("btq: calibration failed") and err.count("\n") == 1
     assert os.listdir(workdir) == []
 

@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from btq.geometry import (DEFAULT_CONVENTIONS, TOTAL_AREA, QuadratureRule,
-                          SpherePoint, curvature_check, diastasis, make_rule,
-                          phi_grid)
+from btq.geometry import (TOTAL_AREA, QuadratureRule, SpherePoint,
+                          curvature_check, diastasis, make_rule, phi_grid)
 from conftest import modules_after
 
 
@@ -27,7 +26,6 @@ def test_total_area_is_2pi():
     rule = make_rule(0, 0)
     assert abs(2.0 * math.pi * np.sum(rule.s_weights) - TOTAL_AREA) < 1e-12
     assert abs(product_integral(rule, 0, np.ones_like, 0) - TOTAL_AREA) < 1e-12
-    assert DEFAULT_CONVENTIONS.as_dict()["total_area"] == TOTAL_AREA
 
 
 def test_highest_radial_moment_exact():

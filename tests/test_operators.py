@@ -633,15 +633,18 @@ def test_operator_norm_at_high_level_is_the_band_norm(rng):
 
 
 def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
-    # band 4 for T_f and for A^H A of the band-2 residual: both cut over at
+    # a Hermitian and a general operator of band 4 both cut over at
     # 50 (4 + 8) = 600 rows; a band-16 operator of that size stays dense
     m = op.BANDED_NORM_ROWS * (4 + 8) - 1
     f = sy.parse(CRITERION10)
-    for x in (op.toeplitz(f, m - 1), op.toeplitz(X1, m - 1) @ op.toeplitz(X3, m - 1)
-              - op.toeplitz(X1 * X3, m - 1), op.toeplitz_exact(X3 ** 16, m)):
+
+    def band4(m):
+        return [op.toeplitz(f, m), op.toeplitz(X1 * X3, m) @ op.toeplitz(X1 * X2, m)]
+
+    for x in band4(m - 1) + [op.toeplitz_exact(X3 ** 16, m)]:
         assert op.operator_norm(x) == _dense_norm(x)
-    cases = [op.toeplitz(f, m), op.toeplitz(X1, m) @ op.toeplitz(X3, m) - op.toeplitz(X1 * X3, m)]
-    assert [(x.band, x.hermitian) for x in cases] == [(4, True), (2, False)]
+    cases = band4(m)
+    assert [(x.band, x.hermitian) for x in cases] == [(4, True), (4, False)]
     refs = [_dense_norm(x) for x in cases]
 
     def refuse(*args, **kwargs):
@@ -658,7 +661,8 @@ def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
         finally:
             tracemalloc.stop()
         assert abs(got - ref) <= 1e-12 * ref
-        assert peak < (m + 1) ** 2 * 16 / 4, peak  # a quarter of one dense complex matrix
+        # a quarter of one dense complex matrix; half for A^H A, of twice the band
+        assert peak < (m + 1) ** 2 * 16 / (4 if x.hermitian else 2), peak
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from btq import symbols as sy
 from btq.errors import (CapacityError, SymbolParseError, SymbolSyntaxError,
                         UnknownIdentifierError)
-from btq.geometry import KahlerConventions, SpherePoint, make_rule, phi_grid
+from btq.geometry import SpherePoint, make_rule, phi_grid
 from conftest import random_symbol
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
@@ -173,6 +173,21 @@ def test_normal_form_high_powers():
     assert all(a <= 1 for (a, _, _) in f.terms)
 
 
+def test_normal_form_of_a_high_x1_power_is_one_trinomial_step():
+    # rewriting x1^2 one step at a time made 3^32 leaves here
+    t0 = time.perf_counter()
+    f = sy.Symbol({(64, 0, 0): 1})
+    assert time.perf_counter() - t0 < 0.1
+    assert f == (1 - X2**2 - X3**2) ** 32
+    assert sy.symbol_from_json({"terms": [{"e": [65, 0, 0], "re": 1, "im": 0}]}) == X1 * f
+    # against products of normal forms, which rewrite x1^2 one step at a time
+    for a in range(4, 14):
+        g = sy.Symbol({(a, 1, 2): 0.3 - 1.7j})
+        ref = (0.3 - 1.7j) * X2 * X3**2 * X1 ** (a % 2) * (1 - X2**2 - X3**2) ** (a // 2)
+        assert g.terms.keys() == ref.terms.keys()
+        assert all(abs(g.terms[e] - v) <= 1e-14 * abs(v) for e, v in ref.terms.items())
+
+
 # -- Poisson bracket ----------------------------------------------------------
 
 
@@ -191,8 +206,9 @@ def test_bracket_trivial_cases():
 
 
 def test_bracket_sign_flips_with_convention():
-    conv = KahlerConventions(poisson_constant=-2.0)
-    assert sy.poisson_bracket(X1, X2, conv) == -2 * X3
+    # the opposite sign is the negated bracket
+    assert sy.poisson_bracket(X1, X2) == 2 * X3
+    assert -sy.poisson_bracket(X1, X2) == -2 * X3
 
 
 def test_leibniz_and_jacobi_coefficient_exact(rng):
@@ -272,8 +288,8 @@ def test_laplacian_linear_real_and_sign_convention(rng):
     lap = sy.laplace_beltrami
     assert lap(f + g) == lap(f) + lap(g)
     assert lap(f).is_real
-    conv = KahlerConventions(laplace_sign=-1)
-    assert lap(X3, conv) == 4 * X3
+    assert lap(X3) == -4 * X3
+    assert lap(X3) * -1 == 4 * X3  # the opposite sign
 
 
 def test_laplacian_symmetric_against_quadrature(rng):
@@ -443,7 +459,7 @@ def test_sup_norm_interior_maximum():
     assert abs(fmin + 0.25) < 1e-10
 
 
-def _scalar_refine(f, u0, phi0, sign, rounds=48, local=7):
+def _scalar_refine(f, u0, phi0, sign, rounds=sy.REFINE_ROUNDS, local=sy.REFINE_LOCAL):
     # reference search: one start at a time, evaluating through the complex
     # eval_ambient
     def real_values(u, phi):
