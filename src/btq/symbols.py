@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -23,7 +24,9 @@ _REAL_TOL = 1e-13
 
 
 def _reduced(terms):
-    """Rewrite a coefficient dict into normal form (x1-exponent <= 1)."""
+    """Rewrite a coefficient dict into normal form (x1-exponent <= 1).  An
+    x1 power whose expansion needs coefficients beyond floats (a >= 1306)
+    is a CapacityError, raised before it is expanded."""
     out = {}
     stack = list(terms.items())
     while stack:
@@ -45,6 +48,13 @@ def _reduced(terms):
             # x1^(2j) = (1 - x2^2 - x3^2)^j by the trinomial theorem, in one
             # step: (j+1)(j+2)/2 leaves, not the 3^j of repeated rewriting
             j = a // 2
+            # the largest coefficient, at the most even split of j, must be a
+            # float: j = 653 (a = 1306) is the first that is not
+            q = j // 3
+            if math.comb(j, q) * math.comb(j - q, (j - q) // 2) > sys.float_info.max:
+                raise CapacityError(
+                    f"x1^{a} expands to trinomial coefficients beyond the "
+                    "float range")
             for q in range(j + 1):
                 for r in range(j - q + 1):
                     n = math.comb(j, q) * math.comb(j - q, r)
@@ -459,12 +469,29 @@ def evaluate(f, p):
 
 def _real_values(f, u, phi):
     """Re f at (u = x3, phi) in real arithmetic: for real coordinates
-    v.real * x1^a * x2^b * x3^c is Re(v * x1^a * x2^b * x3^c) exactly."""
+    v.real * x1^a * x2^b * x3^c is Re(v * x1^a * x2^b * x3^c) exactly.
+
+    u and phi may be broadcast shapes (a grid as u[:, None], phi[None, :]):
+    rho comes from u and cos, sin from phi, each on its own shape.  Each
+    power x_i^e is taken once and shared by the terms; a factor x_i^0 is
+    skipped (v * 1.0 is v) and x_i^1 is x_i.  Every point gets the same
+    elementwise operations in the same order as on flat arrays, so the
+    same bits."""
     rho = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    x1, x2 = rho * np.cos(phi), rho * np.sin(phi)
-    terms = [v.real * x1**a * x2**b * u**c
-             for (a, b, c), v in sorted(f.terms.items())]
-    return sum(terms[1:], terms[0]) if terms else np.zeros(np.shape(u))
+    x = (rho * np.cos(phi), rho * np.sin(phi), u)
+    powers = {}
+    terms = []
+    for exps, v in sorted(f.terms.items()):
+        t = v.real
+        for i, e in enumerate(exps):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = x[i] if e == 1 else x[i] ** e
+                t = t * powers[i, e]
+        terms.append(t)
+    out = sum(terms[1:], terms[0]) if terms else 0.0
+    # x1 has the grid's full shape; a symbol free of x1, x2 gives a column
+    return out if np.shape(out) == x[0].shape else np.broadcast_to(out, x[0].shape)
 
 
 # `_refine`: REFINE_ROUNDS halvings of a REFINE_LOCAL^2 grid around each start
@@ -474,28 +501,39 @@ REFINE_LOCAL = 7
 
 def _refine(f, u0, phi0, sign):
     """Shrinking local grid search for the maximum of sign*f from each start
-    (one row of u0, phi0, sign).  All starts advance together, one
-    (starts, REFINE_LOCAL^2) batch per round; a start moves to the first
-    maximum of its grid only on a strict gain.  Returns (best sign*f, u, phi)
-    per start."""
+    (one row of u0, phi0, sign).  All starts advance together: per round,
+    the REFINE_LOCAL-point u and phi axes of every start are built in one
+    pass with `np.linspace`'s arithmetic written out (lo + K*step, the last
+    point hi, and its step == 0 branch taken per axis), and f is evaluated
+    on the (starts, REFINE_LOCAL, 1) x (starts, 1, REFINE_LOCAL) grid; the
+    bytes are those of per-start `linspace` grids.  A start moves to the
+    first maximum of its grid (u-major) only on a strict gain.  Returns
+    (best sign*f, u, phi) per start."""
     local = REFINE_LOCAL
-    du, dphi = 2.0 / local, 2.0 * math.pi / local
+    knots = np.arange(local, dtype=float)
+    half = np.array([[2.0 / local], [2.0 * math.pi / local]])
     rows = np.arange(len(sign))
-    best_u, best_phi = u0, phi0
-    best = sign * _real_values(f, u0, phi0)
+    at = np.array([u0, phi0], dtype=float)  # (u, phi) of each start
+    best = sign * _real_values(f, at[0], at[1])
     for _ in range(REFINE_ROUNDS):
-        us = np.clip(np.linspace(best_u - du, best_u + du, local, axis=-1), -1, 1)
-        ps = np.linspace(best_phi - dphi, best_phi + dphi, local, axis=-1)
-        uu, pp = np.repeat(us, local, axis=-1), np.tile(ps, local)
-        vals = sign[:, None] * _real_values(f, uu, pp)
-        k = np.argmax(vals, axis=-1)
-        better = vals[rows, k] > best
-        best = np.where(better, vals[rows, k], best)
-        best_u = np.where(better, uu[rows, k], best_u)
-        best_phi = np.where(better, pp[rows, k], best_phi)
-        du *= 0.5
-        dphi *= 0.5
-    return best, best_u, best_phi
+        lo, hi = at - half, at + half
+        delta = hi - lo
+        step = delta / (local - 1)
+        axes = knots * step[:, :, None]
+        if not step.all():  # linspace's zero-step branch, for a whole axis
+            for r in np.flatnonzero((step == 0).any(axis=1)):
+                axes[r] = knots / (local - 1) * delta[r, :, None]
+        axes += lo[:, :, None]
+        axes[:, :, -1] = hi
+        us, ps = np.clip(axes[0], -1, 1), axes[1]
+        vals = sign[:, None, None] * _real_values(f, us[:, :, None], ps[:, None, :])
+        i, j = divmod(np.argmax(vals.reshape(len(sign), -1), axis=-1), local)
+        gain = vals[rows, i, j]
+        better = gain > best
+        best = np.where(better, gain, best)
+        at = np.where(better, [us[rows, i], ps[rows, j]], at)
+        half = half * 0.5
+    return best, at[0], at[1]
 
 
 GRID_RESOLUTION = 96
@@ -505,21 +543,22 @@ def grid_extrema(f):
     """(min, max, argmin point, argmax point) of a real symbol.
 
     Dense (GRID_RESOLUTION x 2 GRID_RESOLUTION) grid in (u = x3, phi) --
-    accuracy O(GRID_RESOLUTION^-2) -- then `_refine` from the 4 best cells of
-    each sign, all 8 starts together.  A search, not a certificate: an
-    extremum outside the basins of the starts is missed.
+    accuracy O(GRID_RESOLUTION^-2) -- evaluated as u[:, None] x phi[None, :]
+    with no meshgrid copies, then `_refine` from the 4 best cells of each
+    sign (flat cell k is u[k // 2R], phi[k % 2R]), all 8 starts together.
+    The bytes are those of the flat meshgrid search.  A search, not a
+    certificate: an extremum outside the basins of the starts is missed.
     """
     if not f.is_real:
         raise ValueError("grid extrema are defined for real symbols only")
     u = np.linspace(-1.0, 1.0, GRID_RESOLUTION)
     phi = np.linspace(0.0, 2.0 * math.pi, 2 * GRID_RESOLUTION, endpoint=False)
-    uu, pp = np.meshgrid(u, phi, indexing="ij")
-    uu, pp = uu.ravel(), pp.ravel()
-    vals = _real_values(f, uu, pp)
+    vals = _real_values(f, u[:, None], phi[None, :]).ravel()
     n = min(4, vals.size)
     start = np.concatenate([np.argsort(s * vals)[::-1][:n] for s in (1.0, -1.0)])
     sign = np.repeat([1.0, -1.0], n)
-    best, best_u, best_phi = _refine(f, uu[start], pp[start], sign)
+    best, best_u, best_phi = _refine(f, u[start // phi.size],
+                                     phi[start % phi.size], sign)
     ext = []
     for lo in (0, n):
         k = lo + int(np.argmax(best[lo:lo + n]))

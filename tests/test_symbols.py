@@ -188,6 +188,18 @@ def test_normal_form_of_a_high_x1_power_is_one_trinomial_step():
         assert all(abs(g.terms[e] - v) <= 1e-14 * abs(v) for e, v in ref.terms.items())
 
 
+def test_normal_form_refuses_trinomial_coefficients_beyond_floats():
+    # (1 - x2^2 - x3^2)^700 has coefficients above 1.8e308: refused before
+    # the expansion, which used to end after 6 s in a bare OverflowError
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        sy.Symbol({(1400, 0, 0): 1})
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(CapacityError):
+        sy.symbol_from_json({"terms": [{"e": [1306, 0, 0], "re": 1, "im": 0}]})
+    assert len(sy.Symbol({(400, 0, 0): 1}).terms) == 20301
+
+
 # -- Poisson bracket ----------------------------------------------------------
 
 
@@ -529,6 +541,38 @@ def test_grid_extrema_matches_scalar_refinement():
         assert (fmin, fmax, arg_min.ambient(), arg_max.ambient()) == ref, f
 
 
+def _extrema_bytes(result):
+    fmin, fmax, arg_min, arg_max = result
+    if not isinstance(arg_min, tuple):
+        arg_min, arg_max = arg_min.ambient(), arg_max.ambient()
+    return np.array([fmin, fmax, *arg_min, *arg_max]).tobytes()
+
+
+def test_grid_extrema_matches_scalar_refinement_bit_for_bit_at_high_degree():
+    """16 seeded real symbols of degree 7-14, and a maximum on a pole, where
+    the 2 GRID_RESOLUTION cells of the u = 1 row tie in the start selection."""
+    rng = np.random.RandomState(2026)
+    symbols = []
+    for i in range(16):
+        degree = 7 + i % 8
+        terms = {(0, 0, degree): 1.0}
+        for _ in range(2 + i % 4):
+            a = int(rng.randint(0, 2))
+            b = int(rng.randint(0, degree + 1 - a))
+            terms[(a, b, int(rng.randint(0, degree + 1 - a - b)))] = float(rng.normal())
+        symbols.append(sy.Symbol(terms))
+    pole = sy.parse("x3^3 - 0.2*x1*x2")
+    u = np.linspace(-1.0, 1.0, sy.GRID_RESOLUTION)
+    phi = np.linspace(0.0, 2.0 * math.pi, 2 * sy.GRID_RESOLUTION, endpoint=False)
+    vals = sy._real_values(pole, u[:, None], phi[None, :])
+    assert (vals == vals.max()).sum() == 2 * sy.GRID_RESOLUTION
+    assert (vals[-1] == 1.0).all()
+    for f in symbols + [pole]:
+        got, ref = sy.grid_extrema(f), _scalar_grid_extrema(f)
+        assert _extrema_bytes(got) == _extrema_bytes(ref), f
+    assert got[1] == 1.0  # the pole's maximum, found
+
+
 # Extrema the search misses (indices into _extrema_symbols()).  Each lies
 # within about 0.1 of a pole, where all 2*resolution coarse cells of the
 # u = +-1 row are one point: the 4 starts of a sign collapse onto the pole,
@@ -618,3 +662,24 @@ def test_bracket_leibniz_and_jacobi(f, g, h):
     scale = f.coeff_l1() * g.coeff_l1() * h.coeff_l1()
     assert _vanishes([pb(f * g, h), -(f * pb(g, h)), -(pb(f, h) * g)], scale)
     assert _vanishes([pb(f, pb(g, h)), pb(g, pb(h, f)), pb(h, pb(f, g))], scale)
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+_angle = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@given(_symbols(max_degree=14), st.lists(_unit, min_size=1, max_size=5),
+       st.lists(_angle, min_size=1, max_size=5))
+def test_real_values_on_a_broadcast_grid_is_the_flat_evaluation(f, u, phi):
+    u, phi = np.array(u), np.array(phi)
+    uu, pp = np.meshgrid(u, phi, indexing="ij")
+    uu, pp = uu.ravel(), pp.ravel()
+    # the evaluation before powers were shared: every factor of every term
+    rho = np.sqrt(np.maximum(0.0, 1.0 - uu * uu))
+    x1, x2 = rho * np.cos(pp), rho * np.sin(pp)
+    terms = [v.real * x1**a * x2**b * uu**c for (a, b, c), v in sorted(f.terms.items())]
+    flat = sum(terms[1:], terms[0]) if terms else np.zeros(uu.shape)
+    grid = sy._real_values(f, u[:, None], phi[None, :])
+    assert grid.shape == (u.size, phi.size)
+    assert grid.ravel().tobytes() == flat.tobytes()
+    assert sy._real_values(f, uu, pp).tobytes() == flat.tobytes()
