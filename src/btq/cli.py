@@ -81,9 +81,6 @@ def _build_parser():
     common(sub.add_parser("coherent",
                           help="coherent-state expectations at the |f| maximizer"))
     common(sub.add_parser("crosscheck", help="three-path Toeplitz agreement"))
-    for name in ("thm1", "thm2", "thm3", "coherent"):  # the ones that fit a rate
-        sub.choices[name].add_argument("--window", default=None,
-                                       help="fit window, a subset of --levels")
     sub.add_parser("calibrate", help="check the sign conventions by measurement")
     return p
 
@@ -123,12 +120,7 @@ def _levels(args):
     if levels[-1] > MAX_LEVEL:
         raise CapacityError(f"level {levels[-1]} exceeds the level cap "
                             f"{MAX_LEVEL} (float binomial range)")
-    window = getattr(args, "window", None)
-    if window is not None:
-        window = _int_list(window)
-        if not set(window) <= set(levels):
-            raise UsageError("--window must be a subset of --levels")
-    return levels, window
+    return levels
 
 
 def _run_calibrate():
@@ -152,7 +144,7 @@ def _dispatch(args):
     if args.experiment == "calibrate":
         return _run_calibrate()
 
-    levels, window = _levels(args)  # refused before any rule or table is built
+    levels = _levels(args)  # refused before any rule or table is built
     f = parse(args.f)
     g = parse(args.g) if args.experiment in ("thm2", "thm3") else None
     if g is not None and f.coeff_l1() * g.coeff_l1() > COEFF_L1_BOUND:
@@ -161,22 +153,21 @@ def _dispatch(args):
     if g is not None and f.degree + g.degree > MAX_SYMBOL_DEGREE:
         raise CapacityError(f"--f and --g: degrees {f.degree} + {g.degree} "
                             f"exceed the symbol degree cap {MAX_SYMBOL_DEGREE}")
-    kw = {"window": window} if "window" in args else {}
 
     if args.experiment == "thm1":
-        report = lab.thm1_run(f, levels, **kw)
+        report = lab.thm1_run(f, levels)
     elif args.experiment == "thm2":
-        report = lab.thm2_run(f, g, levels, **kw)
+        report = lab.thm2_run(f, g, levels)
     elif args.experiment == "thm3":
-        reports = lab.thm3_run(f, g, levels, **kw)
+        reports = lab.thm3_run(f, g, levels)
         report = reports[args.order]
     elif args.experiment == "tuynman":
-        report = lab.tuynman_run(f, levels, **kw)
+        report = lab.tuynman_run(f, levels)
     elif args.experiment == "coherent":
         _, x0 = sup_norm_argmax(f)
-        report = lab.coherent_run(f, x0, levels, **kw)
+        report = lab.coherent_run(f, x0, levels)
     elif args.experiment == "crosscheck":
-        report = lab.crosscheck_run(f, levels, **kw)
+        report = lab.crosscheck_run(f, levels)
     else:  # pragma: no cover - argparse restricts the choices
         raise UsageError(f"unknown experiment {args.experiment}")
 

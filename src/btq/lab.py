@@ -3,10 +3,10 @@ convergence data with fitted decay rates.
 
 Each run produces a ConvergenceReport of per-level rows (m, hbar = 1/m,
 measured, reference, gap), the declared per-level checks, a log-log rate
-fit over a window (default: the upper half of the requested levels, since
-small-m rows contaminate the asymptotics), and where relevant a max-over-
-window estimate of the bound constant.  Slopes are reported as decay
-exponents: gap ~ C m^(-slope).
+fit over the upper half of the levels (`default_window`; small-m rows
+contaminate the asymptotics), listed in fit.window, and where relevant a
+max-over-window estimate of the bound constant.  Slopes are decay exponents:
+gap ~ C m^(-slope).  `fit_rate(report.rows, window)` refits any other window.
 """
 
 from __future__ import annotations
@@ -151,10 +151,10 @@ def fit_rate(rows, window=None):
                    window=[r.m for r in usable])
 
 
-def _try_fit(report, window, rows=None):
+def _try_fit(report, rows=None):
     """Fit the report's rows (or the given ones); no fit if too few are usable."""
     try:
-        report.fit = fit_rate(report.rows if rows is None else rows, window)
+        report.fit = fit_rate(report.rows if rows is None else rows)
     except InsufficientDataError:
         report.fit = None
 
@@ -162,7 +162,7 @@ def _try_fit(report, window, rows=None):
 # -- experiments ---------------------------------------------------------------
 
 
-def thm1_run(f, levels, window=None):
+def thm1_run(f, levels):
     """Sup-norm limit: ||T_f|| increases to ||f||_inf with an O(1/m) gap.
 
     measured = operator norm, reference = sup norm; asserts the upper bound
@@ -178,11 +178,11 @@ def thm1_run(f, levels, window=None):
         report.rows.append(ConvergenceRow.make(m, measured, ref))
         report.check(f"upper_bound_m{m}", measured <= ref + tol,
                      f"|T_f|={measured!r} sup={ref!r}")
-    _try_fit(report, window)
+    _try_fit(report)
     return report
 
 
-def thm2_run(f, g, levels, window=None):
+def thm2_run(f, g, levels):
     """Commutator limit: ||m i [T_f, T_g] - T_{f,g}|| = O(1/m)."""
     report = ConvergenceReport("thm2", f, g)
     fg = poisson_bracket(f, g)
@@ -190,11 +190,11 @@ def thm2_run(f, g, levels, window=None):
         tf, tg, tfg = (toeplitz(h, m) for h in (f, g, fg))
         measured = operator_norm(commutator(tf, tg) * (1j * m) - tfg)
         report.rows.append(ConvergenceRow.make(m, measured, 0.0))
-    _try_fit(report, window)
+    _try_fit(report)
     return report
 
 
-def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING):
+def thm3_run(f, g, levels, c1_ordering=SELECTED_C1_ORDERING):
     """Star-product asymptotics at orders N=1,2.
 
     Returns {1: report, 2: report}: order N measures
@@ -212,8 +212,8 @@ def thm3_run(f, g, levels, window=None, c1_ordering=SELECTED_C1_ORDERING):
         r2 = r1 - tc1 / m
         for rep, r in ((rep1, r1), (rep2, r2)):
             rep.rows.append(ConvergenceRow.make(m, operator_norm(r), 0.0))
-    _try_fit(rep1, window)
-    _try_fit(rep2, window)
+    _try_fit(rep1)
+    _try_fit(rep2)
     win = set(rep1.fit.window if rep1.fit else default_window(levels))
     rep1.k_estimate = max((r.m * r.gap for r in rep1.rows if r.m in win),
                           default=None)
@@ -244,7 +244,7 @@ def tuynman_run(f, levels):
     return report
 
 
-def coherent_run(f, x0, levels, window=None):
+def coherent_run(f, x0, levels):
     """Coherent-state expectations l_m = |<phi, T_f phi>|/<phi,phi> -> |f(x0)|.
 
     Checks the sandwich l_m <= ||T_f|| <= ||f||_inf, each with a slack of
@@ -279,8 +279,8 @@ def coherent_run(f, x0, levels, window=None):
             lm <= tnorm + tol and tnorm <= sup + tol,
             f"l={lm!r} |T|={tnorm!r} sup={sup!r}")
     if abs(ref - sup) <= 1e-6 * max(1.0, sup):
-        _try_fit(report, window, [ConvergenceRow.make(r.m, r.measured, sup)
-                                  for r in report.rows])
+        _try_fit(report, [ConvergenceRow.make(r.m, r.measured, sup)
+                          for r in report.rows])
     return report
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-import sys
 
 import numpy as np
 
@@ -24,9 +23,9 @@ _REAL_TOL = 1e-13
 
 
 def _reduced(terms):
-    """Rewrite a coefficient dict into normal form (x1-exponent <= 1).  An
-    x1 power whose expansion needs coefficients beyond floats (a >= 1306)
-    is a CapacityError, raised before it is expanded."""
+    """Rewrite a coefficient dict into normal form (x1-exponent <= 1).  A
+    raw x1^a term (a >= 4; products of normal forms have a <= 2) above
+    MAX_SYMBOL_DEGREE is a CapacityError, raised before it is expanded."""
     out = {}
     stack = list(terms.items())
     while stack:
@@ -46,15 +45,13 @@ def _reduced(terms):
             stack.append(((a - 2, b, c + 2), -coeff))
         else:
             # x1^(2j) = (1 - x2^2 - x3^2)^j by the trinomial theorem, in one
-            # step: (j+1)(j+2)/2 leaves, not the 3^j of repeated rewriting
-            j = a // 2
-            # the largest coefficient, at the most even split of j, must be a
-            # float: j = 653 (a = 1306) is the first that is not
-            q = j // 3
-            if math.comb(j, q) * math.comb(j - q, (j - q) // 2) > sys.float_info.max:
+            # step: (j+1)(j+2)/2 leaves, not the 3^j of repeated rewriting;
+            # under the cap j <= 32, so every coefficient is <= 3^32 < 2^53
+            if a + b + c > MAX_SYMBOL_DEGREE:
                 raise CapacityError(
-                    f"x1^{a} expands to trinomial coefficients beyond the "
-                    "float range")
+                    f"x1^{a} x2^{b} x3^{c} exceeds the symbol degree cap "
+                    f"{MAX_SYMBOL_DEGREE}")
+            j = a // 2
             for q in range(j + 1):
                 for r in range(j - q + 1):
                     n = math.comb(j, q) * math.comb(j - q, r)
@@ -504,7 +501,8 @@ def _refine(f, u0, phi0, sign):
     (one row of u0, phi0, sign).  All starts advance together: per round,
     the REFINE_LOCAL-point u and phi axes of every start are built in one
     pass with `np.linspace`'s arithmetic written out (lo + K*step, the last
-    point hi, and its step == 0 branch taken per axis), and f is evaluated
+    point hi; its step == 0 branch never arises, since the last half-widths
+    span several float spacings at |u| <= 1, |phi| < 8.1), and f is evaluated
     on the (starts, REFINE_LOCAL, 1) x (starts, 1, REFINE_LOCAL) grid; the
     bytes are those of per-start `linspace` grids.  A start moves to the
     first maximum of its grid (u-major) only on a strict gain.  Returns
@@ -517,12 +515,7 @@ def _refine(f, u0, phi0, sign):
     best = sign * _real_values(f, at[0], at[1])
     for _ in range(REFINE_ROUNDS):
         lo, hi = at - half, at + half
-        delta = hi - lo
-        step = delta / (local - 1)
-        axes = knots * step[:, :, None]
-        if not step.all():  # linspace's zero-step branch, for a whole axis
-            for r in np.flatnonzero((step == 0).any(axis=1)):
-                axes[r] = knots / (local - 1) * delta[r, :, None]
+        axes = knots * ((hi - lo) / (local - 1))[:, :, None]
         axes += lo[:, :, None]
         axes[:, :, -1] = hi
         us, ps = np.clip(axes[0], -1, 1), axes[1]
@@ -594,4 +587,9 @@ def symbol_to_json(f):
 
 
 def symbol_from_json(obj):
-    return Symbol({tuple(t["e"]): complex(t["re"], t["im"]) for t in obj["terms"]})
+    """Inverse of `symbol_to_json`; a term above MAX_SYMBOL_DEGREE is a
+    CapacityError, raised before the symbol is built."""
+    terms = {tuple(t["e"]): complex(t["re"], t["im"]) for t in obj["terms"]}
+    if max(map(sum, terms), default=0) > MAX_SYMBOL_DEGREE:
+        raise CapacityError(f"a term exceeds the symbol degree cap {MAX_SYMBOL_DEGREE}")
+    return Symbol(terms)

@@ -93,17 +93,17 @@ def test_non_finite_coefficient_exit2(workdir, capsys):
 def test_usage_errors(workdir, capsys):
     assert run(["thm1", "--f", "x3", "--levels", "8,4"]) == 2
     assert run(["thm1", "--f", "x3", "--levels", "0,4"]) == 2
-    assert run(["thm1", "--f", "x3", "--levels", "4,8",
-                "--window", "4,16"]) == 2
     assert run(["thm1", "--f", "x3", "--levels", "abc"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["thm2", "--f", "x1", "--levels", "2,4"]) == 2  # missing --g
-    # the quadrature is exact and the runs deterministic: neither option exists
+    # the quadrature is exact, the runs deterministic and every fit over the
+    # upper half of --levels: none of these options exists
     for flag, value in (("--margin", "2"), ("--seed", "7")):
         assert run(["thm1", "--f", "x3", "--levels", "8", flag, value]) == 2
-    # only the experiments that fit a rate take a window
-    for cmd in ("tuynman", "crosscheck"):
-        assert run([cmd, "--f", "x3", "--levels", "4,8,16", "--window", "8,16"]) == 2
+    for cmd in ("thm1", "thm2", "thm3", "tuynman", "coherent", "crosscheck"):
+        g = ["--g", "x2"] if cmd in ("thm2", "thm3") else []
+        assert run([cmd, "--f", "x3", *g, "--levels", "4,8,16", "--window", "8,16"]) == 2
+        assert "unrecognized arguments: --window" in capsys.readouterr().err
 
 
 def test_level_cap_is_capacity_error(workdir, capsys):

@@ -179,7 +179,8 @@ def test_normal_form_of_a_high_x1_power_is_one_trinomial_step():
     f = sy.Symbol({(64, 0, 0): 1})
     assert time.perf_counter() - t0 < 0.1
     assert f == (1 - X2**2 - X3**2) ** 32
-    assert sy.symbol_from_json({"terms": [{"e": [65, 0, 0], "re": 1, "im": 0}]}) == X1 * f
+    assert sy.symbol_from_json({"terms": [{"e": [63, 0, 0], "re": 1, "im": 0}]}) == (
+        X1 * (1 - X2**2 - X3**2) ** 31)
     # against products of normal forms, which rewrite x1^2 one step at a time
     for a in range(4, 14):
         g = sy.Symbol({(a, 1, 2): 0.3 - 1.7j})
@@ -188,16 +189,20 @@ def test_normal_form_of_a_high_x1_power_is_one_trinomial_step():
         assert all(abs(g.terms[e] - v) <= 1e-14 * abs(v) for e, v in ref.terms.items())
 
 
-def test_normal_form_refuses_trinomial_coefficients_beyond_floats():
-    # (1 - x2^2 - x3^2)^700 has coefficients above 1.8e308: refused before
-    # the expansion, which used to end after 6 s in a bare OverflowError
-    t0 = time.perf_counter()
-    with pytest.raises(CapacityError):
-        sy.Symbol({(1400, 0, 0): 1})
-    assert time.perf_counter() - t0 < 0.1
-    with pytest.raises(CapacityError):
-        sy.symbol_from_json({"terms": [{"e": [1306, 0, 0], "re": 1, "im": 0}]})
-    assert len(sy.Symbol({(400, 0, 0): 1}).terms) == 20301
+def test_normal_form_refuses_raw_powers_above_the_degree_cap():
+    # parse's cap, MAX_SYMBOL_DEGREE, at the two raw entry points: refused
+    # before the expansion (x1^1304 once took 5.5 s for 213 531 terms)
+    for a in (65, 1304, 1400):
+        for build in (lambda: sy.Symbol({(a, 0, 0): 1}),
+                      lambda: sy.symbol_from_json(
+                          {"terms": [{"e": [a, 0, 0], "re": 1, "im": 0}]})):
+            t0 = time.perf_counter()
+            with pytest.raises(CapacityError):
+                build()
+            assert time.perf_counter() - t0 < 0.01
+    with pytest.raises(CapacityError):  # JSON refuses any term above the cap
+        sy.symbol_from_json({"terms": [{"e": [0, 30, 35], "re": 1, "im": 0}]})
+    assert len(sy.Symbol({(64, 0, 0): 1}).terms) == 561
 
 
 # -- Poisson bracket ----------------------------------------------------------
@@ -539,6 +544,20 @@ def test_grid_extrema_matches_scalar_refinement():
         fmin, fmax, arg_min, arg_max = sy.grid_extrema(f)
         ref = _scalar_grid_extrema(f)
         assert (fmin, fmax, arg_min.ambient(), arg_max.ambient()) == ref, f
+
+
+def test_refine_axes_never_collapse():
+    # `_refine` builds its axes with linspace's nonzero-step arithmetic only:
+    # in the last round, hi - lo still spans two float spacings at the largest
+    # |u| (1, then clipped) and |phi| (2 pi plus every half-width), so rounding
+    # each end by half a spacing cannot make it 0
+    local, rounds = sy.REFINE_LOCAL, sy.REFINE_ROUNDS
+    first = np.array([2.0 / local, 2.0 * math.pi / local])
+    last = first * 0.5 ** (rounds - 1)
+    reach = np.array([1.0, 2.0 * math.pi]) + 2.0 * first
+    assert (2.0 * last >= 2.0 * np.spacing(reach)).all()
+    for c, h in zip(reach, last):
+        assert ((c + h) - (c - h)) / (local - 1) > 0.0
 
 
 def _extrema_bytes(result):
