@@ -16,9 +16,10 @@ and reads or writes no file but --out.  `btq calibrate` measures both
 choices of each sign, prints the defects and writes nothing; it exits 3
 unless the measurement selects the constants.  All numeric output uses
 shortest round-trip decimals and files are written atomically, so runs with the
-same configuration and the same BLAS thread count are byte-reproducible,
-and rows normed on the band (operators.operator_norm) at any count; the
-dense LAPACK norm below can change its last digits from level 256 up.
+same configuration are byte-reproducible under 1 and 2 BLAS threads alike:
+assembly makes no BLAS call, and operators.operator_norm is dense LAPACK
+eigvalsh only below operators.DENSE_NORM_ROWS rows, where its bytes do not
+change with the thread count.
 """
 
 from __future__ import annotations

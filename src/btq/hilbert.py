@@ -30,6 +30,8 @@ TWO_PI = 2.0 * math.pi
 # float conversion of comb(m, k) overflows beyond this level
 MAX_LEVEL = 1020
 GRAM_TOL = 1e-12
+# nodes per block that fills or sums a (nodes x (m+1)) array; _band_matrix's column chunk
+BLOCK = 64
 
 
 def dimension(m):
@@ -86,12 +88,19 @@ def radial_factors(m, s):
     points s_i = |z|^2/(1+|z|^2) in [0, 1]: the root of the binomial weight
     (m+1)/(2 pi) C(m,k) s^k (1-s)^(m-k), so every entry is at most
     sqrt((m+1)/(2 pi)) and in float range at every level up to MAX_LEVEL
-    (refused above it)."""
+    (refused above it).  The table is filled in place, BLOCK nodes at a
+    time, so it is the only (nodes x (m+1)) array alive; each block repeats
+    the one-shot formula's operations in order, so the bytes equal its."""
     s = np.asarray(s, dtype=float)
     k = np.arange(m + 1)
     comb = binomial_floats(m)
-    mag2 = comb * s[:, None] ** k[None, :] * (1.0 - s)[:, None] ** (m - k)[None, :]
-    return np.sqrt(mag2 * ((m + 1) / TWO_PI))
+    out = np.empty((len(s), m + 1))
+    for lo in range(0, len(s), BLOCK):
+        blk, sb = out[lo:lo + BLOCK], s[lo:lo + BLOCK, None]
+        np.multiply(comb, np.power(sb, k, out=blk), out=blk)
+        np.multiply(blk, np.power(1.0 - sb, m - k), out=blk)
+        np.sqrt(np.multiply(blk, (m + 1) / TWO_PI, out=blk), out=blk)
+    return out
 
 
 class GridTable:
@@ -119,8 +128,14 @@ class GridTable:
                 f"Gram self-test defect {self.gram_defect:.3e} exceeds {GRAM_TOL:.1e}")
 
     def gram_diagonal(self):
-        """<e_k, e_k> by quadrature, for every k."""
-        return TWO_PI * np.sum(self.w[:, None] * self.B**2, axis=0)
+        """<e_k, e_k> by quadrature, for every k.  w B^2 is summed BLOCK nodes
+        at a time with the running sum as each block's first row: numpy's
+        axis-0 sum adds the rows in order, so the bytes of one full sum."""
+        acc = np.zeros((0, self.m + 1))
+        for lo in range(0, len(self.w), BLOCK):
+            sq = self.w[lo:lo + BLOCK, None] * self.B[lo:lo + BLOCK] ** 2
+            acc = np.sum(np.concatenate([acc, sq]), axis=0, keepdims=True)
+        return TWO_PI * acc[0]
 
 
 def basis_eval_grid(m, rule):

@@ -20,8 +20,8 @@ expanding (1 + z conj(zeta))^m binomially and re-projecting on the raw
 monomial frame at the rule's nodes, with no basis table.  Pairwise
 agreement of the three is the package's core self-test.  Operators are
 stored as their band of diagonals (`QuantumOperator`), filled directly by
-every path; only `operator_norm` builds the dense (m+1)^2 matrix, for
-LAPACK, and only below `BANDED_NORM_ROWS` (band + 8) rows.  Whether an
+every path; only `operator_norm` builds a dense (m+1)^2 matrix, for
+LAPACK, and only below `DENSE_NORM_ROWS` = 160 rows.  Whether an
 operator is Hermitian is read off its band when it is built; no path
 asserts it.
 
@@ -41,14 +41,15 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import LevelMismatchError, UnderResolvedRuleError
 from .geometry import make_rule, phi_grid
-from .hilbert import (TWO_PI, SectionVector, basis_eval_grid, binomial_floats,
-                      binomial_row)
+from .hilbert import (BLOCK, TWO_PI, SectionVector, basis_eval_grid,
+                      binomial_floats, binomial_row)
 from .symbols import eval_ambient, laplace_beltrami, partial
 
 _HERM_TOL = 1e-12
-# dense LAPACK takes O(n^3); a multisection step about one elementwise pass
-# over a (band + 8)^2 window.  Measured break-even: n = 50 (band + 8) rows
-BANDED_NORM_ROWS = 50
+# below this many rows the norm is dense LAPACK eigvalsh, whose bytes measured
+# the same under 1, 2, 4 and 8 OpenBLAS threads up to 163 rows, not from 164;
+# from here up it is `_band_norm`, which makes no BLAS call, at any band
+DENSE_NORM_ROWS = 160
 
 
 @functools.lru_cache(maxsize=64)
@@ -191,9 +192,10 @@ def identity(m):
 # -- banded assembly on the radial table ---------------------------------------
 
 
-def _band_matrix(left, right, w, samples, band):
+def _band_matrix(left, right, w, samples, band, col=None):
     """Diagonal stack d[top + q, k] = sum_i w_i left[i, k+q] right[i, k] c_q(s_i)
-    for |q| <= top = min(band, n - 1), in `QuantumOperator` layout.
+    for |q| <= top = min(band, n - 1), in `QuantumOperator` layout; with a
+    column factor col, right[i, k] col[k] in place of right[i, k].
 
     samples[i, l] is the integrand's angular factor at (s_i, phi_l) on the
     `phi_grid(band)` nodes.  The factor carries only the harmonics
@@ -208,10 +210,11 @@ def _band_matrix(left, right, w, samples, band):
     for q in range(-top, top + 1):
         a, b = max(q, 0), max(-q, 0)  # band q starts at row a, column b
         wc = w * coeffs[:, q]  # negative q wraps modulo the node count
-        # chunks of 64-127 columns (a 1-wide one would sum pairwise): same bytes
-        cuts = [b, *range(b + 64, n - a - 63, 64), n - a]
+        # chunks of BLOCK..2 BLOCK - 1 columns (a 1-wide one would sum pairwise): same bytes
+        cuts = [b, *range(b + BLOCK, n - a - BLOCK + 1, BLOCK), n - a]
         for lo, hi in zip(cuts, cuts[1:]):
-            prod = left[:, lo + q:hi + q] * right[:, lo:hi]
+            r = right[:, lo:hi] if col is None else right[:, lo:hi] * col[lo:hi]
+            prod = left[:, lo + q:hi + q] * r
             diags[top + q, lo:hi] = np.sum(wc[:, None] * prod, axis=0)
     return diags
 
@@ -307,10 +310,12 @@ def kernel_matrix(f, m):
     # re-expressed in the orthonormal basis (||z^k||^2 = 2 pi/((m+1) C(m,k)))
     r = np.sqrt(binomial_floats(m) * ((m + 1) / TWO_PI))
     rule = make_rule(m, f.degree)
-    k = np.arange(m + 1)
-    s = rule.s_nodes[:, None]
-    # raw monomial values |z^k| (1+|z|^2)^(-m/2) at the radial nodes (no norms)
-    frame = s ** (k / 2.0) * (1.0 - s) ** ((m - k) / 2.0)
+    k, s = np.arange(m + 1), rule.s_nodes[:, None]
+    # raw monomial values |z^k| (1+|z|^2)^(-m/2) at the radial nodes (no norms), in node blocks
+    frame = np.empty((len(s), m + 1))
+    for lo in range(0, len(s), BLOCK):
+        blk, sb = frame[lo:lo + BLOCK], s[lo:lo + BLOCK]
+        np.multiply(np.power(sb, k / 2.0, out=blk), (1.0 - sb) ** ((m - k) / 2.0), out=blk)
     fv = eval_ambient(f, *_ambient_grid(rule.s_nodes, f.degree))
     integrals = _band_matrix(frame, frame, rule.s_weights, fv, f.degree)
     rows = _band_index(len(integrals) // 2, m + 1)[0]
@@ -348,8 +353,7 @@ def prequantum(f, m):
         col = np.zeros_like(z)
     base = 1j * (fv - np.conj(z) * u_dzbar_f)
     B, w, band = table.B, table.w, f.degree
-    k = np.arange(m + 1)
-    diags = _band_matrix(B, B, w, base, band) + _band_matrix(B, B * k, w, col, band)
+    diags = _band_matrix(B, B, w, base, band) + _band_matrix(B, B, w, col, band, np.arange(m + 1))
     return QuantumOperator.from_diags(m, diags)
 
 
@@ -410,16 +414,15 @@ def _band_norm(op):
 
 
 def operator_norm(op):
-    """Largest singular value: by `_band_norm` from BANDED_NORM_ROWS (b + 8) rows
-    up, b the band of A (no dense matrix or BLAS: thread-independent); below,
-    by LAPACK: eigvalsh if `op.hermitian`, else the 2-norm."""
-    if op.m + 1 >= BANDED_NORM_ROWS * (op.band + 8):
+    """Largest singular value: the spectral radius of A if `op.hermitian`, else
+    the root of that of A^H A (the band product `_band_norm` forms).  From
+    DENSE_NORM_ROWS rows up by `_band_norm`, with no dense matrix; below, by
+    dense LAPACK eigvalsh.  Neither depends on the BLAS thread count."""
+    if op.m + 1 >= DENSE_NORM_ROWS:
         return _band_norm(op)
-    if op.hermitian:
-        if op.m == 0:
-            return float(abs(op.mat[0, 0]))
-        return float(np.max(np.abs(np.linalg.eigvalsh(op.mat))))
-    return float(np.linalg.norm(op.mat, 2))
+    h = op if op.hermitian else QuantumOperator.from_diags(op.m, _band_adjoint(op.diags)) @ op
+    radius = float(np.max(np.abs(np.linalg.eigvalsh(h.mat))))
+    return radius if op.hermitian else math.sqrt(radius)
 
 
 def commutator(a, b):

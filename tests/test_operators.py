@@ -13,9 +13,9 @@ from btq import operators as op
 from btq import symbols as sy
 from btq.errors import CapacityError, LevelMismatchError
 from btq.geometry import SpherePoint, make_rule
-from btq.hilbert import (SectionVector, basis_eval_grid, coefficient_inner,
-                         coherent_state, kernel_density, quadrature_inner,
-                         radial_factors)
+from btq.hilbert import (TWO_PI, SectionVector, basis_eval_grid, binomial_floats,
+                         coefficient_inner, coherent_state, kernel_density,
+                         quadrature_inner, radial_factors)
 from conftest import _fresh_env, assemble_in_subprocess, dense_hermitian, random_symbol
 
 X1, X2, X3, ONE = sy.X1, sy.X2, sy.X3, sy.ONE
@@ -423,11 +423,11 @@ def test_operator_norm_examples():
 
 
 def test_operator_norm_matches_svd(rng):
-    # general operators: the 2-norm against the top eigenvalue of A^H A
+    # general operators: the norm against the top eigenvalue of a dense A^H A
     for n in (3, 17, 60):
         a = rng.randn(n, n) + 1j * rng.randn(n, n)
         x = op.QuantumOperator(n - 1, a)
-        assert not x.hermitian  # so the norm takes the SVD branch
+        assert not x.hermitian  # so the norm takes the A^H A branch
         norm = op.operator_norm(x)
         sv = float(np.sqrt(np.max(np.linalg.eigvalsh(a.conj().T @ a))))
         assert abs(norm - sv) < 1e-9 * sv
@@ -561,19 +561,91 @@ def test_operators_store_only_their_band():
         assert t.diags.size <= (2 * f.degree + 1) * (m + 1)
 
 
+def _one_shot_table(m, s):
+    """The radial table as one formula on full (nodes x (m+1)) arrays."""
+    k = np.arange(m + 1)
+    mag2 = binomial_floats(m) * s[:, None] ** k[None, :] * (1.0 - s)[:, None] ** (m - k)[None, :]
+    return np.sqrt(mag2 * ((m + 1) / TWO_PI))
+
+
+def test_lean_assembly_keeps_the_bytes(rng, monkeypatch):
+    # node blocks and the column factor keep every byte of the one-shot
+    # formulas, inline here: the table, its Gram diagonal, the kernel path's
+    # raw frame, and Q_f's second band sum on the table times k
+    band_matrix = op._band_matrix
+
+    def spy(left, right, w, samples, band, col=None):
+        got = band_matrix(left, right, w, samples, band, col)
+        if col is not None:
+            assert got.tobytes() == band_matrix(left, right * col, w, samples, band).tobytes()
+            seen.append(len(col))
+        return got
+
+    monkeypatch.setattr(op, "_band_matrix", spy)
+    for m in (0, 1, 7, 64, 513, 1000):
+        k, seen = np.arange(m + 1), []
+        for d in range(7):
+            rule = make_rule(m, d)
+            s, w = rule.s_nodes, rule.s_weights
+            table, ref = basis_eval_grid(m, rule), _one_shot_table(m, s)
+            assert table.B.tobytes() == ref.tobytes()
+            gram = TWO_PI * np.sum(w[:, None] * ref**2, axis=0)
+            assert table.gram_diagonal().tobytes() == gram.tobytes()
+            assert table.gram_defect == float(np.max(np.abs(gram - 1.0)))
+
+            f = random_symbol(rng, degree=d)
+            rule = make_rule(m, f.degree)
+            s, w = rule.s_nodes[:, None], rule.s_weights
+            frame = s ** (k / 2.0) * (1.0 - s) ** ((m - k) / 2.0)
+            r = np.sqrt(binomial_floats(m) * ((m + 1) / TWO_PI))
+            fv = sy.eval_ambient(f, *op._ambient_grid(rule.s_nodes, f.degree))
+            integrals = band_matrix(frame, frame, w, fv, f.degree)
+            rows = op._band_index(len(integrals) // 2, m + 1)[0]
+            ref = r[rows] * integrals * r[None, :]
+            assert op.kernel_matrix(f, m).diags.tobytes() == ref.tobytes()
+            op.prequantum(f, m)
+        assert seen == [m + 1] * 7
+
+
+def test_lean_assembly_holds_one_table():
+    # the table (or the kernel path's frame) is the only (nodes x (m+1))
+    # array alive: each level operation peaks below twice its bytes
+    f, m = sy.parse(CRITERION10), 1000
+    for build, degree in ((lambda: basis_eval_grid(m, make_rule(m, 4)), 4),
+                          (lambda: op.toeplitz(f, m), 4),
+                          (lambda: op.prequantum(f, m), 6),
+                          (lambda: op.kernel_matrix(f, m), 4)):
+        table_bytes = len(make_rule(m, degree).s_nodes) * (m + 1) * 8
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * table_bytes, (degree, peak / table_bytes)
+
+
 def test_operator_norm_is_the_dense_eigvalsh():
+    # dense up to 159 rows (m = 158), the last size below DENSE_NORM_ROWS;
+    # the band norm from it up, within the bound of the banded-norm tests
     f = sy.parse(CRITERION10)
-    for m in (1, 64, 300):
+    for m in (1, 64, 158, 300):
         t = op.toeplitz(f, m)
-        assert op.operator_norm(t) == float(np.max(np.abs(np.linalg.eigvalsh(t.mat))))
+        ref = float(np.max(np.abs(np.linalg.eigvalsh(t.mat))))
+        if m < 300:
+            assert m + 1 < op.DENSE_NORM_ROWS
+            assert op.operator_norm(t) == ref
+        else:
+            assert abs(op.operator_norm(t) - ref) <= 1e-12 * ref
 
 
 def _dense_norm(x):
     """The dense norm: eigvalsh for a band that passed the hermiticity check,
-    else the LAPACK 2-norm."""
+    else the root of the largest eigenvalue of A^H A, the band product."""
     if x.hermitian:
         return float(np.max(np.abs(np.linalg.eigvalsh(x.mat))))
-    return float(np.linalg.norm(x.mat, 2))
+    ata = op.QuantumOperator.from_diags(x.m, op._band_adjoint(x.diags)) @ x
+    return math.sqrt(float(np.max(np.abs(np.linalg.eigvalsh(ata.mat)))))
 
 
 def _lab_norm_cases(rng, m, degrees):
@@ -633,18 +705,19 @@ def test_operator_norm_at_high_level_is_the_band_norm(rng):
 
 
 def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
-    # a Hermitian and a general operator of band 4 both cut over at
-    # 50 (4 + 8) = 600 rows; a band-16 operator of that size stays dense
-    m = op.BANDED_NORM_ROWS * (4 + 8) - 1
+    # a Hermitian and a general operator cut over at DENSE_NORM_ROWS rows,
+    # whatever the band; at four times that, the memory bound below holds
+    m = op.DENSE_NORM_ROWS - 1
     f = sy.parse(CRITERION10)
 
     def band4(m):
         return [op.toeplitz(f, m), op.toeplitz(X1 * X3, m) @ op.toeplitz(X1 * X2, m)]
 
-    for x in band4(m - 1) + [op.toeplitz_exact(X3 ** 16, m)]:
+    for x in band4(m - 1) + [op.toeplitz_exact(X3 ** 16, m - 1)]:
         assert op.operator_norm(x) == _dense_norm(x)
-    cases = band4(m)
-    assert [(x.band, x.hermitian) for x in cases] == [(4, True), (4, False)]
+    cases = band4(m) + [op.toeplitz_exact(X3 ** 16, m)] + band4(4 * m + 3)
+    assert [(x.band, x.hermitian) for x in cases] == [(4, True), (4, False), (16, True),
+                                                      (4, True), (4, False)]
     refs = [_dense_norm(x) for x in cases]
 
     def refuse(*args, **kwargs):
@@ -661,8 +734,10 @@ def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
         finally:
             tracemalloc.stop()
         assert abs(got - ref) <= 1e-12 * ref
-        # a quarter of one dense complex matrix; half for A^H A, of twice the band
-        assert peak < (m + 1) ** 2 * 16 / (4 if x.hermitian else 2), peak
+        # a quarter of one dense complex matrix; half for A^H A, of twice the
+        # band (at the cutover the 16-shift Sturm store of either is larger)
+        if x.m > m:
+            assert peak < (x.m + 1) ** 2 * 16 / (4 if x.hermitian else 2), peak
 
 
 # -- determinism ---------------------------------------------------------------------
@@ -674,13 +749,29 @@ def test_assembly_bit_identical_across_threads():
     assert runs[0] == runs[1] == runs[2]
 
 
+def _reports_under_one_and_two_threads(args):
+    return [subprocess.run([sys.executable, "-m", "btq.cli", *args],
+                           env=_fresh_env(OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n)),
+                           capture_output=True, check=True).stdout
+            for n in (1, 2)]
+
+
+@pytest.mark.parametrize("args", [
+    ["thm3", "--f", "x1", "--g", "x2", "--levels", "16,32,64,128", "--order", "2"],
+    ["tuynman", "--f", CRITERION10, "--levels", "256,512", "--max-level", "1020"],
+    ["thm1", "--f", CRITERION10, "--levels", "150,200,250"],
+], ids=["thm3", "tuynman", "thm1"])
+def test_report_bit_identical_across_threads(args):
+    # dense norms stay below DENSE_NORM_ROWS rows, where eigvalsh gives the
+    # same bytes under 1 and 2 threads; a general operator's is eigvalsh of
+    # A^H A (the LAPACK 2-norm differed from 68 rows, eigvalsh from 164)
+    runs = _reports_under_one_and_two_threads(args)
+    assert runs[0] == runs[1]
+
+
 def test_thm1_report_bit_identical_across_threads():
     # a band-4 norm at m = 1000 is past the cutover and makes no BLAS call,
     # so it reports the same bytes under any thread count (dense eigvalsh did not)
-    argv = [sys.executable, "-m", "btq.cli", "thm1", "--f", CRITERION10,
-            "--levels", "1000", "--max-level", "1020"]
-    runs = [subprocess.run(argv, env=_fresh_env(OPENBLAS_NUM_THREADS=str(n),
-                                                OMP_NUM_THREADS=str(n)),
-                           capture_output=True, check=True).stdout
-            for n in (1, 2)]
+    runs = _reports_under_one_and_two_threads(
+        ["thm1", "--f", CRITERION10, "--levels", "1000", "--max-level", "1020"])
     assert runs[0] == runs[1]
