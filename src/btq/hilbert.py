@@ -13,10 +13,16 @@ binomials and correctly-rounded powers (no naive factorials, no log-space
 error); on the Newton nodes and recurrence weights of `make_rule` the
 radial Gram defect measured 1.33e-13 at worst (m = 988, degree 6) over every
 level up to MAX_LEVEL and symbol degree up to 8.
+
+No table is held: a `GridTable` hands its radial factors out BLOCK nodes
+at a time (`GridTable.blocks`), the assembly in `operators` adds each
+block into the band it fills, and the Gram self-test runs when a pass over
+the blocks ends.  A pass holds O(BLOCK m) floats, never the whole table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +36,8 @@ TWO_PI = 2.0 * math.pi
 # float conversion of comb(m, k) overflows beyond this level
 MAX_LEVEL = 1020
 GRAM_TOL = 1e-12
-# nodes per block that fills or sums a (nodes x (m+1)) array; _band_matrix's column chunk
-BLOCK = 64
+# radial nodes per block of an assembly pass (`GridTable.blocks`, the kernel path's frame)
+BLOCK = 32
 
 
 def dimension(m):
@@ -47,11 +53,15 @@ def binomial_row(n):
     return row
 
 
+@functools.lru_cache(maxsize=8)
 def binomial_floats(m):
-    """[C(m, 0), ..., C(m, m)] as floats; refused above MAX_LEVEL."""
+    """[C(m, 0), ..., C(m, m)] as floats; refused above MAX_LEVEL.  Memoised,
+    so the row is read-only and a pass builds it once, not per block."""
     if m > MAX_LEVEL:
         raise CapacityError(f"level {m} beyond float binomial range {MAX_LEVEL}")
-    return np.array(binomial_row(m), dtype=float)
+    row = np.array(binomial_row(m), dtype=float)
+    row.flags.writeable = False
+    return row
 
 
 def monomial_norm(m, k):
@@ -88,28 +98,29 @@ def radial_factors(m, s):
     points s_i = |z|^2/(1+|z|^2) in [0, 1]: the root of the binomial weight
     (m+1)/(2 pi) C(m,k) s^k (1-s)^(m-k), so every entry is at most
     sqrt((m+1)/(2 pi)) and in float range at every level up to MAX_LEVEL
-    (refused above it).  The table is filled in place, BLOCK nodes at a
-    time, so it is the only (nodes x (m+1)) array alive; each block repeats
-    the one-shot formula's operations in order, so the bytes equal its."""
-    s = np.asarray(s, dtype=float)
+    (refused above it).  Filled in place, in the one-shot formula's order,
+    so the bytes equal its."""
+    s = np.asarray(s, dtype=float)[:, None]
     k = np.arange(m + 1)
-    comb = binomial_floats(m)
-    out = np.empty((len(s), m + 1))
-    for lo in range(0, len(s), BLOCK):
-        blk, sb = out[lo:lo + BLOCK], s[lo:lo + BLOCK, None]
-        np.multiply(comb, np.power(sb, k, out=blk), out=blk)
-        np.multiply(blk, np.power(1.0 - sb, m - k), out=blk)
-        np.sqrt(np.multiply(blk, (m + 1) / TWO_PI, out=blk), out=blk)
-    return out
+    out = np.power(s, k)
+    np.multiply(binomial_floats(m), out, out=out)
+    np.multiply(out, np.power(1.0 - s, m - k), out=out)
+    return np.sqrt(np.multiply(out, (m + 1) / TWO_PI, out=out), out=out)
 
 
 class GridTable:
-    """Radial basis values and weights on a quadrature rule.
+    """Radial basis values and weights on a quadrature rule, as a pass.
 
     B[i, k] = R_k(s_i) = |e_k(z)| (1+|z|^2)^(-m/2) at the radial node s_i,
     w[i] the Gauss weight in s.  The basis value at (s, phi) is
     B[i, k] e^{i k phi}, so the Gram matrix is diagonal by construction
     with diagonal 2 pi sum_i w_i B[i, k]^2.
+
+    Construction checks only the rule's declared exactness and builds no
+    table.  `blocks` hands B out by node blocks and runs the Gram self-test
+    when its pass ends; `B`, `gram_diagonal` and `gram_defect` run a pass
+    of their own when read (tests and tracing read them; the assembly
+    does not).
     """
 
     def __init__(self, m, rule):
@@ -121,28 +132,55 @@ class GridTable:
                 f"resolve level {m}")
         self.m = m
         self.s, self.w = rule.s_nodes, rule.s_weights
-        self.B = radial_factors(m, self.s)
-        self.gram_defect = float(np.max(np.abs(self.gram_diagonal() - 1.0)))
+        self._gram = None
+
+    def blocks(self, size=BLOCK):
+        """Yield the rows of B, `size` nodes at a time.  The Gram diagonal
+        builds up from the same blocks, each later block summed with the
+        running sum as its first row: numpy's axis-0 sum adds the rows in
+        order, so the bytes are those of one full sum.  When the last block
+        is out, the self-test raises UnderResolvedRuleError if the Gram
+        identity is missed by more than GRAM_TOL."""
+        gram, terms = np.empty(self.m + 1), np.empty((size + 1, self.m + 1))
+        for lo in range(0, len(self.s), size):
+            rows = radial_factors(self.m, self.s[lo:lo + size])
+            yield rows
+            sq = terms[:len(rows) + 1]  # row 0: the running sum
+            np.multiply(self.w[lo:lo + size, None], np.square(rows, out=sq[1:]), out=sq[1:])
+            if lo:
+                sq[0] = gram
+            np.sum(sq if lo else sq[1:], axis=0, out=gram)
+        self._gram = TWO_PI * gram
         if self.gram_defect > GRAM_TOL:
             raise UnderResolvedRuleError(
                 f"Gram self-test defect {self.gram_defect:.3e} exceeds {GRAM_TOL:.1e}")
 
+    @property
+    def B(self):
+        """The full (nodes x (m+1)) table, joined from `blocks`."""
+        return np.concatenate(list(self.blocks()))
+
     def gram_diagonal(self):
-        """<e_k, e_k> by quadrature, for every k.  w B^2 is summed BLOCK nodes
-        at a time with the running sum as each block's first row: numpy's
-        axis-0 sum adds the rows in order, so the bytes of one full sum."""
-        acc = np.zeros((0, self.m + 1))
-        for lo in range(0, len(self.w), BLOCK):
-            sq = self.w[lo:lo + BLOCK, None] * self.B[lo:lo + BLOCK] ** 2
-            acc = np.sum(np.concatenate([acc, sq]), axis=0, keepdims=True)
-        return TWO_PI * acc[0]
+        """<e_k, e_k> by quadrature, for every k: from the last pass over
+        `blocks`, or from a pass made now if none has run."""
+        if self._gram is None:
+            for _ in self.blocks():
+                pass
+        return self._gram
+
+    @property
+    def gram_defect(self):
+        """max_k |<e_k, e_k> - 1|, the Gram self-test's measure."""
+        return float(np.max(np.abs(self.gram_diagonal() - 1.0)))
 
 
 def basis_eval_grid(m, rule):
-    """Basis/weight table for level m on the given rule.
+    """Basis/weight table for level m on the given rule, as a `GridTable`.
 
-    Raises UnderResolvedRuleError if the rule's declared exactness cannot
-    resolve level m or the Gram self-test misses the identity by >1e-12.
+    Raises UnderResolvedRuleError at once if the rule's declared exactness
+    cannot resolve level m; the Gram self-test (defect >1e-12) raises at
+    the end of the first pass over the table's blocks, in the assembly that
+    reads it or on reading `B`, `gram_diagonal` or `gram_defect`.
     """
     return GridTable(m, rule)
 

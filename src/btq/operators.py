@@ -2,8 +2,11 @@
 construction paths, geometric-quantization matrices, norms and commutators.
 
 Each quadrature maker sizes its own radial rule from its inputs,
-`make_rule(m, deg f)` (deg f + 2 for the derivative in Q_f); a basis
-table lives only inside the maker that builds it.
+`make_rule(m, deg f)` (deg f + 2 for the derivative in Q_f), and no
+maker holds a basis table: `_band_matrix` takes the frame (path 1's radial
+factors, path 3's raw monomials) one block of `hilbert.BLOCK` nodes at a
+time and adds each block into the band, so assembly memory is
+O(BLOCK m + band m).  The Gram self-test runs at the end of path 1's pass.
 
 Paths for T_f: (1) quadrature: the angular integral of every matrix
 element is an exact Kronecker delta, so (T_f)_{k+q,k} is the radial Gauss
@@ -189,34 +192,54 @@ def identity(m):
     return QuantumOperator.from_diags(m, np.ones((1, m + 1), complex))
 
 
-# -- banded assembly on the radial table ---------------------------------------
+# -- banded assembly, streamed over node blocks --------------------------------
 
 
-def _band_matrix(left, right, w, samples, band, col=None):
-    """Diagonal stack d[top + q, k] = sum_i w_i left[i, k+q] right[i, k] c_q(s_i)
-    for |q| <= top = min(band, n - 1), in `QuantumOperator` layout; with a
-    column factor col, right[i, k] col[k] in place of right[i, k].
+def _band_matrix(m, frames, w, band, *integrands):
+    """Diagonal stack d[top + q, k] = sum_i w_i F[i, k+q] F[i, k] col[k] c_q(s_i)
+    for |q| <= top = min(band, m), in `QuantumOperator` layout, summed over
+    the integrands (samples, col); col None is a factor 1.
+
+    frames(size) yields the real frame F (nodes x (m+1)) `size` nodes at a
+    time, and each block adds its nodes to every diagonal's running sum: the
+    first block is summed alone, every later one with the running sum as
+    its row 0, so each entry adds its nodes in the order of one full sum
+    (numpy's axis-0 sum adds rows in order).  A one-entry diagonal
+    (|q| = m) is an (nodes, 1) column, which numpy sums pairwise instead,
+    so a call that has one takes all nodes in one block.  No frame is held:
+    O(BLOCK m + band m) memory, never n^2.
 
     samples[i, l] is the integrand's angular factor at (s_i, phi_l) on the
     `phi_grid(band)` nodes.  The factor carries only the harmonics
     |q| <= band, which 2 band + 1 nodes resolve without aliasing, so
-    c_q(s_i) = int samples e^{-i q phi} dphi is exact by FFT.  Only the
-    band is allocated: O(n band) memory, never n^2.
+    c_q(s_i) = int samples e^{-i q phi} dphi is exact by FFT.
     """
-    n = left.shape[1]
-    coeffs = np.fft.fft(samples, axis=1) * (2.0 * math.pi / samples.shape[1])
-    top = min(band, n - 1)
-    diags = np.zeros((2 * top + 1, n), dtype=complex)
-    for q in range(-top, top + 1):
-        a, b = max(q, 0), max(-q, 0)  # band q starts at row a, column b
-        wc = w * coeffs[:, q]  # negative q wraps modulo the node count
-        # chunks of BLOCK..2 BLOCK - 1 columns (a 1-wide one would sum pairwise): same bytes
-        cuts = [b, *range(b + BLOCK, n - a - BLOCK + 1, BLOCK), n - a]
-        for lo, hi in zip(cuts, cuts[1:]):
-            r = right[:, lo:hi] if col is None else right[:, lo:hi] * col[lo:hi]
-            prod = left[:, lo + q:hi + q] * r
-            diags[top + q, lo:hi] = np.sum(wc[:, None] * prod, axis=0)
-    return diags
+    n, top = m + 1, min(band, m)
+    wcs = [w[:, None] * (np.fft.fft(smp, axis=1) * (TWO_PI / smp.shape[1]))
+           for smp, _ in integrands]
+    stacks = [np.zeros((2 * top + 1, n), dtype=complex) for _ in integrands]
+    size = len(w) if top == m else BLOCK
+    # per block and diagonal: frame products in `real`, their weighted terms
+    # in rows 1.. of `acc`, the running sum in its row 0
+    real, acc = np.empty((size, n)), np.empty((size + 1, n), dtype=complex)
+    lo = 0
+    for F in frames(size):
+        r = len(F)
+        for (_, col), wc, d in zip(integrands, wcs, stacks):
+            for q in range(-top, top + 1):
+                a, b = max(q, 0), max(-q, 0)  # band q starts at row a, column b
+                row, right = d[top + q, b:n - a], F[:, b:n - a]
+                terms, prod = acc[:r + 1, :n - a - b], real[:r, :n - a - b]
+                if col is not None:
+                    right = np.multiply(right, col[b:n - a], out=prod)
+                np.multiply(F[:, a:n - b], right, out=prod)
+                # negative q wraps modulo the phi node count
+                np.multiply(wc[lo:lo + r, q, None], prod, out=terms[1:])
+                if lo:
+                    terms[0] = row
+                np.sum(terms if lo else terms[1:], axis=0, out=row)
+        lo += r
+    return sum(stacks[1:], stacks[0])
 
 
 def _ambient_grid(s, degree):
@@ -236,7 +259,7 @@ def toeplitz(f, m):
     f, an operator that fails the hermiticity check is refused."""
     table = basis_eval_grid(m, make_rule(m, f.degree))
     fv = eval_ambient(f, *_ambient_grid(table.s, f.degree))
-    diags = _band_matrix(table.B, table.B, table.w, fv, f.degree)
+    diags = _band_matrix(m, table.blocks, table.w, f.degree, (fv, None))
     t = QuantumOperator.from_diags(m, diags)
     if f.is_real and not t.hermitian:
         raise UnderResolvedRuleError(
@@ -297,27 +320,35 @@ def toeplitz_exact(f, m):
 # -- path 3: integral kernel ---------------------------------------------------
 
 
+def _raw_frame(m, s, size):
+    """Raw monomial values |z^k| (1+|z|^2)^(-m/2) (no norms) at the radial
+    nodes s, `size` nodes at a time: path 3's frame for `_band_matrix`."""
+    k = np.arange(m + 1)
+    up, down = k / 2.0, (m - k) / 2.0
+    for lo in range(0, len(s), size):
+        sb = s[lo:lo + size, None]
+        out = sb ** up
+        out *= (1.0 - sb) ** down
+        yield out
+
+
 def kernel_matrix(f, m):
     """T_f through the explicit integral kernel, band by band like `toeplitz`.
 
     (T_f s)(z) = (m+1)/(2 pi) int (1+z conj(zeta))^m f s (1+|zeta|^2)^-m
     Omega(zeta); the binomial expansion of the kernel gives the raw monomial
     coefficients directly, which are then re-expressed in the orthonormal
-    basis.  The integrals run on the nodes and weights of `make_rule`, with
-    no basis table.  Apply it to a section with `@`, which checks the levels.
+    basis.  The integrals run on the nodes and weights of `make_rule`, over
+    the raw monomial frame streamed in node blocks, with no basis table.
+    Apply it to a section with `@`, which checks the levels.
     """
     # kernel coefficient (m+1)/(2 pi) C(m,j) of z^j, with z^j and z^k
     # re-expressed in the orthonormal basis (||z^k||^2 = 2 pi/((m+1) C(m,k)))
     r = np.sqrt(binomial_floats(m) * ((m + 1) / TWO_PI))
     rule = make_rule(m, f.degree)
-    k, s = np.arange(m + 1), rule.s_nodes[:, None]
-    # raw monomial values |z^k| (1+|z|^2)^(-m/2) at the radial nodes (no norms), in node blocks
-    frame = np.empty((len(s), m + 1))
-    for lo in range(0, len(s), BLOCK):
-        blk, sb = frame[lo:lo + BLOCK], s[lo:lo + BLOCK]
-        np.multiply(np.power(sb, k / 2.0, out=blk), (1.0 - sb) ** ((m - k) / 2.0), out=blk)
     fv = eval_ambient(f, *_ambient_grid(rule.s_nodes, f.degree))
-    integrals = _band_matrix(frame, frame, rule.s_weights, fv, f.degree)
+    frames = functools.partial(_raw_frame, m, rule.s_nodes)
+    integrals = _band_matrix(m, frames, rule.s_weights, f.degree, (fv, None))
     rows = _band_index(len(integrals) // 2, m + 1)[0]
     return QuantumOperator.from_diags(m, r[rows] * integrals * r[None, :])
 
@@ -352,8 +383,8 @@ def prequantum(f, m):
     else:
         col = np.zeros_like(z)
     base = 1j * (fv - np.conj(z) * u_dzbar_f)
-    B, w, band = table.B, table.w, f.degree
-    diags = _band_matrix(B, B, w, base, band) + _band_matrix(B, B, w, col, band, np.arange(m + 1))
+    diags = _band_matrix(m, table.blocks, table.w, f.degree,
+                         (base, None), (col, np.arange(m + 1)))
     return QuantumOperator.from_diags(m, diags)
 
 

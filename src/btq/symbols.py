@@ -1,5 +1,6 @@
 """Polynomial observables on the sphere: product, Poisson bracket, Laplacian,
-sup-norm, and the first star-product bidifferential operator.
+evaluation, and the first star-product bidifferential operator.  The
+sup-norm search lives in `extrema` and is re-exported here.
 
 A Symbol is a polynomial in the ambient coordinates (x1, x2, x3) taken
 modulo the sphere relation x1^2 + x2^2 + x3^2 = 1.  Normal form eliminates
@@ -17,7 +18,8 @@ import re
 import numpy as np
 
 from .errors import CapacityError, SymbolSyntaxError, UnknownIdentifierError
-from .geometry import LAPLACE_SCALE, LAPLACE_SIGN, POISSON_CONSTANT, SpherePoint
+from .extrema import grid_extrema, sup_norm, sup_norm_argmax  # noqa: F401 (re-exported)
+from .geometry import LAPLACE_SCALE, LAPLACE_SIGN, POISSON_CONSTANT
 
 _REAL_TOL = 1e-13
 
@@ -443,7 +445,7 @@ SELECTED_C1_ORDERING = "dz-dzbar"
 REJECTED_C1_ORDERING = "dzbar-dz"
 
 
-# -- evaluation and sup norm --------------------------------------------------
+# -- evaluation (the sup-norm search is `extrema`) ---------------------------
 
 
 def eval_ambient(f, x1, x2, x3):
@@ -462,119 +464,6 @@ def evaluate(f, p):
     """Exact evaluation at a SpherePoint (chart independent)."""
     x1, x2, x3 = p.ambient()
     return complex(eval_ambient(f, x1, x2, x3))
-
-
-def _real_values(f, u, phi):
-    """Re f at (u = x3, phi) in real arithmetic: for real coordinates
-    v.real * x1^a * x2^b * x3^c is Re(v * x1^a * x2^b * x3^c) exactly.
-
-    u and phi may be broadcast shapes (a grid as u[:, None], phi[None, :]):
-    rho comes from u and cos, sin from phi, each on its own shape.  Each
-    power x_i^e is taken once and shared by the terms; a factor x_i^0 is
-    skipped (v * 1.0 is v) and x_i^1 is x_i.  Every point gets the same
-    elementwise operations in the same order as on flat arrays, so the
-    same bits."""
-    rho = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    x = (rho * np.cos(phi), rho * np.sin(phi), u)
-    powers = {}
-    terms = []
-    for exps, v in sorted(f.terms.items()):
-        t = v.real
-        for i, e in enumerate(exps):
-            if e:
-                if (i, e) not in powers:
-                    powers[i, e] = x[i] if e == 1 else x[i] ** e
-                t = t * powers[i, e]
-        terms.append(t)
-    out = sum(terms[1:], terms[0]) if terms else 0.0
-    # x1 has the grid's full shape; a symbol free of x1, x2 gives a column
-    return out if np.shape(out) == x[0].shape else np.broadcast_to(out, x[0].shape)
-
-
-# `_refine`: REFINE_ROUNDS halvings of a REFINE_LOCAL^2 grid around each start
-REFINE_ROUNDS = 48
-REFINE_LOCAL = 7
-
-
-def _refine(f, u0, phi0, sign):
-    """Shrinking local grid search for the maximum of sign*f from each start
-    (one row of u0, phi0, sign).  All starts advance together: per round,
-    the REFINE_LOCAL-point u and phi axes of every start are built in one
-    pass with `np.linspace`'s arithmetic written out (lo + K*step, the last
-    point hi; its step == 0 branch never arises, since the last half-widths
-    span several float spacings at |u| <= 1, |phi| < 8.1), and f is evaluated
-    on the (starts, REFINE_LOCAL, 1) x (starts, 1, REFINE_LOCAL) grid; the
-    bytes are those of per-start `linspace` grids.  A start moves to the
-    first maximum of its grid (u-major) only on a strict gain.  Returns
-    (best sign*f, u, phi) per start."""
-    local = REFINE_LOCAL
-    knots = np.arange(local, dtype=float)
-    half = np.array([[2.0 / local], [2.0 * math.pi / local]])
-    rows = np.arange(len(sign))
-    at = np.array([u0, phi0], dtype=float)  # (u, phi) of each start
-    best = sign * _real_values(f, at[0], at[1])
-    for _ in range(REFINE_ROUNDS):
-        lo, hi = at - half, at + half
-        axes = knots * ((hi - lo) / (local - 1))[:, :, None]
-        axes += lo[:, :, None]
-        axes[:, :, -1] = hi
-        us, ps = np.clip(axes[0], -1, 1), axes[1]
-        vals = sign[:, None, None] * _real_values(f, us[:, :, None], ps[:, None, :])
-        i, j = divmod(np.argmax(vals.reshape(len(sign), -1), axis=-1), local)
-        gain = vals[rows, i, j]
-        better = gain > best
-        best = np.where(better, gain, best)
-        at = np.where(better, [us[rows, i], ps[rows, j]], at)
-        half = half * 0.5
-    return best, at[0], at[1]
-
-
-GRID_RESOLUTION = 96
-
-
-def grid_extrema(f):
-    """(min, max, argmin point, argmax point) of a real symbol.
-
-    Dense (GRID_RESOLUTION x 2 GRID_RESOLUTION) grid in (u = x3, phi) --
-    accuracy O(GRID_RESOLUTION^-2) -- evaluated as u[:, None] x phi[None, :]
-    with no meshgrid copies, then `_refine` from the 4 best cells of each
-    sign (flat cell k is u[k // 2R], phi[k % 2R]), all 8 starts together.
-    The bytes are those of the flat meshgrid search.  A search, not a
-    certificate: an extremum outside the basins of the starts is missed.
-    """
-    if not f.is_real:
-        raise ValueError("grid extrema are defined for real symbols only")
-    u = np.linspace(-1.0, 1.0, GRID_RESOLUTION)
-    phi = np.linspace(0.0, 2.0 * math.pi, 2 * GRID_RESOLUTION, endpoint=False)
-    vals = _real_values(f, u[:, None], phi[None, :]).ravel()
-    n = min(4, vals.size)
-    start = np.concatenate([np.argsort(s * vals)[::-1][:n] for s in (1.0, -1.0)])
-    sign = np.repeat([1.0, -1.0], n)
-    best, best_u, best_phi = _refine(f, u[start // phi.size],
-                                     phi[start % phi.size], sign)
-    ext = []
-    for lo in (0, n):
-        k = lo + int(np.argmax(best[lo:lo + n]))
-        cu, cp = best_u[k], best_phi[k]
-        rho = math.sqrt(max(0.0, 1.0 - cu * cu))
-        pt = SpherePoint.from_ambient(rho * math.cos(cp), rho * math.sin(cp), cu)
-        ext.append((sign[k] * best[k], pt))
-    (fmax, arg_max), (fmin, arg_min) = ext
-    return float(fmin), float(fmax), arg_min, arg_max
-
-
-def sup_norm(f):
-    """Sup of |f| over the sphere for a real symbol."""
-    fmin, fmax, _, _ = grid_extrema(f)
-    return max(abs(fmin), abs(fmax))
-
-
-def sup_norm_argmax(f):
-    """(sup |f|, maximizer SpherePoint) for a real symbol."""
-    fmin, fmax, arg_min, arg_max = grid_extrema(f)
-    if abs(fmin) > abs(fmax):
-        return abs(fmin), arg_min
-    return abs(fmax), arg_max
 
 
 # -- serialization -------------------------------------------------------------

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from btq import hilbert as hb
+from btq import operators
 from btq.errors import UnderResolvedRuleError
 from btq.geometry import QuadratureRule, SpherePoint, make_rule
+from btq.symbols import parse
 from conftest import modules_after, random_point
 
 TWO_PI = 2.0 * math.pi
@@ -77,13 +79,21 @@ def test_under_resolved_rule_rejected_by_declaration():
     assert "radial degree" in str(err.value)
 
 
-def test_under_resolved_rule_rejected_by_gram_self_test():
+def test_under_resolved_rule_rejected_by_gram_self_test(monkeypatch):
+    # construction checks only the declared exactness; the Gram self-test
+    # refuses the lying rule when a pass over the table's blocks ends: in the
+    # assembly that streams them, or on reading the table or its defect
     weak = make_rule(1, 0)
     lying = QuadratureRule(s_nodes=weak.s_nodes, s_weights=weak.s_weights,
                            max_radial_degree=99)
-    with pytest.raises(UnderResolvedRuleError) as err:
-        hb.basis_eval_grid(3, lying)
-    assert "Gram" in str(err.value)
+    monkeypatch.setattr(operators, "make_rule", lambda m, degree: lying)
+    x3 = parse("x3")
+    for read in (lambda: operators.toeplitz(x3, 3), lambda: operators.prequantum(x3, 3),
+                 lambda: hb.basis_eval_grid(3, lying).gram_defect,
+                 lambda: hb.basis_eval_grid(3, lying).B):
+        with pytest.raises(UnderResolvedRuleError) as err:
+            read()
+        assert "Gram" in str(err.value)
 
 
 def test_inner_product_consistency(rng):

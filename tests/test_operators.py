@@ -568,53 +568,76 @@ def _one_shot_table(m, s):
     return np.sqrt(mag2 * ((m + 1) / TWO_PI))
 
 
-def test_lean_assembly_keeps_the_bytes(rng, monkeypatch):
-    # node blocks and the column factor keep every byte of the one-shot
-    # formulas, inline here: the table, its Gram diagonal, the kernel path's
-    # raw frame, and Q_f's second band sum on the table times k
-    band_matrix = op._band_matrix
+def _one_shot_band(left, right, w, samples, band):
+    """Band sums over every node at once, as a full-table assembly writes them:
+    d[top + q, k] = sum_i w_i c_q(s_i) left[i, k+q] right[i, k]."""
+    n = left.shape[1]
+    top = min(band, n - 1)
+    c = np.fft.fft(samples, axis=1) * (2.0 * math.pi / samples.shape[1])
+    d = np.zeros((2 * top + 1, n), dtype=complex)
+    for q in range(-top, top + 1):
+        a, b = max(q, 0), max(-q, 0)
+        prod = left[:, a:n - b] * right[:, b:n - a]
+        d[top + q, b:n - a] = np.sum((w * c[:, q])[:, None] * prod, axis=0)
+    return d
 
-    def spy(left, right, w, samples, band, col=None):
-        got = band_matrix(left, right, w, samples, band, col)
-        if col is not None:
-            assert got.tobytes() == band_matrix(left, right * col, w, samples, band).tobytes()
-            seen.append(len(col))
+
+def test_lean_assembly_keeps_the_bytes(rng, monkeypatch):
+    # node-streamed band sums keep every byte of the one-shot formulas, inline
+    # here: the table and its Gram diagonal, the kernel path's raw frame, and
+    # each band summed over all nodes at once (Q_f's second sum on the table
+    # times k).  The levels cover one-entry corner diagonals (m <= 4, and
+    # m = 40 at degree 40, whose 41 nodes exceed one BLOCK), single blocks,
+    # and several blocks with a short last one (m = 513 at degree 0 ends on
+    # a 1-node block)
+    band_matrix, calls = op._band_matrix, []
+
+    def spy(m, frames, w, band, *integrands):
+        got = band_matrix(m, frames, w, band, *integrands)
+        frame = np.concatenate(list(frames(len(w))))
+        refs = [_one_shot_band(frame, frame if col is None else frame * col, w, smp, band)
+                for smp, col in integrands]
+        assert got.tobytes() == sum(refs[1:], refs[0]).tobytes(), (m, band)
+        calls.append((frame, len(integrands), got))
         return got
 
     monkeypatch.setattr(op, "_band_matrix", spy)
-    for m in (0, 1, 7, 64, 513, 1000):
-        k, seen = np.arange(m + 1), []
-        for d in range(7):
-            rule = make_rule(m, d)
-            s, w = rule.s_nodes, rule.s_weights
-            table, ref = basis_eval_grid(m, rule), _one_shot_table(m, s)
-            assert table.B.tobytes() == ref.tobytes()
-            gram = TWO_PI * np.sum(w[:, None] * ref**2, axis=0)
-            assert table.gram_diagonal().tobytes() == gram.tobytes()
-            assert table.gram_defect == float(np.max(np.abs(gram - 1.0)))
+    levels = [(m, d) for m in (0, 1, 2, 3, 4, 7, 64, 513, 1000) for d in range(7)]
+    for m, d in levels + [(40, 40)]:
+        k = np.arange(m + 1)
+        rule = make_rule(m, d)
+        s, w = rule.s_nodes, rule.s_weights
+        table, ref = basis_eval_grid(m, rule), _one_shot_table(m, s)
+        assert table.B.tobytes() == ref.tobytes()
+        gram = TWO_PI * np.sum(w[:, None] * ref**2, axis=0)
+        assert table.gram_diagonal().tobytes() == gram.tobytes()
+        assert table.gram_defect == float(np.max(np.abs(gram - 1.0)))
 
-            f = random_symbol(rng, degree=d)
-            rule = make_rule(m, f.degree)
-            s, w = rule.s_nodes[:, None], rule.s_weights
-            frame = s ** (k / 2.0) * (1.0 - s) ** ((m - k) / 2.0)
-            r = np.sqrt(binomial_floats(m) * ((m + 1) / TWO_PI))
-            fv = sy.eval_ambient(f, *op._ambient_grid(rule.s_nodes, f.degree))
-            integrals = band_matrix(frame, frame, w, fv, f.degree)
-            rows = op._band_index(len(integrals) // 2, m + 1)[0]
-            ref = r[rows] * integrals * r[None, :]
-            assert op.kernel_matrix(f, m).diags.tobytes() == ref.tobytes()
-            op.prequantum(f, m)
-        assert seen == [m + 1] * 7
+        f, calls[:] = random_symbol(rng, degree=d) + X2**d, []
+        assert f.degree >= d
+        op.toeplitz(f, m)
+        t = op.kernel_matrix(f, m)
+        op.prequantum(f, m)
+        (table1, one, _), (frame, _, integrals), (table2, two, _) = calls
+        assert (one, two) == (1, 2)
+        assert table1.tobytes() == _one_shot_table(m, make_rule(m, f.degree).s_nodes).tobytes()
+        assert table2.tobytes() == _one_shot_table(m, make_rule(m, f.degree + 2).s_nodes).tobytes()
+        s = make_rule(m, f.degree).s_nodes[:, None]
+        assert frame.tobytes() == (s ** (k / 2.0) * (1.0 - s) ** ((m - k) / 2.0)).tobytes()
+        r = np.sqrt(binomial_floats(m) * ((m + 1) / TWO_PI))
+        rows = op._band_index(len(integrals) // 2, m + 1)[0]
+        assert t.diags.tobytes() == (r[rows] * integrals * r[None, :]).tobytes()
 
 
-def test_lean_assembly_holds_one_table():
-    # the table (or the kernel path's frame) is the only (nodes x (m+1))
-    # array alive: each level operation peaks below twice its bytes
+def test_streamed_assembly_holds_no_table():
+    # no (nodes x (m+1)) array is ever alive: each level operation peaks
+    # below one table's bytes (a full-table assembly peaked at 1.45-1.74
+    # tables), and a basis table allocates nothing until a pass reads it
     f, m = sy.parse(CRITERION10), 1000
-    for build, degree in ((lambda: basis_eval_grid(m, make_rule(m, 4)), 4),
-                          (lambda: op.toeplitz(f, m), 4),
-                          (lambda: op.prequantum(f, m), 6),
-                          (lambda: op.kernel_matrix(f, m), 4)):
+    for build, degree, bound in ((lambda: basis_eval_grid(m, make_rule(m, 4)), 4, 0.01),
+                                 (lambda: op.toeplitz(f, m), 4, 1.0),
+                                 (lambda: op.prequantum(f, m), 6, 1.0),
+                                 (lambda: op.kernel_matrix(f, m), 4, 1.0)):
         table_bytes = len(make_rule(m, degree).s_nodes) * (m + 1) * 8
         tracemalloc.start()
         try:
@@ -622,7 +645,7 @@ def test_lean_assembly_holds_one_table():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * table_bytes, (degree, peak / table_bytes)
+        assert peak < bound * table_bytes, (degree, peak / table_bytes)
 
 
 def test_operator_norm_is_the_dense_eigvalsh():

@@ -1,0 +1,37 @@
+"""Properties of the package source itself, not of its numbers."""
+
+import tokenize
+from pathlib import Path
+
+from btq import extrema, symbols
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "btq"
+
+# CPython's parser doubles its token array when a module passes 4096 tokens.
+# Compiling a module just past that step measured about 0.25 MB more
+# tracemalloc peak in compile() than just below it (1.48 -> 1.71 MB), and a
+# process that compiles src/ at import pays it in its peak RSS.  The bound
+# leaves a margin below the step.
+TOKEN_BOUND = 4000
+
+
+def _code_tokens(path):
+    with open(path, "rb") as fh:
+        return [t for t in tokenize.tokenize(fh.readline)
+                if t.type not in (tokenize.COMMENT, tokenize.NL)]
+
+
+def test_every_module_stays_below_the_parser_token_step():
+    sizes = {path.name: len(_code_tokens(path)) for path in sorted(SRC.glob("*.py"))}
+    assert "operators.py" in sizes and "symbols.py" in sizes
+    over = {name: n for name, n in sizes.items() if n >= TOKEN_BOUND}
+    assert not over, over
+
+
+def test_symbols_re_exports_the_sup_norm_search():
+    # the search lives in `extrema`; `symbols` binds the same functions, so
+    # `symbols.grid_extrema` callers and wrappers reach the one object.  Its
+    # constants are read (and patched) in `extrema` only
+    for name in ("grid_extrema", "sup_norm", "sup_norm_argmax"):
+        assert getattr(symbols, name) is getattr(extrema, name)
+    assert not hasattr(symbols, "GRID_RESOLUTION")

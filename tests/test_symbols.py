@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from btq import extrema as ex
 from btq import symbols as sy
 from btq.errors import (CapacityError, SymbolParseError, SymbolSyntaxError,
                         UnknownIdentifierError)
@@ -460,7 +461,7 @@ def test_sup_norm_nondecreasing_in_resolution(monkeypatch):
     f = sy.parse("x3 + 0.4*x1*x2 - 0.2*x2^2")
     vals = []
     for r in (24, 48, 96, 192):
-        monkeypatch.setattr(sy, "GRID_RESOLUTION", r)
+        monkeypatch.setattr(ex, "GRID_RESOLUTION", r)
         vals.append(sy.sup_norm(f))
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
@@ -476,7 +477,7 @@ def test_sup_norm_interior_maximum():
     assert abs(fmin + 0.25) < 1e-10
 
 
-def _scalar_refine(f, u0, phi0, sign, rounds=sy.REFINE_ROUNDS, local=sy.REFINE_LOCAL):
+def _scalar_refine(f, u0, phi0, sign, rounds=ex.REFINE_ROUNDS, local=ex.REFINE_LOCAL):
     # reference search: one start at a time, evaluating through the complex
     # eval_ambient
     def real_values(u, phi):
@@ -551,7 +552,7 @@ def test_refine_axes_never_collapse():
     # in the last round, hi - lo still spans two float spacings at the largest
     # |u| (1, then clipped) and |phi| (2 pi plus every half-width), so rounding
     # each end by half a spacing cannot make it 0
-    local, rounds = sy.REFINE_LOCAL, sy.REFINE_ROUNDS
+    local, rounds = ex.REFINE_LOCAL, ex.REFINE_ROUNDS
     first = np.array([2.0 / local, 2.0 * math.pi / local])
     last = first * 0.5 ** (rounds - 1)
     reach = np.array([1.0, 2.0 * math.pi]) + 2.0 * first
@@ -581,10 +582,10 @@ def test_grid_extrema_matches_scalar_refinement_bit_for_bit_at_high_degree():
             terms[(a, b, int(rng.randint(0, degree + 1 - a - b)))] = float(rng.normal())
         symbols.append(sy.Symbol(terms))
     pole = sy.parse("x3^3 - 0.2*x1*x2")
-    u = np.linspace(-1.0, 1.0, sy.GRID_RESOLUTION)
-    phi = np.linspace(0.0, 2.0 * math.pi, 2 * sy.GRID_RESOLUTION, endpoint=False)
-    vals = sy._real_values(pole, u[:, None], phi[None, :])
-    assert (vals == vals.max()).sum() == 2 * sy.GRID_RESOLUTION
+    u = np.linspace(-1.0, 1.0, ex.GRID_RESOLUTION)
+    phi = np.linspace(0.0, 2.0 * math.pi, 2 * ex.GRID_RESOLUTION, endpoint=False)
+    vals = ex._real_values(pole, u[:, None], phi[None, :])
+    assert (vals == vals.max()).sum() == 2 * ex.GRID_RESOLUTION
     assert (vals[-1] == 1.0).all()
     for f in symbols + [pole]:
         got, ref = sy.grid_extrema(f), _scalar_grid_extrema(f)
@@ -698,7 +699,7 @@ def test_real_values_on_a_broadcast_grid_is_the_flat_evaluation(f, u, phi):
     x1, x2 = rho * np.cos(pp), rho * np.sin(pp)
     terms = [v.real * x1**a * x2**b * uu**c for (a, b, c), v in sorted(f.terms.items())]
     flat = sum(terms[1:], terms[0]) if terms else np.zeros(uu.shape)
-    grid = sy._real_values(f, u[:, None], phi[None, :])
+    grid = ex._real_values(f, u[:, None], phi[None, :])
     assert grid.shape == (u.size, phi.size)
     assert grid.ravel().tobytes() == flat.tobytes()
-    assert sy._real_values(f, uu, pp).tobytes() == flat.tobytes()
+    assert ex._real_values(f, uu, pp).tobytes() == flat.tobytes()
