@@ -5,11 +5,11 @@ Exit codes: 0 = run completed with all declared assertions passing;
 1 = assertions failed (the report is still written); 2 = usage or expression
 error (including coefficients above symbols.COEFF_L1_BOUND and nesting above
 symbols.MAX_NESTING_DEPTH) or an unwritable --out path; 3 = capacity
-error (a level above --max-level or hilbert.MAX_LEVEL, both refused before
-any rule or table is built, or a symbol or a thm2/thm3 pair's summed degree
-above symbols.MAX_SYMBOL_DEGREE), UnderResolvedRuleError (a basis table
-that fails its Gram self-test, or a real symbol whose T_f fails the
-hermiticity check) or CalibrationError.
+error (a level above the level cap, hilbert.MAX_LEVEL or a lower
+--max-level, refused before any rule or table is built, or a symbol or a
+thm2/thm3 pair's summed degree above symbols.MAX_SYMBOL_DEGREE),
+UnderResolvedRuleError (a basis table that fails its Gram self-test, or a
+real symbol whose T_f fails the hermiticity check) or CalibrationError.
 
 Every experiment uses the signs geometry.POISSON_CONSTANT and LAPLACE_SIGN
 and reads or writes no file but --out.  `btq calibrate` measures both
@@ -36,7 +36,6 @@ from .geometry import LAPLACE_SIGN, POISSON_CONSTANT
 from .hilbert import MAX_LEVEL
 from .symbols import COEFF_L1_BOUND, MAX_SYMBOL_DEGREE, parse, sup_norm_argmax
 
-DEFAULT_MAX_LEVEL = 256
 DEFAULT_LEVELS = "8,16,32,64"
 
 EXIT_OK = 0
@@ -70,7 +69,8 @@ def _build_parser():
                         help="comma-separated strictly increasing levels")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--max-level", type=int, default=DEFAULT_MAX_LEVEL)
+        sp.add_argument("--max-level", type=int, default=MAX_LEVEL,
+                        help=f"a lower level cap (default and highest: {MAX_LEVEL})")
 
     common(sub.add_parser("thm1", help="sup-norm limit of ||T_f||"))
     common(sub.add_parser("thm2", help="commutator vs Poisson bracket"), needs_g=True)
@@ -115,12 +115,9 @@ def _levels(args):
     levels = _int_list(args.levels)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])) or levels[0] < 1:
         raise UsageError("--levels must be strictly increasing and >= 1")
-    if levels[-1] > args.max_level:
-        raise CapacityError(
-            f"level {levels[-1]} exceeds --max-level {args.max_level}")
-    if levels[-1] > MAX_LEVEL:
-        raise CapacityError(f"level {levels[-1]} exceeds the level cap "
-                            f"{MAX_LEVEL} (float binomial range)")
+    cap = min(args.max_level, MAX_LEVEL)
+    if levels[-1] > cap:
+        raise CapacityError(f"level {levels[-1]} exceeds the level cap {cap}")
     return levels
 
 

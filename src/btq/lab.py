@@ -126,13 +126,14 @@ def default_window(levels):
 def fit_rate(rows, window=None):
     """Least squares on (log m, log gap) over the window.
 
-    Rows with gap <= 1e-13 (machine floor) are excluded; needs >= 3 usable
-    rows.  slope is the decay exponent (positive for decaying gaps).
+    Rows with gap <= 1e-13 (machine floor) or m < 1 (no log m) are excluded;
+    needs >= 3 usable rows.  slope is the decay exponent (positive for
+    decaying gaps).
     """
     if window is None:
         window = default_window([r.m for r in rows])
     window = sorted(window)
-    usable = [r for r in rows if r.m in set(window) and r.gap > GAP_FLOOR]
+    usable = [r for r in rows if r.m in set(window) and r.m >= 1 and r.gap > GAP_FLOOR]
     if len(usable) < 3:
         raise InsufficientDataError(
             f"need >= 3 rows with positive gaps in window, have {len(usable)}")
@@ -200,8 +201,11 @@ def thm3_run(f, g, levels, c1_ordering=SELECTED_C1_ORDERING):
     Returns {1: report, 2: report}: order N measures
     ||T_f T_g - sum_{j<N} m^-j T_{C_j}|| with C_0 = f g and C_1 from the
     given ordering.  K_estimate is max over the fit window of m^N * residual
-    (the bound constant, not a fitted intercept).
+    (the bound constant, not a fitted intercept).  Every level must be >= 1,
+    as the N=2 residual divides by m.
     """
+    if any(m < 1 for m in levels):
+        raise ValueError("the star-product residuals need m >= 1")
     c0 = multiply(f, g)
     c1 = c1_candidate(f, g, c1_ordering)
     rep1 = ConvergenceReport("thm3[N=1]", f, g)

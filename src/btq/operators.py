@@ -51,7 +51,7 @@ from .symbols import eval_ambient, laplace_beltrami, partial
 _HERM_TOL = 1e-12
 # below this many rows the norm is dense LAPACK eigvalsh, whose bytes measured
 # the same under 1, 2, 4 and 8 OpenBLAS threads up to 163 rows, not from 164;
-# from here up it is `_band_norm`, which makes no BLAS call, at any band
+# from here up it is `_band_radius`, which makes no BLAS call, at any band
 DENSE_NORM_ROWS = 160
 
 
@@ -79,8 +79,12 @@ def _hermitian_defect(diags):
     return float(np.max(np.abs(diags - _band_adjoint(diags))))
 
 
-def _is_hermitian(diags):
-    return _hermitian_defect(diags) <= _HERM_TOL * max(1.0, float(np.max(np.abs(diags))))
+def _dense(diags):
+    """The dense matrix of a diagonal stack."""
+    n = diags.shape[1]
+    out = np.zeros(n * n + 1, dtype=complex)  # the padding lands in the last slot
+    out[_band_index(len(diags) // 2, n)[2]] = diags
+    return out[:-1].reshape(n, n)
 
 
 def _band_product(a, b):
@@ -131,14 +135,12 @@ class QuantumOperator:
 
     def _set(self, m, diags):
         self.m, self.band, self.diags = m, len(diags) // 2, diags
-        self.hermitian = _is_hermitian(diags)
+        scale = max(1.0, float(np.max(np.abs(diags))))
+        self.hermitian = _hermitian_defect(diags) <= _HERM_TOL * scale
 
     @property
     def mat(self):
-        n = self.m + 1
-        out = np.zeros(n * n + 1, dtype=complex)  # the padding lands in the last slot
-        out[_band_index(self.band, n)[2]] = self.diags
-        return out[:-1].reshape(n, n)
+        return _dense(self.diags)
 
     def hermitian_defect(self):
         return _hermitian_defect(self.diags)
@@ -423,12 +425,11 @@ def _band_inertia(diags, shifts, pivmin):
     return np.count_nonzero(piv < 0, axis=0)
 
 
-def _band_norm(op):
-    """||A|| from the band: the spectral radius of A, or of A^H A (rooted) if A
-    is not Hermitian, by multisection on `_band_inertia`.  Each sweep puts 8
+def _band_radius(d):
+    """Spectral radius of the Hermitian band d (its lower triangle is read) by
+    multisection on `_band_inertia`, with no BLAS call.  Each sweep puts 8
     shifts in the brackets of lambda_min and lambda_max, from +-(Gershgorin
     bound g) until both are 4 eps g wide."""
-    d = op.diags if op.hermitian else _band_product(_band_adjoint(op.diags), op.diags)
     b = len(d) // 2
     # column sums of the Hermitian matrix the lower triangle defines
     g = float(np.max(np.abs(np.concatenate([_band_adjoint(d)[:b], d[b:]])).sum(axis=0)))
@@ -440,24 +441,23 @@ def _band_norm(op):
         passed = _band_inertia(d, shifts.ravel(), pivmin).reshape(2, -1) >= [[1], [len(d[0])]]
         hi = np.minimum(hi, np.min(np.where(passed, shifts, np.inf), axis=1))
         lo = np.maximum(lo, np.max(np.where(passed, -np.inf, shifts), axis=1))
-    radius = float(np.max(np.abs(lo + hi))) / 2
-    return radius if op.hermitian else math.sqrt(radius)
+    return float(np.max(np.abs(lo + hi))) / 2
 
 
 def operator_norm(op):
     """Largest singular value: the spectral radius of A if `op.hermitian`, else
-    the root of that of A^H A (the band product `_band_norm` forms).  From
-    DENSE_NORM_ROWS rows up by `_band_norm`, with no dense matrix; below, by
-    dense LAPACK eigvalsh.  Neither depends on the BLAS thread count."""
-    if op.m + 1 >= DENSE_NORM_ROWS:
-        return _band_norm(op)
-    h = op if op.hermitian else QuantumOperator.from_diags(op.m, _band_adjoint(op.diags)) @ op
-    radius = float(np.max(np.abs(np.linalg.eigvalsh(h.mat))))
+    the root of that of A^H A, formed once as a band product.  Below
+    DENSE_NORM_ROWS rows the radius is dense LAPACK eigvalsh, from there up
+    `_band_radius`, with no dense matrix.  Neither depends on the BLAS thread
+    count."""
+    d = op.diags if op.hermitian else _band_product(_band_adjoint(op.diags), op.diags)
+    if op.m + 1 < DENSE_NORM_ROWS:
+        radius = float(np.max(np.abs(np.linalg.eigvalsh(_dense(d)))))
+    else:
+        radius = _band_radius(d)
     return radius if op.hermitian else math.sqrt(radius)
 
 
 def commutator(a, b):
     """[A, B] = AB - BA (anti-Hermitian for Hermitian inputs)."""
-    a._check(b)
-    ab, ba = _band_product(a.diags, b.diags), _band_product(b.diags, a.diags)
-    return QuantumOperator.from_diags(a.m, ab - ba)
+    return a @ b - b @ a

@@ -79,12 +79,8 @@ class Symbol:
         other = _coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, 0j) + c
-            if v == 0:
-                out.pop(e, None)
-            else:
-                out[e] = v
-        return Symbol(out)
+            out[e] = out.get(e, 0j) + c
+        return Symbol(out)  # the normal form drops the zero sums
 
     __radd__ = __add__
 

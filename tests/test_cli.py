@@ -107,8 +107,11 @@ def test_usage_errors(workdir, capsys):
 
 
 def test_level_cap_is_capacity_error(workdir, capsys):
-    assert run(["thm1", "--f", "x3", "--levels", "8,512"]) == 3
-    assert "max-level" in capsys.readouterr().err
+    # hilbert.MAX_LEVEL is the cap unless --max-level sets a lower one
+    assert run(["thm1", "--f", "x3", "--levels", "8,512"]) == 0
+    capsys.readouterr()
+    assert run(["thm1", "--f", "x3", "--levels", "8,301", "--max-level", "300"]) == 3
+    assert "level cap 300" in capsys.readouterr().err
     assert run(["thm1", "--f", "x3", "--levels", "8,300",
                 "--max-level", "300"]) == 0
     capsys.readouterr()

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def test_fit_rate_insufficient_data():
     floor = rows_from_gaps({m: 1e-16 for m in (8, 16, 32, 64)})
     with pytest.raises(InsufficientDataError):
         lab.fit_rate(floor, window=[8, 16, 32, 64])
+
+
+def test_fit_rate_leaves_out_level_zero():
+    # log 0 has no place in the fit: a level-0 row is left out, like a gap
+    # at the floor, so no run warns or fits nan over m = 0
+    rows = rows_from_gaps({0: 1.0, 4: 0.5, 8: 0.25, 16: 0.125})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = lab.fit_rate(rows, window=[0, 4, 8, 16])
+        assert fit.window == [4, 8, 16] and abs(fit.slope - 1.0) < 1e-12
+        for rep in (lab.thm1_run(X3, [0, 4, 8]),
+                    lab.coherent_run(X3, SpherePoint.from_z(0), [0, 4, 8])):
+            assert [r.m for r in rep.rows] == [0, 4, 8] and rep.fit is None
 
 
 def test_default_window_is_upper_half():
@@ -180,6 +194,17 @@ def test_thm3_candidate_discrimination():
     assert fit_rej.slope < 1.3
     # the rejected candidate decays no faster than the N=1 residual
     assert fit_rej.slope < fit_n1.slope + 0.25
+
+
+def test_thm3_refuses_level_zero(monkeypatch):
+    # the N=2 residual divides T_{C1} by m: refused before any symbol or operator
+    def built(*args):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(lab, "multiply", built)
+    monkeypatch.setattr(lab, "toeplitz", built)
+    with pytest.raises(ValueError, match="m >= 1"):
+        lab.thm3_run(X1, X2, [0, 1, 2])
 
 
 def test_thm3_k_estimate():

@@ -451,8 +451,15 @@ def test_commutator_m1_explicit():
 
 
 def test_level_mismatch():
-    with pytest.raises(LevelMismatchError):
-        op.commutator(op.identity(3), op.identity(4))
+    # sums, differences and products check the levels; the commutator is
+    # built from products and relies on their check
+    i3, i4 = op.identity(3), op.identity(4)
+    for call in (lambda: i3 + i4, lambda: i3 - i4, lambda: i3 @ i4,
+                 lambda: i4 @ i3, lambda: op.commutator(i3, i4)):
+        with pytest.raises(LevelMismatchError):
+            call()
+    with pytest.raises(TypeError):
+        i3 @ np.eye(4)
     # sections, inner products and basis tables raise the same type
     a, b = SectionVector(3, np.ones(4)), SectionVector(4, np.ones(5))
     table4 = basis_eval_grid(4, make_rule(4, 2))
@@ -698,13 +705,15 @@ def _special_norm_cases(m):
             op.QuantumOperator.from_diags(m, zero_diag)]
 
 
-def test_banded_norm_matches_the_dense_norm(rng):
+def test_banded_norm_matches_the_dense_norm(rng, monkeypatch):
+    # with the cutover at 0 rows, operator_norm takes `_band_radius` at every size
+    monkeypatch.setattr(op, "DENSE_NORM_ROWS", 0)
     for m in (0, 1, 2, 7, 64):
         cases = _lab_norm_cases(rng, m, range(1, 7)) + _special_norm_cases(m)
         assert m == 0 or any(not x.hermitian for x in cases)  # both branches
         for x in cases:
             ref = _dense_norm(x)
-            assert abs(op._band_norm(x) - ref) <= 1e-12 * ref, (m, x.band, x.hermitian)
+            assert abs(op.operator_norm(x) - ref) <= 1e-12 * ref, (m, x.band, x.hermitian)
 
 
 def test_band_inertia_counts_through_exact_zero_pivots():
@@ -747,6 +756,7 @@ def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
         raise AssertionError("dense matrix or LAPACK call above the cutover")
 
     monkeypatch.setattr(op.QuantumOperator, "mat", property(refuse))
+    monkeypatch.setattr(op, "_dense", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "norm", refuse)
     for x, ref in zip(cases, refs):
@@ -790,6 +800,35 @@ def test_report_bit_identical_across_threads(args):
     # A^H A (the LAPACK 2-norm differed from 68 rows, eigvalsh from 164)
     runs = _reports_under_one_and_two_threads(args)
     assert runs[0] == runs[1]
+
+
+_DENSE_NORMS = """
+import hashlib
+import numpy as np
+from btq import operators as op
+rng, digest = np.random.default_rng(46), hashlib.sha256()
+for n in range(op.DENSE_NORM_ROWS - 10, op.DENSE_NORM_ROWS):
+    for band in range(13):
+        inside = op._band_index(band, n)[1]
+        d = np.where(inside, rng.standard_normal((2 * band + 1, n))
+                     + 1j * rng.standard_normal((2 * band + 1, n)), 0)
+        for diags, hermitian in ((d, False), ((d + op._band_adjoint(d)) / 2, True)):
+            x = op.QuantumOperator.from_diags(n - 1, diags)
+            assert x.hermitian == hermitian
+            digest.update(np.float64(op.operator_norm(x)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_dense_norms_below_the_cutover_bit_identical_across_threads():
+    # every size with a dense norm close to DENSE_NORM_ROWS, Hermitian and
+    # general, bands 0-12: a BLAS build whose eigvalsh switches to threaded
+    # kernels below the cutover fails here
+    runs = [subprocess.run([sys.executable, "-c", _DENSE_NORMS],
+                           env=_fresh_env(OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n)),
+                           capture_output=True, check=True).stdout
+            for n in (1, 2)]
+    assert len(runs[0]) == 65 and runs[0] == runs[1]
 
 
 def test_thm1_report_bit_identical_across_threads():
