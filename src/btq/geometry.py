@@ -76,10 +76,6 @@ class SpherePoint:
         u = 1.0 + abs(z) ** 2
         return (2.0 * z.real / u, 2.0 * z.imag / u, (2.0 - u) / u)
 
-    def antipode(self):
-        x1, x2, x3 = self.ambient()
-        return SpherePoint.from_ambient(-x1, -x2, -x3)
-
     def _lift(self):
         # unit vector in C^2 representing the point of P^1
         if self.chart == "infinity":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .hilbert import SectionVector, basis_eval_grid, radial_factors
 from .operators import (commutator, kernel_matrix, operator_norm, prequantum,
                         toeplitz, toeplitz_exact, tuynman_rhs)
 from .symbols import (SELECTED_C1_ORDERING, Symbol, c1_candidate, evaluate,
-                      multiply, poisson_bracket, sup_norm, sup_norm_argmax,
-                      symbol_to_json)
+                      multiply, poisson_bracket, sup_norm, symbol_to_json)
 
 GAP_FLOOR = 1e-13
 
@@ -43,10 +42,6 @@ class ConvergenceRow:
         measured, reference = float(measured), float(reference)
         return cls(m=int(m), hbar=1.0 / m if m else math.inf, measured=measured,
                    reference=reference, gap=abs(measured - reference))
-
-    def as_dict(self):
-        return {"m": self.m, "hbar": self.hbar, "measured": self.measured,
-                "reference": self.reference, "gap": self.gap}
 
 
 @dataclass
@@ -66,9 +61,6 @@ class Check:
     name: str
     passed: bool
     detail: str = ""
-
-    def as_dict(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 @dataclass
@@ -98,10 +90,10 @@ class ConvergenceReport:
             "g": symbol_to_json(self.g) if self.g is not None else None,
             "conventions": {"total_area": TOTAL_AREA, "poisson_constant": POISSON_CONSTANT,
                             "laplace_sign": LAPLACE_SIGN, "laplace_scale": LAPLACE_SCALE},
-            "rows": [r.as_dict() for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
             "fit": self.fit.as_dict() if self.fit is not None else None,
             "K_estimate": self.k_estimate,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def to_json(self):
@@ -208,23 +200,18 @@ def thm3_run(f, g, levels, c1_ordering=SELECTED_C1_ORDERING):
         raise ValueError("the star-product residuals need m >= 1")
     c0 = multiply(f, g)
     c1 = c1_candidate(f, g, c1_ordering)
-    rep1 = ConvergenceReport("thm3[N=1]", f, g)
-    rep2 = ConvergenceReport("thm3[N=2]", f, g)
+    reports = {n: ConvergenceReport(f"thm3[N={n}]", f, g) for n in (1, 2)}
     for m in levels:
         tf, tg, tc0, tc1 = (toeplitz(h, m) for h in (f, g, c0, c1))
         r1 = tf @ tg - tc0
-        r2 = r1 - tc1 / m
-        for rep, r in ((rep1, r1), (rep2, r2)):
-            rep.rows.append(ConvergenceRow.make(m, operator_norm(r), 0.0))
-    _try_fit(rep1)
-    _try_fit(rep2)
-    win = set(rep1.fit.window if rep1.fit else default_window(levels))
-    rep1.k_estimate = max((r.m * r.gap for r in rep1.rows if r.m in win),
-                          default=None)
-    win2 = set(rep2.fit.window if rep2.fit else default_window(levels))
-    rep2.k_estimate = max((r.m**2 * r.gap for r in rep2.rows if r.m in win2),
-                          default=None)
-    return {1: rep1, 2: rep2}
+        for n, r in ((1, r1), (2, r1 - tc1 / m)):
+            reports[n].rows.append(ConvergenceRow.make(m, operator_norm(r), 0.0))
+    for n, rep in reports.items():
+        _try_fit(rep)
+        win = set(rep.fit.window if rep.fit else default_window(levels))
+        rep.k_estimate = max((r.m**n * r.gap for r in rep.rows if r.m in win),
+                             default=None)
+    return reports
 
 
 def tuynman_run(f, levels):

@@ -25,7 +25,7 @@ agreement of the three is the package's core self-test.  Operators are
 stored as their band of diagonals (`QuantumOperator`), filled directly by
 every path; only `operator_norm` builds a dense (m+1)^2 matrix, for
 LAPACK, and only below `DENSE_NORM_ROWS` = 160 rows.  Whether an
-operator is Hermitian is read off its band when it is built; no path
+operator is Hermitian is read off its band when a caller asks; no path
 asserts it.
 
 The geometric-quantization operator is Q_f = Pi(-(1/m) nabla_{X_f} + i f)Pi
@@ -74,11 +74,6 @@ def _band_adjoint(diags):
     return np.where(inside, np.take_along_axis(diags[::-1], rows, axis=1).conj(), 0)
 
 
-def _hermitian_defect(diags):
-    """max |A - A^H| on the band."""
-    return float(np.max(np.abs(diags - _band_adjoint(diags))))
-
-
 def _dense(diags):
     """The dense matrix of a diagonal stack."""
     n = diags.shape[1]
@@ -109,12 +104,13 @@ class QuantumOperator:
     Arithmetic, products (band b1 + b2, O(m b1 b2)), mat-vecs and the
     hermiticity check act on the diagonals.
 
-    `hermitian` is that check, made by both constructors on the stored band
-    (|A - A^H| <= 1e-12 max(1, max |A|)); no caller sets it.  `toeplitz`
-    reads it to refuse a real symbol's non-Hermitian T_f, and
-    `operator_norm` to norm A itself or A^H A."""
+    The stack is the one stored fact: `band` and `hermitian` are read off
+    it on each access, so neither can disagree with it.  `hermitian` is the
+    check |A - A^H| <= 1e-12 max(1, max |A|) on the band; `toeplitz` reads
+    it to refuse a real symbol's non-Hermitian T_f, and `operator_norm` to
+    norm A itself or A^H A."""
 
-    __slots__ = ("m", "band", "diags", "hermitian")
+    __slots__ = ("m", "diags")
 
     def __init__(self, m, mat):
         mat = np.asarray(mat, dtype=complex)
@@ -122,7 +118,7 @@ class QuantumOperator:
             raise ValueError(f"level {m} needs a {m + 1}x{m + 1} matrix")
         band = int(np.max(np.abs(np.subtract(*np.nonzero(mat))), initial=0))
         rows, inside, _ = _band_index(band, m + 1)
-        self._set(m, np.where(inside, mat[rows, np.arange(m + 1)], 0))
+        self.m, self.diags = m, np.where(inside, mat[rows, np.arange(m + 1)], 0)
 
     @classmethod
     def from_diags(cls, m, diags):
@@ -130,20 +126,25 @@ class QuantumOperator:
         if diags.shape[1:] != (m + 1,) or len(diags) % 2 == 0 or len(diags) > 2 * m + 1:
             raise ValueError(f"level {m} needs a (2 band + 1, {m + 1}) stack")
         op = cls.__new__(cls)
-        op._set(m, diags)
+        op.m, op.diags = m, diags
         return op
 
-    def _set(self, m, diags):
-        self.m, self.band, self.diags = m, len(diags) // 2, diags
-        scale = max(1.0, float(np.max(np.abs(diags))))
-        self.hermitian = _hermitian_defect(diags) <= _HERM_TOL * scale
+    @property
+    def band(self):
+        return len(self.diags) // 2
+
+    @property
+    def hermitian(self):
+        scale = max(1.0, float(np.max(np.abs(self.diags))))
+        return self.hermitian_defect() <= _HERM_TOL * scale
 
     @property
     def mat(self):
         return _dense(self.diags)
 
     def hermitian_defect(self):
-        return _hermitian_defect(self.diags)
+        """max |A - A^H| on the band."""
+        return float(np.max(np.abs(self.diags - _band_adjoint(self.diags))))
 
     def _aligned(self, other):
         self._check(other)
@@ -370,8 +371,11 @@ def prequantum(f, m):
     dzbar shifts angular frequency by +1 and the factors zbar and 1/z by -1,
     so both angular factors keep the harmonics |q| <= deg f: they are
     sampled on the 2 deg f + 1 nodes of `phi_grid`, and Q_f has the band of
-    T_f.  Anti-Hermitian (to quadrature accuracy) for real f.
+    T_f.  Anti-Hermitian (to quadrature accuracy) for real f.  The 1/m
+    leaves no Q_f at m = 0, which is refused.
     """
+    if m < 1:
+        raise ValueError("Q_f carries 1/m: it needs m >= 1")
     table = basis_eval_grid(m, make_rule(m, f.degree + 2))
     x = _ambient_grid(table.s, f.degree)
     s = table.s[:, None]
@@ -380,10 +384,7 @@ def prequantum(f, m):
     fv = eval_ambient(f, *x)
     d1, d2, d3 = (eval_ambient(partial(f, i), *x) for i in (1, 2, 3))
     u_dzbar_f = ((1.0 - z * z) * d1 + 1j * (1.0 + z * z) * d2 - 2.0 * z * d3) / u
-    if m > 0:
-        col = (1j / m) * u_dzbar_f * u / z  # pairs with k z^(k-1)
-    else:
-        col = np.zeros_like(z)
+    col = (1j / m) * u_dzbar_f * u / z  # pairs with k z^(k-1)
     base = 1j * (fv - np.conj(z) * u_dzbar_f)
     diags = _band_matrix(m, table.blocks, table.w, f.degree,
                          (base, None), (col, np.arange(m + 1)))
@@ -450,12 +451,13 @@ def operator_norm(op):
     DENSE_NORM_ROWS rows the radius is dense LAPACK eigvalsh, from there up
     `_band_radius`, with no dense matrix.  Neither depends on the BLAS thread
     count."""
-    d = op.diags if op.hermitian else _band_product(_band_adjoint(op.diags), op.diags)
+    hermitian = op.hermitian
+    d = op.diags if hermitian else _band_product(_band_adjoint(op.diags), op.diags)
     if op.m + 1 < DENSE_NORM_ROWS:
         radius = float(np.max(np.abs(np.linalg.eigvalsh(_dense(d)))))
     else:
         radius = _band_radius(d)
-    return radius if op.hermitian else math.sqrt(radius)
+    return radius if hermitian else math.sqrt(radius)
 
 
 def commutator(a, b):

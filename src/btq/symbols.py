@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
 
 import numpy as np
@@ -94,9 +95,9 @@ class Symbol:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, numbers.Number):
             return Symbol({e: c * other for e, c in self.terms.items()})
-        out = {}
+        other, out = _coerce(other), {}
         for (a1, b1, c1), v1 in self.terms.items():
             for (a2, b2, c2), v2 in other.terms.items():
                 e = (a1 + a2, b1 + b2, c1 + c2)
@@ -158,7 +159,7 @@ class Symbol:
 def _coerce(obj):
     if isinstance(obj, Symbol):
         return obj
-    if isinstance(obj, (int, float, complex)):
+    if isinstance(obj, numbers.Number):
         return constant(obj)
     raise TypeError(f"cannot interpret {obj!r} as a Symbol")
 

@@ -355,6 +355,17 @@ def test_prequantum_x3_closed_form():
     assert np.max(np.abs(q4.mat - expect)) < 1e-13
 
 
+def test_prequantum_refuses_level_zero(monkeypatch):
+    # the 1/m of Q_f has no value at m = 0; refused before any rule is built
+    def refuse(*args):
+        raise AssertionError("rule built for a refused level")
+
+    monkeypatch.setattr(op, "make_rule", refuse)
+    for f in (X3, X3 * X3, ONE):
+        with pytest.raises(ValueError, match="m >= 1"):
+            op.prequantum(f, 0)
+
+
 def test_prequantum_antihermitian(rng):
     for _ in range(5):
         f = random_symbol(rng, degree=3)
@@ -550,6 +561,37 @@ def test_band_hermiticity_matches_dense_check(rng):
                 assert x.hermitian_defect() == float(np.max(np.abs(a - a.conj().T)))
 
 
+def test_hermitian_is_read_off_the_stack_it_wraps():
+    # m and the stack are all an operator stores, so a caller that changes
+    # the array it wrapped changes the operator: the flag and the norm
+    # follow the stack, not the stack at construction
+    assert op.QuantumOperator.__slots__ == ("m", "diags")
+    d = op.toeplitz(X1, 8).diags.copy()
+    a = op.QuantumOperator.from_diags(8, d)
+    assert a.hermitian
+    d[0] *= 2
+    assert not a.hermitian and a.band == 1
+    ref = float(np.linalg.norm(a.mat, 2))
+    assert abs(op.operator_norm(a) - ref) <= 1e-12 * ref
+
+
+def test_hermiticity_is_checked_only_when_read(monkeypatch):
+    # arithmetic wraps its results without a check; one read of .hermitian
+    # makes one adjoint (i[A, B] - C is Hermitian for Hermitian A, B, C)
+    a, b, c = (op.toeplitz(h, 16) for h in (X1, X2 * X3, X1 * X2))
+    adjoint, calls = op._band_adjoint, []
+
+    def counted(diags):
+        calls.append(len(diags))
+        return adjoint(diags)
+
+    monkeypatch.setattr(op, "_band_adjoint", counted)
+    x = op.commutator(a, b) * 1j - c
+    assert calls == []
+    assert x.hermitian
+    assert calls == [len(x.diags)]
+
+
 def test_from_diags_refuses_a_band_wider_than_the_level():
     for m in (2, 5, 16):
         for rows in (2 * m + 3, 2 * m + 2, 2 * m):
@@ -596,7 +638,7 @@ def test_lean_assembly_keeps_the_bytes(rng, monkeypatch):
     # times k).  The levels cover one-entry corner diagonals (m <= 4, and
     # m = 40 at degree 40, whose 41 nodes exceed one BLOCK), single blocks,
     # and several blocks with a short last one (m = 513 at degree 0 ends on
-    # a 1-node block)
+    # a 1-node block).  Q_f, which has no level 0, starts at m = 1
     band_matrix, calls = op._band_matrix, []
 
     def spy(m, frames, w, band, *integrands):
@@ -624,11 +666,15 @@ def test_lean_assembly_keeps_the_bytes(rng, monkeypatch):
         assert f.degree >= d
         op.toeplitz(f, m)
         t = op.kernel_matrix(f, m)
-        op.prequantum(f, m)
-        (table1, one, _), (frame, _, integrals), (table2, two, _) = calls
-        assert (one, two) == (1, 2)
+        if m:
+            op.prequantum(f, m)
+            table2, two, _ = calls.pop()
+            assert two == 2
+            assert table2.tobytes() == _one_shot_table(
+                m, make_rule(m, f.degree + 2).s_nodes).tobytes()
+        (table1, one, _), (frame, _, integrals) = calls
+        assert one == 1
         assert table1.tobytes() == _one_shot_table(m, make_rule(m, f.degree).s_nodes).tobytes()
-        assert table2.tobytes() == _one_shot_table(m, make_rule(m, f.degree + 2).s_nodes).tobytes()
         s = make_rule(m, f.degree).s_nodes[:, None]
         assert frame.tobytes() == (s ** (k / 2.0) * (1.0 - s) ** ((m - k) / 2.0)).tobytes()
         r = np.sqrt(binomial_floats(m) * ((m + 1) / TWO_PI))
@@ -679,12 +725,12 @@ def _dense_norm(x):
 
 
 def _lab_norm_cases(rng, m, degrees):
-    """T_f and -i Q_f of random real symbols, the thm2 residual and both thm3
-    residuals, as the lab builds them."""
+    """T_f and -i Q_f (from m = 1) of random real symbols, the thm2 residual
+    and both thm3 residuals, as the lab builds them."""
     cases = []
     for d in degrees:
         f = random_symbol(rng, degree=d)
-        cases += [op.toeplitz(f, m), -1j * op.prequantum(f, m)]
+        cases += [op.toeplitz(f, m)] + ([-1j * op.prequantum(f, m)] if m else [])
     f, g = random_symbol(rng, degree=2), random_symbol(rng, degree=3)
     tf, tg = op.toeplitz(f, m), op.toeplitz(g, m)
     cases.append(op.commutator(tf, tg) * (1j * m) - op.toeplitz(sy.poisson_bracket(f, g), m))

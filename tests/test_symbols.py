@@ -157,6 +157,18 @@ def test_multiply_examples():
     assert sy.multiply(f, ONE) == f
 
 
+def test_products_coerce_like_sums():
+    # a numpy scalar multiplies as its Python value does; anything that is
+    # not a number is refused with TypeError, as in a sum
+    for k in (np.int64(2), np.float64(2.0), np.complex128(2)):
+        assert X1 * k == k * X1 == X1 * 2 == X1 + X1
+        assert X1 + k == X1 + 2
+    for bad in ("a", None, [1]):
+        for expr in (lambda: X1 * bad, lambda: X1 + bad):
+            with pytest.raises(TypeError):
+                expr()
+
+
 def test_ring_axioms_exact(rng):
     for _ in range(20):
         f, g, h = (random_symbol(rng) for _ in range(3))
@@ -597,7 +609,7 @@ def test_grid_extrema_matches_scalar_refinement_bit_for_bit_at_high_degree():
 # within about 0.1 of a pole, where all 2*resolution coarse cells of the
 # u = +-1 row are one point: the 4 starts of a sign collapse onto the pole,
 # and the shrinking phi window there never turns toward the extremum.
-# ROADMAP item 4 plans a certified bracket.
+# ROADMAP item 2 plans a certified bracket.
 _POLE_MISSES = (23, 43)
 
 
