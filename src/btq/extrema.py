@@ -1,10 +1,11 @@
 """Sup norms of real symbols by grid search: `grid_extrema` and the two
 sup-norm readings of it.
 
-The search evaluates Re f on a (u = x3, phi) grid in real arithmetic and
-refines the best cells of each sign by shrinking local grids.  It only
-reads a symbol's `terms` and `is_real`, so it imports nothing from
-`symbols`, which re-exports every name here.
+The search reads Re f on a (u = x3, phi) grid through
+`symbols.eval_ambient` and refines the best cells of each sign by
+shrinking local grids.  `symbols` re-exports every name here from its last
+line, after `eval_ambient`; the package imports `symbols` before this
+module, whichever of the two a caller names first.
 """
 
 from __future__ import annotations
@@ -14,33 +15,15 @@ import math
 import numpy as np
 
 from .geometry import SpherePoint
+from .symbols import eval_ambient
 
 
 def _real_values(f, u, phi):
-    """Re f at (u = x3, phi) in real arithmetic: for real coordinates
-    v.real * x1^a * x2^b * x3^c is Re(v * x1^a * x2^b * x3^c) exactly.
-
-    u and phi may be broadcast shapes (a grid as u[:, None], phi[None, :]):
-    rho comes from u and cos, sin from phi, each on its own shape.  Each
-    power x_i^e is taken once and shared by the terms; a factor x_i^0 is
-    skipped (v * 1.0 is v) and x_i^1 is x_i.  Every point gets the same
-    elementwise operations in the same order as on flat arrays, so the
-    same bits."""
+    """Re f at (u = x3, phi), in the broadcast shape of u and phi (a grid as
+    u[:, None], phi[None, :]).  rho comes from u and cos, sin from phi, each
+    on its own shape, so every point gets the bits of flat arrays."""
     rho = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    x = (rho * np.cos(phi), rho * np.sin(phi), u)
-    powers = {}
-    terms = []
-    for exps, v in sorted(f.terms.items()):
-        t = v.real
-        for i, e in enumerate(exps):
-            if e:
-                if (i, e) not in powers:
-                    powers[i, e] = x[i] if e == 1 else x[i] ** e
-                t = t * powers[i, e]
-        terms.append(t)
-    out = sum(terms[1:], terms[0]) if terms else 0.0
-    # x1 has the grid's full shape; a symbol free of x1, x2 gives a column
-    return out if np.shape(out) == x[0].shape else np.broadcast_to(out, x[0].shape)
+    return eval_ambient(f, rho * np.cos(phi), rho * np.sin(phi), u).real
 
 
 # `_refine`: REFINE_ROUNDS halvings of a REFINE_LOCAL^2 grid around each start
@@ -117,8 +100,7 @@ def grid_extrema(f):
 
 def sup_norm(f):
     """Sup of |f| over the sphere for a real symbol."""
-    fmin, fmax, _, _ = grid_extrema(f)
-    return max(abs(fmin), abs(fmax))
+    return sup_norm_argmax(f)[0]
 
 
 def sup_norm_argmax(f):

@@ -80,9 +80,6 @@ class ConvergenceReport:
     def check(self, name, passed, detail=""):
         self.checks.append(Check(name, bool(passed), detail))
 
-    def gaps(self):
-        return {r.m: r.gap for r in self.rows}
-
     def to_json_dict(self):
         return {
             "experiment": self.experiment,

@@ -19,7 +19,6 @@ import re
 import numpy as np
 
 from .errors import CapacityError, SymbolSyntaxError, UnknownIdentifierError
-from .extrema import grid_extrema, sup_norm, sup_norm_argmax  # noqa: F401 (re-exported)
 from .geometry import LAPLACE_SCALE, LAPLACE_SIGN, POISSON_CONSTANT
 
 _REAL_TOL = 1e-13
@@ -317,20 +316,24 @@ MAX_SYMBOL_DEGREE = 64
 COEFF_L1_BOUND = 1e250
 
 
-def parse(text):
-    """Parse an expression string straight into its normal-form Symbol (no
-    intermediate tree; see `_Parser`).  Coefficients whose l1 norm is above
-    COEFF_L1_BOUND or not finite (an overflow, or nan from one) are a
-    SymbolSyntaxError.  A product or power above MAX_SYMBOL_DEGREE, or an
-    exponent above it, is a CapacityError, raised before it is formed.
-    '(' and unary '-' nested deeper than MAX_NESTING_DEPTH are a
-    SymbolSyntaxError at the offending token."""
-    f = _Parser(text).parse()
+def _bounded(f):
+    """f, unless its coefficient l1 norm is above COEFF_L1_BOUND or not
+    finite (an overflow, or nan from one): then a SymbolSyntaxError."""
     l1 = f.coeff_l1()
     if not l1 <= COEFF_L1_BOUND:
         raise SymbolSyntaxError(
             f"coefficient l1 norm {l1:.3g} exceeds {COEFF_L1_BOUND:g}", 0)
     return f
+
+
+def parse(text):
+    """Parse an expression string straight into its normal-form Symbol (no
+    intermediate tree; see `_Parser`).  Coefficients that `_bounded`
+    refuses are a SymbolSyntaxError.  A product or power above
+    MAX_SYMBOL_DEGREE, or an exponent above it, is a CapacityError, raised
+    before it is formed.  '(' and unary '-' nested deeper than
+    MAX_NESTING_DEPTH are a SymbolSyntaxError at the offending token."""
+    return _bounded(_Parser(text).parse())
 
 
 # -- calculus ----------------------------------------------------------------
@@ -442,25 +445,36 @@ SELECTED_C1_ORDERING = "dz-dzbar"
 REJECTED_C1_ORDERING = "dzbar-dz"
 
 
-# -- evaluation (the sup-norm search is `extrema`) ---------------------------
+# -- evaluation ----------------------------------------------------------------
 
 
 def eval_ambient(f, x1, x2, x3):
-    """Vectorized polynomial evaluation at ambient coordinates."""
-    out = None
-    for (a, b, c), v in sorted(f.terms.items()):
-        term = v * x1**a * x2**b * x3**c
-        out = term if out is None else out + term
+    """f at ambient coordinates (scalars or arrays), in their broadcast
+    shape: the one evaluator of a Symbol.  Terms are added in sorted order,
+    each its coefficient times its factors left to right; each power x_i^e
+    is taken once, x_i^0 is skipped and x_i^1 is x_i.  With no nonzero
+    imaginary part in the coefficients, f is evaluated in real arithmetic:
+    at real coordinates, the real part of the complex sum, bit for bit up
+    to the sign of a zero."""
+    x, powers, out = (x1, x2, x3), {}, None
+    real = not any(v.imag for v in f.terms.values())
+    for exps, v in sorted(f.terms.items()):
+        t = v.real if real else v
+        for i, e in enumerate(exps):
+            if e:
+                if (i, e) not in powers:
+                    powers[i, e] = x[i] if e == 1 else x[i] ** e
+                t = t * powers[i, e]
+        out = t if out is None else out + t
+    shape = np.broadcast(x1, x2, x3).shape
     if out is None:
-        return np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex) \
-            if isinstance(x1, np.ndarray) else 0j
-    return out
+        return np.zeros(shape)
+    return out if np.shape(out) == shape else np.broadcast_to(out, shape)
 
 
 def evaluate(f, p):
     """Exact evaluation at a SpherePoint (chart independent)."""
-    x1, x2, x3 = p.ambient()
-    return complex(eval_ambient(f, x1, x2, x3))
+    return complex(eval_ambient(f, *p.ambient()))
 
 
 # -- serialization -------------------------------------------------------------
@@ -474,8 +488,13 @@ def symbol_to_json(f):
 
 def symbol_from_json(obj):
     """Inverse of `symbol_to_json`; a term above MAX_SYMBOL_DEGREE is a
-    CapacityError, raised before the symbol is built."""
+    CapacityError, raised before the symbol is built, and coefficients that
+    `parse` refuses (`_bounded`) are a SymbolSyntaxError."""
     terms = {tuple(t["e"]): complex(t["re"], t["im"]) for t in obj["terms"]}
     if max(map(sum, terms), default=0) > MAX_SYMBOL_DEGREE:
         raise CapacityError(f"a term exceeds the symbol degree cap {MAX_SYMBOL_DEGREE}")
-    return Symbol(terms)
+    return _bounded(Symbol(terms))
+
+
+# last: `extrema` imports eval_ambient from here
+from .extrema import grid_extrema, sup_norm, sup_norm_argmax  # noqa: E402,F401

@@ -76,7 +76,7 @@ def test_criterion_04_thm2_defect_and_rate():
             d = op.operator_norm(defect)
             assert abs(d - 4 * m / (m + 2) ** 2) <= 1e-13
         rep = lab.thm2_run(X1, X2, [2, 8, 16, 32, 64, 128, 256])
-        gaps = rep.gaps()
+        gaps = {r.m: r.gap for r in rep.rows}
         for m in (2, 8, 32):
             assert abs(gaps[m] - 4 * m / (m + 2) ** 2) <= 1e-9
         fit = lab.fit_rate(rep.rows, window=[16, 32, 64, 128, 256])

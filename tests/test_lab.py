@@ -97,7 +97,7 @@ def test_default_window_is_upper_half():
 
 def test_thm1_x3_gap_family():
     rep = lab.thm1_run(X3, [8, 16, 32])
-    gaps = rep.gaps()
+    gaps = {r.m: r.gap for r in rep.rows}
     assert abs(gaps[8] - 0.2) < 1e-10
     assert abs(gaps[32] - 2.0 / 34.0) < 1e-10
     assert rep.passed
@@ -133,7 +133,7 @@ def test_thm2_spin_oracle_confirmed_small_m():
 
 def test_thm2_defect_values():
     rep = lab.thm2_run(X1, X2, [2, 8, 32])
-    gaps = rep.gaps()
+    gaps = {r.m: r.gap for r in rep.rows}
     assert abs(gaps[2] - 0.5) < 1e-12
     assert abs(gaps[8] - 0.32) < 1e-12
     assert abs(gaps[32] - 4 * 32 / 34**2) < 1e-12

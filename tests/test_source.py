@@ -1,9 +1,12 @@
 """Properties of the package source itself, not of its numbers."""
 
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
 from btq import extrema, symbols
+from conftest import _fresh_env
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "btq"
 
@@ -35,3 +38,11 @@ def test_symbols_re_exports_the_sup_norm_search():
     for name in ("grid_extrema", "sup_norm", "sup_norm_argmax"):
         assert getattr(symbols, name) is getattr(extrema, name)
     assert not hasattr(symbols, "GRID_RESOLUTION")
+    # `extrema` imports `eval_ambient` from `symbols`, which binds the search
+    # at its end: the same object whichever module a fresh interpreter
+    # imports first
+    check = "import btq.extrema, btq.symbols as s; assert s.grid_extrema is btq.extrema.grid_extrema"
+    for first in ("btq.extrema", "btq.symbols", "btq.cli"):
+        proc = subprocess.run([sys.executable, "-c", f"import {first}; {check}"],
+                              env=_fresh_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, (first, proc.stderr)

@@ -47,6 +47,18 @@ def test_parse_rejects_non_finite_coefficients():
     assert sy.parse("1e250*x3").terms == {(0, 0, 1): 1e250}
 
 
+def test_symbol_from_json_refuses_what_parse_refuses():
+    # nan once came back as Symbol(nan*x3), and sup_norm of it as nan
+    nan = json.loads('{"terms":[{"e":[0,0,1],"re":NaN,"im":0}]}')
+    objs = [nan] + [{"terms": [{"e": [0, 0, 1], "re": re_, "im": im}]}
+                    for re_, im in ((math.inf, 0.0), (0.0, -math.inf), (0.0, math.nan),
+                                    (1e300, 0.0), (2e250, 0.0))]
+    for obj in objs:
+        with pytest.raises(SymbolSyntaxError, match="coefficient l1 norm"):
+            sy.symbol_from_json(obj)
+    assert sy.symbol_from_json(sy.symbol_to_json(sy.parse("1e250*x3"))) == sy.parse("1e250*x3")
+
+
 def test_parse_refuses_degree_above_cap_before_folding():
     assert sy.MAX_SYMBOL_DEGREE == 64
     for text in ("x1^400", "x1^65", "x1^40*x2^40", "(x1*x2)^33", "2^100000",
@@ -490,8 +502,7 @@ def test_sup_norm_interior_maximum():
 
 
 def _scalar_refine(f, u0, phi0, sign, rounds=ex.REFINE_ROUNDS, local=ex.REFINE_LOCAL):
-    # reference search: one start at a time, evaluating through the complex
-    # eval_ambient
+    # reference search: one start at a time, on flat meshgrid arrays
     def real_values(u, phi):
         rho = np.sqrt(np.maximum(0.0, 1.0 - u * u))
         return np.real(sy.eval_ambient(f, rho * np.cos(phi), rho * np.sin(phi), u))
@@ -715,3 +726,37 @@ def test_real_values_on_a_broadcast_grid_is_the_flat_evaluation(f, u, phi):
     assert grid.shape == (u.size, phi.size)
     assert grid.ravel().tobytes() == flat.tobytes()
     assert ex._real_values(f, uu, pp).tobytes() == flat.tobytes()
+    # ... and the real part of the complex evaluation before it
+    ref = _complex_formula(f, x1, x2, uu)
+    assert _zeros_as_one(grid.ravel()) == _zeros_as_one(np.real(ref))
+
+
+def _complex_formula(f, x1, x2, x3):
+    """The evaluator before powers were shared and real symbols ran in real
+    arithmetic: every factor of every term, in complex arithmetic."""
+    terms = [v * x1**a * x2**b * x3**c for (a, b, c), v in sorted(f.terms.items())]
+    return sum(terms[1:], terms[0]) if terms else np.zeros(np.broadcast(x1, x2, x3).shape)
+
+
+def _zeros_as_one(values):
+    """The bytes of values with -0.0 read as 0.0.  Complex arithmetic carries
+    imaginary parts of +-0.0 that can flip the sign of a zero real part:
+    x1*x2*x3 at (-2, -2, -0.0) is -0.0 in real arithmetic and 0.0 in
+    complex.  The search grid has such points: x2 = rho sin(phi) is -0.0
+    at a pole when sin(phi) < 0."""
+    return (np.asarray(values) + 0.0).tobytes()
+
+
+@given(_symbols(max_degree=4, real=False), _symbols(max_degree=4),
+       st.lists(_unit, min_size=1, max_size=5), st.lists(_angle, min_size=1, max_size=5))
+def test_eval_ambient_of_complex_symbols_is_the_complex_formula(f, g, u, phi):
+    u, phi = np.array(u), np.array(phi)
+    rho = np.sqrt(np.maximum(0.0, 1.0 - u * u))[:, None]
+    x = (rho * np.cos(phi), rho * np.sin(phi), u[:, None])
+    for h in (f, sy.c1_candidate(f, g, sy.SELECTED_C1_ORDERING), f * g):
+        got, ref = sy.eval_ambient(h, *x), _complex_formula(h, *x)
+        assert got.shape == (u.size, phi.size)
+        if not any(v.imag for v in h.terms.values()):  # real arithmetic
+            assert got.dtype == float
+            ref = np.real(ref)
+        assert _zeros_as_one(got) == _zeros_as_one(ref)
