@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,14 +206,23 @@ def kernel_density(m, p):
     return float(np.sum(radial_factors(m, [z2 / (1.0 + z2)]) ** 2))
 
 
+def _coherent_fits(m, z0):
+    """Refuse (CapacityError) a coherent state whose ||phi||^2 overflows a float."""
+    log_norm_sq = math.log(TWO_PI / (m + 1)) + m * math.log1p(abs(z0) ** 2)
+    if log_norm_sq > math.log(sys.float_info.max):
+        raise CapacityError(f"||phi||^2 at z0={z0!r} overflows a float at level {m}")
+
+
 def coherent_state(m, z0):
     """Coherent state at the finite-chart point z0: the chart representative
     (1 + conj(z0) z)^m, coefficients sqrt(2 pi C(m,k)/(m+1)) conj(z0)^k.
     Unnormalized: ||phi||^2 = 2 pi/(m+1) (1+|z0|^2)^m, and the pointwise
     density is (1+|z0|^2)^m exp(-m D(x0, .)), so it grows with the level;
-    `lab.coherent_run` uses the bounded multiple
+    a state whose ||phi||^2 would overflow a float is a CapacityError,
+    raised before it is built.  `lab.coherent_run` uses the bounded multiple
     (1+|z0|^2)^(-m/2) phi = sum_k R_k(s0) e^{-i k phi0} e_k instead."""
     z0 = complex(z0)
+    _coherent_fits(m, z0)
     pref = math.sqrt(TWO_PI / (m + 1))
     coeffs = np.array([pref * math.sqrt(c) * np.conj(z0) ** k
                        for k, c in enumerate(binomial_floats(m).tolist())])
@@ -220,7 +230,9 @@ def coherent_state(m, z0):
 
 
 def coherent_norm_sq(m, z0):
-    """Closed-form ||phi||^2 = 2 pi/(m+1) (1+|z0|^2)^m."""
+    """Closed-form ||phi||^2 = 2 pi/(m+1) (1+|z0|^2)^m; a CapacityError
+    where that overflows a float, as in `coherent_state`."""
+    _coherent_fits(m, z0)
     return TWO_PI / (m + 1) * (1.0 + abs(z0) ** 2) ** m
 
 

@@ -11,7 +11,6 @@ classical observables are the real-flagged subclass.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import re
@@ -395,50 +394,27 @@ def laplace_beltrami(f):
 C1_ORDERINGS = ("dzbar-dz", "dz-dzbar")
 
 
-@functools.lru_cache(maxsize=None)
-def c1_contraction_table():
-    """The nine degree<=2 symbols G_ij = (1+z zbar)^2 (dzbar x_i)(dz x_j),
-    in closed form G_ij = delta_ij - x_i x_j - i eps_ijk x_k, with eps the
-    Levi-Civita symbol.  The tests check every coefficient against an exact
-    symbolic derivation in the stereographic chart."""
-    x = (X1, X2, X3)
-
-    def entry(i, j):
-        if i == j:
-            g = ONE - x[i] * x[j]
-        else:
-            eps = 1 if (j - i) % 3 == 1 else -1  # eps_ijk, k the remaining index
-            g = -(x[i] * x[j]) - (1j * eps) * x[3 - i - j]
-        # rebuilt from sorted terms: c1_candidate's sums follow term order
-        return Symbol(sorted(g.terms.items()))
-
-    return tuple(tuple(entry(i, j) for j in range(3)) for i in range(3))
-
-
 def c1_candidate(f, g, ordering):
     """First star-product coefficient candidate C1(f,g) in the named ordering.
 
-    SELECTED_C1_ORDERING names the Berezin-Toeplitz one.
-    ordering "dzbar-dz" is the contraction g^{1bar1} (dzbar f)(dz g)
-    = sum_ij G_ij (d_i f)(d_j g); "dz-dzbar" is -(1+z zbar)^2 (dz f)(dzbar g),
-    its negated transpose.  Both satisfy the antisymmetrization identity
-    C1(f,g) - C1(g,f) = -i {f,g}; the semiclassical residual experiment
-    selects "dz-dzbar" as the one belonging to the Berezin-Toeplitz star
-    product and keeps "dzbar-dz" as the non-decaying regression fixture.
+    On the sphere, C1 = skew +- pairing: skew = -(i/c){f,g}, c =
+    POISSON_CONSTANT, and pairing is the carre du champ of the Laplacian,
+    (Delta(fg) - f Delta g - g Delta f)/(2 LAPLACE_SIGN LAPLACE_SCALE) =
+    grad f . grad g - (x . grad f)(x . grad g), the tangential gradient
+    pairing.  "dzbar-dz" is (1+z zbar)^2 (dzbar f)(dz g) = skew + pairing;
+    "dz-dzbar" is -(1+z zbar)^2 (dz f)(dzbar g) = skew - pairing, its
+    negated transpose.  Both satisfy C1(f,g) - C1(g,f) = -i {f,g}, so the
+    semiclassical residual experiment (thm3) selects only the sign of C1's
+    symmetric part: SELECTED_C1_ORDERING, "dz-dzbar", is the Berezin-Toeplitz
+    one, and "dzbar-dz" stays as the non-decaying regression fixture.
     """
     if ordering not in C1_ORDERINGS:
         raise ValueError(f"ordering must be one of {C1_ORDERINGS}")
-    table = c1_contraction_table()
-    df = [partial(f, i) for i in (1, 2, 3)]
-    dg = [partial(g, i) for i in (1, 2, 3)]
-    out = Symbol({})
-    for i in range(3):
-        for j in range(3):
-            if ordering == "dzbar-dz":
-                out = out + table[i][j] * df[i] * dg[j]
-            else:
-                out = out - table[j][i] * df[i] * dg[j]
-    return out
+    lap = laplace_beltrami
+    pairing = (lap(f * g) - f * lap(g) - g * lap(f)) \
+        * (0.5 / (LAPLACE_SIGN * LAPLACE_SCALE))
+    skew = poisson_bracket(f, g) * (-1j / POISSON_CONSTANT)
+    return skew + pairing if ordering == "dzbar-dz" else skew - pairing
 
 
 SELECTED_C1_ORDERING = "dz-dzbar"
@@ -488,9 +464,20 @@ def symbol_to_json(f):
 
 def symbol_from_json(obj):
     """Inverse of `symbol_to_json`; a term above MAX_SYMBOL_DEGREE is a
-    CapacityError, raised before the symbol is built, and coefficients that
-    `parse` refuses (`_bounded`) are a SymbolSyntaxError."""
-    terms = {tuple(t["e"]): complex(t["re"], t["im"]) for t in obj["terms"]}
+    CapacityError, raised before the symbol is built.  An "e" that is not
+    three nonnegative integers (bools refused) or repeats an earlier one is
+    a SymbolSyntaxError at its term's index, and coefficients that `parse`
+    refuses (`_bounded`) are a SymbolSyntaxError too."""
+    terms = {}
+    for i, t in enumerate(obj["terms"]):
+        e = t["e"]
+        if not (isinstance(e, (list, tuple)) and len(e) == 3
+                and all(type(k) is int and k >= 0 for k in e)):
+            raise SymbolSyntaxError(
+                f"exponents {e!r} are not three nonnegative integers", i)
+        if tuple(e) in terms:
+            raise SymbolSyntaxError(f"exponents {e!r} repeat an earlier term", i)
+        terms[tuple(e)] = complex(t["re"], t["im"])
     if max(map(sum, terms), default=0) > MAX_SYMBOL_DEGREE:
         raise CapacityError(f"a term exceeds the symbol degree cap {MAX_SYMBOL_DEGREE}")
     return _bounded(Symbol(terms))

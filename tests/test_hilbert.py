@@ -6,7 +6,7 @@ import pytest
 
 from btq import hilbert as hb
 from btq import operators
-from btq.errors import UnderResolvedRuleError
+from btq.errors import CapacityError, UnderResolvedRuleError
 from btq.geometry import QuadratureRule, SpherePoint, make_rule
 from btq.symbols import parse
 from conftest import modules_after, random_point
@@ -148,6 +148,21 @@ def test_coherent_state_norm_identity(rng):
         norm2 = hb.coefficient_inner(st, st).real
         closed = hb.coherent_norm_sq(m, z0)
         assert abs(norm2 - closed) < 1e-12 * closed
+
+
+def test_coherent_state_refuses_levels_where_its_norm_overflows():
+    # at (1000, 3) the coefficients were inf and at (600, 3) <phi, phi> was,
+    # with only a RuntimeWarning; coherent_norm_sq raised a bare OverflowError
+    for m, z0 in ((600, 3), (1000, 3), (1020, 2.0), (800, 5j)):
+        with pytest.raises(CapacityError):
+            hb.coherent_state(m, z0)
+        with pytest.raises(CapacityError):
+            hb.coherent_norm_sq(m, z0)
+    st = hb.coherent_state(300, 3)
+    norm2 = hb.coefficient_inner(st, st).real
+    closed = hb.coherent_norm_sq(300, 3)
+    assert abs(closed - 2.087e298) < 1e-3 * closed
+    assert abs(norm2 - closed) < 1e-12 * closed
 
 
 def test_coherent_density_identity(rng):

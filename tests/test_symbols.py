@@ -59,6 +59,38 @@ def test_symbol_from_json_refuses_what_parse_refuses():
     assert sy.symbol_from_json(sy.symbol_to_json(sy.parse("1e250*x3"))) == sy.parse("1e250*x3")
 
 
+def _json_of(*exponents):
+    return {"terms": [{"e": e, "re": k + 1, "im": 0} for k, e in enumerate(exponents)]}
+
+
+def test_symbol_from_json_refuses_negative_exponents():
+    # [0, 0, -1] once came back as Symbol(1*x3), checked only by its sum
+    with pytest.raises(SymbolSyntaxError, match="nonnegative integers"):
+        sy.symbol_from_json(_json_of([0, 0, -1]))
+
+
+def test_symbol_from_json_refuses_non_integer_exponents():
+    # [0.5, 0, 0] once came back as Symbol(1*x1)
+    for e in ([0.5, 0, 0], [0, 0, 1.0], [True, 0, 0], [0, False, 1], "x13"):
+        with pytest.raises(SymbolSyntaxError, match="nonnegative integers"):
+            sy.symbol_from_json(_json_of(e))
+
+
+def test_symbol_from_json_refuses_exponents_of_the_wrong_length():
+    # a two-entry "e" once raised a bare ValueError
+    for e in ([0, 1], [0, 0, 1, 0], []):
+        with pytest.raises(SymbolSyntaxError, match="nonnegative integers"):
+            sy.symbol_from_json(_json_of(e))
+
+
+def test_symbol_from_json_refuses_repeated_exponents():
+    # a repeated "e" once kept its last entry: Symbol(2*x3)
+    with pytest.raises(SymbolSyntaxError, match="repeat") as err:
+        sy.symbol_from_json(_json_of([0, 0, 1], [0, 0, 1]))
+    assert err.value.position == 1
+    assert sy.symbol_from_json(_json_of([0, 0, 1], [0, 1, 0])) == X3 + 2 * X2
+
+
 def test_parse_refuses_degree_above_cap_before_folding():
     assert sy.MAX_SYMBOL_DEGREE == 64
     for text in ("x1^400", "x1^65", "x1^40*x2^40", "(x1*x2)^33", "2^100000",
@@ -398,51 +430,47 @@ def test_c1_bilinear(rng):
     assert c1(f, g + h) == c1(f, g) + c1(f, h)
 
 
-def test_c1_fixture_matches_symbolic_oracle(rng):
+def test_c1_matches_symbolic_oracle(rng):
+    # pull f and g back to the stereographic chart with sympy and take the
+    # Wirtinger derivatives there: (1+z zbar)^2 (dzbar f)(dz g) for
+    # "dzbar-dz" and -(1+z zbar)^2 (dz f)(dzbar g) for "dz-dzbar"
     sp = pytest.importorskip("sympy")
     z, zb = sp.symbols("z zbar")
     u = 1 + z * zb
     chart = [(z + zb) / u, -sp.I * (z - zb) / u, (1 - z * zb) / u]
-    table = sy.c1_contraction_table()
-    samples = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(12)]
-    for i in range(3):
-        for j in range(3):
-            oracle = sp.lambdify((z, zb), u**2 * sp.diff(chart[i], zb)
-                                 * sp.diff(chart[j], z), "numpy")
-            for zz in samples:
-                p = SpherePoint.from_z(zz)
-                ours = sy.evaluate(table[i][j], p)
+
+    def pullback(f):
+        return sum(complex(v) * chart[0] ** a * chart[1] ** b * chart[2] ** c
+                   for (a, b, c), v in f.terms.items())
+
+    oracles = {"dzbar-dz": lambda pf, pg: u**2 * sp.diff(pf, zb) * sp.diff(pg, z),
+               "dz-dzbar": lambda pf, pg: -u**2 * sp.diff(pf, z) * sp.diff(pg, zb)}
+    for _ in range(6):
+        f, g = random_symbol(rng, degree=3), random_symbol(rng, degree=3)
+        pf, pg = pullback(f), pullback(g)
+        for ordering in sy.C1_ORDERINGS:
+            c1 = sy.c1_candidate(f, g, ordering)
+            oracle = sp.lambdify((z, zb), oracles[ordering](pf, pg), "numpy")
+            for _ in range(8):
+                zz = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 theirs = complex(oracle(zz, np.conj(zz)))
-                assert abs(ours - theirs) < 1e-12
+                ours = sy.evaluate(c1, SpherePoint.from_z(zz))
+                assert abs(ours - theirs) <= 1e-12 * max(1.0, abs(theirs)), (ordering, zz)
 
 
-def test_c1_table_matches_exact_derivation():
-    # differentiate the chart coordinates exactly with sympy and match each
-    # G_ij against the normal-form monomials of degree <= 2 by comparing
-    # coefficients in (z, zbar): no hand-derived sign enters
-    sp = pytest.importorskip("sympy")
-    z, zb = sp.symbols("z zbar")
-    u = 1 + z * zb
-    chart = [(z + zb) / u, -sp.I * (z - zb) / u, (1 - z * zb) / u]
-    basis = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-             (1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 2, 0), (0, 0, 2)]
-
-    def to_ambient(expr):
-        """Solve expr = sum kappa_e x^e on the sphere for the kappas."""
-        kappas = sp.symbols(f"k0:{len(basis)}")
-        ansatz = sum(k * chart[0] ** a * chart[1] ** b * chart[2] ** c
-                     for k, (a, b, c) in zip(kappas, basis))
-        poly = sp.Poly(sp.expand(sp.simplify((expr - ansatz) * u ** 2)), z, zb)
-        sol = sp.solve(poly.coeffs(), kappas, dict=True)
-        assert len(sol) == 1, f"ambient matching not unique: {sol}"
-        return {e: complex(sol[0].get(k, 0)) for k, e in zip(kappas, basis)}
-
-    table = sy.c1_contraction_table()
-    for i in range(3):
-        for j in range(3):
-            gij = sp.simplify(u ** 2 * sp.diff(chart[i], zb) * sp.diff(chart[j], z))
-            exact = {e: c for e, c in to_ambient(gij).items() if c != 0}
-            assert table[i][j].terms == exact
+def test_c1_symmetric_part_is_the_gradient_pairing_exact(rng):
+    # the two orderings differ only in the sign of the symmetric part,
+    # grad f . grad g - (x . grad f)(x . grad g), built here from partials
+    x = (X1, X2, X3)
+    for _ in range(50):
+        f, g = random_symbol(rng, degree=3), random_symbol(rng, degree=3)
+        df = [sy.partial(f, i) for i in (1, 2, 3)]
+        dg = [sy.partial(g, i) for i in (1, 2, 3)]
+        pairing = sum((a * b for a, b in zip(df, dg)), sy.constant(0)) \
+            - sum((xi * a for xi, a in zip(x, df)), sy.constant(0)) \
+            * sum((xi * b for xi, b in zip(x, dg)), sy.constant(0))
+        half = (sy.c1_candidate(f, g, "dzbar-dz") - sy.c1_candidate(f, g, "dz-dzbar")) * 0.5
+        assert half == pairing
 
 
 # -- evaluation, sup norm, serialization ---------------------------------------
