@@ -6,8 +6,8 @@ Exit codes: 0 = run completed with all declared assertions passing;
 error (including coefficients above symbols.COEFF_L1_BOUND and nesting above
 symbols.MAX_NESTING_DEPTH) or an unwritable --out path; 3 = capacity
 error (a level above the level cap, hilbert.MAX_LEVEL or a lower
---max-level, refused before any rule or table is built, or a symbol or a
-thm2/thm3 pair's summed degree above symbols.MAX_SYMBOL_DEGREE),
+--max-level, refused before any rule or table is built, or a product, a
+power or a thm2/thm3 pair's summed degree above symbols.MAX_SYMBOL_DEGREE),
 UnderResolvedRuleError (a basis table that fails its Gram self-test, or a
 real symbol whose T_f fails the hermiticity check) or CalibrationError.
 
@@ -34,7 +34,7 @@ from .errors import (CalibrationError, CapacityError, SymbolParseError,
                      UnderResolvedRuleError)
 from .geometry import LAPLACE_SIGN, POISSON_CONSTANT
 from .hilbert import MAX_LEVEL
-from .symbols import COEFF_L1_BOUND, MAX_SYMBOL_DEGREE, parse, sup_norm_argmax
+from .symbols import COEFF_L1_BOUND, MAX_SYMBOL_DEGREE, parse
 
 DEFAULT_LEVELS = "8,16,32,64"
 
@@ -162,8 +162,7 @@ def _dispatch(args):
     elif args.experiment == "tuynman":
         report = lab.tuynman_run(f, levels)
     elif args.experiment == "coherent":
-        _, x0 = sup_norm_argmax(f)
-        report = lab.coherent_run(f, x0, levels)
+        report = lab.coherent_run(f, None, levels)
     elif args.experiment == "crosscheck":
         report = lab.crosscheck_run(f, levels)
     else:  # pragma: no cover - argparse restricts the choices

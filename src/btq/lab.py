@@ -24,7 +24,7 @@ from .hilbert import SectionVector, basis_eval_grid, radial_factors
 from .operators import (commutator, kernel_matrix, operator_norm, prequantum,
                         toeplitz, toeplitz_exact, tuynman_rhs)
 from .symbols import (SELECTED_C1_ORDERING, Symbol, c1_candidate, evaluate,
-                      multiply, poisson_bracket, sup_norm, symbol_to_json)
+                      multiply, poisson_bracket, sup_norm, sup_norm_argmax, symbol_to_json)
 
 GAP_FLOOR = 1e-13
 
@@ -233,7 +233,8 @@ def tuynman_run(f, levels):
 
 
 def coherent_run(f, x0, levels):
-    """Coherent-state expectations l_m = |<phi, T_f phi>|/<phi,phi> -> |f(x0)|.
+    """Coherent-state expectations l_m = |<phi, T_f phi>|/<phi,phi> -> |f(x0)|;
+    x0 = None is the maximizer of |f|, read with ||f||_inf from one search.
 
     Checks the sandwich l_m <= ||T_f|| <= ||f||_inf, each with a slack of
     1e-9 max(1, largest |coefficient|), at every level; fits the decay of
@@ -244,7 +245,8 @@ def coherent_run(f, x0, levels):
     in float range at every admitted level.
     """
     report = ConvergenceReport("coherent", f)
-    sup = sup_norm(f)
+    sup, argmax = sup_norm_argmax(f)
+    x0 = argmax if x0 is None else x0
     ref = abs(evaluate(f, x0))
     x1, x2, x3 = x0.ambient()
     # (1 - x3)/2 keeps none of the digits of a point within 1e-8 of the

@@ -6,7 +6,8 @@ A Symbol is a polynomial in the ambient coordinates (x1, x2, x3) taken
 modulo the sphere relation x1^2 + x2^2 + x3^2 = 1.  Normal form eliminates
 every power x1^a with a >= 2 via x1^2 = 1 - x2^2 - x3^2, so equality of
 symbols is equality of coefficient dictionaries.  Coefficients are complex;
-classical observables are the real-flagged subclass.
+classical observables are the real-flagged subclass.  A term, product or
+power above MAX_SYMBOL_DEGREE is a CapacityError before anything is formed.
 """
 
 from __future__ import annotations
@@ -22,43 +23,44 @@ from .geometry import LAPLACE_SCALE, LAPLACE_SIGN, POISSON_CONSTANT
 
 _REAL_TOL = 1e-13
 
+# the highest degree a Symbol holds: a product's cost grows like degree^4
+MAX_SYMBOL_DEGREE = 64
+
 
 def _reduced(terms):
-    """Rewrite a coefficient dict into normal form (x1-exponent <= 1).  A
-    raw x1^a term (a >= 4; products of normal forms have a <= 2) above
-    MAX_SYMBOL_DEGREE is a CapacityError, raised before it is expanded."""
+    """Normal form (x1-exponent <= 1), each x1^(2j) = (1 - x2^2 - x3^2)^j in
+    one trinomial step (coefficients <= 3^32 < 2^53 under the degree cap).
+    Terms are read last first, leaves x3-power first: the order of `terms`
+    sets the summation order of later products, so it is in the numbers."""
     out = {}
-    stack = list(terms.items())
-    while stack:
-        (a, b, c), coeff = stack.pop()
-        if coeff == 0:
-            continue
-        if a <= 1:
-            v = out.get((a, b, c), 0j) + coeff
+    for e, coeff in reversed(terms.items()):
+        if e[0] < 2:  # most terms: already normal
+            v = out.get(e, 0j) + coeff
             if v == 0:
-                out.pop((a, b, c), None)
+                out.pop(e, None)
             else:
-                out[(a, b, c)] = v
-        elif a <= 3:
-            # x1^2 -> 1 - x2^2 - x3^2 (a product of normal forms has a <= 2)
-            stack.append(((a - 2, b, c), coeff))
-            stack.append(((a - 2, b + 2, c), -coeff))
-            stack.append(((a - 2, b, c + 2), -coeff))
-        else:
-            # x1^(2j) = (1 - x2^2 - x3^2)^j by the trinomial theorem, in one
-            # step: (j+1)(j+2)/2 leaves, not the 3^j of repeated rewriting;
-            # under the cap j <= 32, so every coefficient is <= 3^32 < 2^53
-            if a + b + c > MAX_SYMBOL_DEGREE:
-                raise CapacityError(
-                    f"x1^{a} x2^{b} x3^{c} exceeds the symbol degree cap "
-                    f"{MAX_SYMBOL_DEGREE}")
-            j = a // 2
-            for q in range(j + 1):
-                for r in range(j - q + 1):
-                    n = math.comb(j, q) * math.comb(j - q, r)
-                    stack.append(((a % 2, b + 2 * q, c + 2 * r),
-                                  coeff * (-n if (q + r) % 2 else n)))
+                out[e] = v
+            continue
+        a, b, c = e
+        j = a // 2
+        for r in range(j, -1, -1):
+            for q in range(j - r, -1, -1):
+                n = math.comb(j, r) * math.comb(j - r, q)
+                k = (a % 2, b + 2 * q, c + 2 * r)
+                v = out.get(k, 0j) + coeff * (-n if (q + r) % 2 else n)
+                if v == 0:
+                    out.pop(k, None)
+                else:
+                    out[k] = v
     return out
+
+
+def _normal(terms):
+    """Symbol of a fresh dict within the degree cap, uncopied and unchecked:
+    the ring operations keep or lower degrees, and `__mul__` checks first."""
+    f = object.__new__(Symbol)
+    object.__setattr__(f, "terms", _reduced(terms))
+    return f
 
 
 class Symbol:
@@ -67,7 +69,10 @@ class Symbol:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        object.__setattr__(self, "terms", _reduced(dict(terms)))
+        terms = dict(terms)
+        if max(map(sum, terms), default=0) > MAX_SYMBOL_DEGREE:
+            raise CapacityError(f"a term exceeds the symbol degree cap {MAX_SYMBOL_DEGREE}")
+        object.__setattr__(self, "terms", _reduced(terms))
 
     def __setattr__(self, *_):
         raise AttributeError("Symbol is immutable")
@@ -79,12 +84,12 @@ class Symbol:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0j) + c
-        return Symbol(out)  # the normal form drops the zero sums
+        return _normal(out)  # the normal form drops the zero sums
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Symbol({e: -c for e, c in self.terms.items()})
+        return _normal({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -94,19 +99,26 @@ class Symbol:
 
     def __mul__(self, other):
         if isinstance(other, numbers.Number):
-            return Symbol({e: c * other for e, c in self.terms.items()})
+            return _normal({e: c * other for e, c in self.terms.items()})
         other, out = _coerce(other), {}
+        if self.degree + other.degree > MAX_SYMBOL_DEGREE:
+            raise CapacityError(f"a product of degree {self.degree + other.degree} "
+                                f"exceeds the symbol degree cap {MAX_SYMBOL_DEGREE}")
         for (a1, b1, c1), v1 in self.terms.items():
             for (a2, b2, c2), v2 in other.terms.items():
                 e = (a1 + a2, b1 + b2, c1 + c2)
                 out[e] = out.get(e, 0j) + v1 * v2
-        return Symbol(out)
+        return _normal(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("symbol powers must be nonnegative integers")
+        top = MAX_SYMBOL_DEGREE // max(self.degree, 1)  # n products: cap constants too
+        if n > top:
+            raise CapacityError(f"a degree-{self.degree} symbol admits powers up to ^{top} "
+                                f"under the symbol degree cap {MAX_SYMBOL_DEGREE}")
         out = constant(1.0)
         for _ in range(n):
             out = out * self
@@ -122,7 +134,7 @@ class Symbol:
 
     @property
     def degree(self):
-        return max((a + b + c for (a, b, c) in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     @property
     def is_zero(self):
@@ -163,14 +175,14 @@ def _coerce(obj):
 
 
 def constant(value):
-    return Symbol({(0, 0, 0): complex(value)})
+    return _normal({(0, 0, 0): complex(value)})
 
 
 def coordinate(i):
     """The ambient coordinate function x_i, i in {1,2,3}."""
     e = [0, 0, 0]
     e[i - 1] = 1
-    return Symbol({tuple(e): 1.0})
+    return _normal({tuple(e): 1.0})
 
 
 X1, X2, X3 = coordinate(1), coordinate(2), coordinate(3)
@@ -251,12 +263,7 @@ class _Parser:
         f = self.factor()
         while self.peek()[:2] == ("op", "*"):
             self.take()
-            g = self.factor()
-            if f.degree + g.degree > MAX_SYMBOL_DEGREE:
-                raise CapacityError(
-                    f"a product of degree {f.degree + g.degree} exceeds the "
-                    f"symbol degree cap {MAX_SYMBOL_DEGREE}")
-            f = f * g
+            f = f * self.factor()
         return f
 
     def factor(self):
@@ -266,13 +273,11 @@ class _Parser:
             nkind, nval, nat = self.take()
             if nkind != "num" or not nval.isdigit():
                 raise SymbolSyntaxError("exponent must be an unsigned integer", nat)
-            # a power costs one product per unit of exponent: cap a constant's too
-            top = MAX_SYMBOL_DEGREE // max(f.degree, 1)
+            # more digits than the cap: refused before `int` reads them all
             digits = nval.lstrip("0") or "0"
-            if len(digits) > 3 or int(digits) > top:
-                raise CapacityError(
-                    f"a degree-{f.degree} factor admits powers up to ^{top} "
-                    f"under the symbol degree cap {MAX_SYMBOL_DEGREE}")
+            if len(digits) > len(str(MAX_SYMBOL_DEGREE)):
+                raise CapacityError(f"a {len(digits)}-digit exponent exceeds the "
+                                    f"symbol degree cap {MAX_SYMBOL_DEGREE}")
             f = f ** int(digits)
         return f
 
@@ -304,11 +309,6 @@ class _Parser:
 # each '(' costs `_Parser` four stack frames; 100 fit Python's recursion limit
 MAX_NESTING_DEPTH = 100
 
-# the highest degree `parse` builds: the costliest fold it admits, a product
-# of two full degree-32 symbols, takes about 0.6 s (cost ~ degree^4)
-MAX_SYMBOL_DEGREE = 64
-
-
 # under this bound on `coeff_l1` (and on the product of two symbols' norms,
 # see cli) every operator, derivative and Laplacian the lab forms stays many
 # decades below float overflow
@@ -329,9 +329,9 @@ def parse(text):
     """Parse an expression string straight into its normal-form Symbol (no
     intermediate tree; see `_Parser`).  Coefficients that `_bounded`
     refuses are a SymbolSyntaxError.  A product or power above
-    MAX_SYMBOL_DEGREE, or an exponent above it, is a CapacityError, raised
-    before it is formed.  '(' and unary '-' nested deeper than
-    MAX_NESTING_DEPTH are a SymbolSyntaxError at the offending token."""
+    MAX_SYMBOL_DEGREE is `Symbol`'s CapacityError, raised before it is
+    formed.  '(' and unary '-' nested deeper than MAX_NESTING_DEPTH are a
+    SymbolSyntaxError at the offending token."""
     return _bounded(_Parser(text).parse())
 
 
@@ -349,7 +349,7 @@ def partial(f, i):
         e[i - 1] -= 1
         key = tuple(e)
         out[key] = out.get(key, 0j) + coeff
-    return Symbol(out)
+    return _normal(out)
 
 
 def poisson_bracket(f, g):
@@ -386,7 +386,7 @@ def laplace_beltrami(f):
                 amb[key] = amb.get(key, 0j) + v * e * (e - 1)
         key = (a, b, c)
         amb[key] = amb.get(key, 0j) - v * d * (d + 1)
-    return Symbol(amb) * (LAPLACE_SIGN * LAPLACE_SCALE)
+    return _normal(amb) * (LAPLACE_SIGN * LAPLACE_SCALE)
 
 
 # -- first star-product bidifferential ---------------------------------------
@@ -463,8 +463,8 @@ def symbol_to_json(f):
 
 
 def symbol_from_json(obj):
-    """Inverse of `symbol_to_json`; a term above MAX_SYMBOL_DEGREE is a
-    CapacityError, raised before the symbol is built.  An "e" that is not
+    """Inverse of `symbol_to_json`; a term above MAX_SYMBOL_DEGREE is the
+    CapacityError `Symbol` raises before reducing anything.  An "e" that is not
     three nonnegative integers (bools refused) or repeats an earlier one is
     a SymbolSyntaxError at its term's index, and coefficients that `parse`
     refuses (`_bounded`) are a SymbolSyntaxError too."""
@@ -478,8 +478,6 @@ def symbol_from_json(obj):
         if tuple(e) in terms:
             raise SymbolSyntaxError(f"exponents {e!r} repeat an earlier term", i)
         terms[tuple(e)] = complex(t["re"], t["im"])
-    if max(map(sum, terms), default=0) > MAX_SYMBOL_DEGREE:
-        raise CapacityError(f"a term exceeds the symbol degree cap {MAX_SYMBOL_DEGREE}")
     return _bounded(Symbol(terms))
 
 

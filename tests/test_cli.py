@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from btq import calibration, cli
+from btq import calibration, cli, extrema
 from btq.symbols import parse, symbol_to_json
 
 
@@ -243,6 +243,24 @@ def test_coherent_and_crosscheck_subcommands(workdir, capsys):
     assert run(["coherent", "--f", f, "--levels", "4,8"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["f"] == symbol_to_json(parse(f))
+
+
+def test_coherent_runs_the_sup_norm_search_once(workdir, capsys, monkeypatch):
+    # the maximizer x0 and ||f||_inf come from one search; `sup_norm` and
+    # `sup_norm_argmax` read `extrema`'s binding of `grid_extrema`
+    calls = []
+    search = extrema.grid_extrema
+
+    def counted(f):
+        calls.append(f)
+        return search(f)
+
+    monkeypatch.setattr(extrema, "grid_extrema", counted)
+    for f in ("x3", "x3 - 2*x3^2 + 0.3*x1"):
+        calls.clear()
+        assert run(["coherent", "--f", f, "--levels", "4,8"]) == 0
+        assert calls == [parse(f)]
+    capsys.readouterr()
 
 
 def test_leading_minus_expressions(workdir, capsys):

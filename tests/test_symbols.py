@@ -238,7 +238,7 @@ def test_normal_form_of_a_high_x1_power_is_one_trinomial_step():
     assert f == (1 - X2**2 - X3**2) ** 32
     assert sy.symbol_from_json({"terms": [{"e": [63, 0, 0], "re": 1, "im": 0}]}) == (
         X1 * (1 - X2**2 - X3**2) ** 31)
-    # against products of normal forms, which rewrite x1^2 one step at a time
+    # against products of normal forms, which expand x1^2 only
     for a in range(4, 14):
         g = sy.Symbol({(a, 1, 2): 0.3 - 1.7j})
         ref = (0.3 - 1.7j) * X2 * X3**2 * X1 ** (a % 2) * (1 - X2**2 - X3**2) ** (a // 2)
@@ -260,6 +260,87 @@ def test_normal_form_refuses_raw_powers_above_the_degree_cap():
     with pytest.raises(CapacityError):  # JSON refuses any term above the cap
         sy.symbol_from_json({"terms": [{"e": [0, 30, 35], "re": 1, "im": 0}]})
     assert len(sy.Symbol({(64, 0, 0): 1}).terms) == 561
+
+
+def test_symbol_arithmetic_refuses_degree_above_cap_before_forming():
+    # `Symbol` owns the cap: construction, products and powers above it are
+    # refused before anything is formed (a product of two dense degree-33
+    # symbols took about 0.4 s to form)
+    dense = sy.Symbol({(a, b, c): 1.0 for a in (0, 1) for b in range(34)
+                       for c in range(34 - a - b)})
+    assert dense.degree == 33
+    for build in (lambda: sy.Symbol({(0, 30, 35): 1}),
+                  lambda: sy.Symbol({(0, 65, 0): 1}),
+                  lambda: X2**33 * X3**32,
+                  lambda: ONE ** 65,
+                  lambda: dense * dense,
+                  lambda: sy.Symbol({}) ** 65,
+                  lambda: (X3**2) ** 33):
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError, match="degree cap"):
+            build()
+        assert time.perf_counter() - t0 < 0.01
+    assert (X2**32 * X3**32).degree == 64
+    assert ONE ** 64 == ONE and (X3**2) ** 32 == X3**64
+    assert sy.Symbol({(0, 30, 34): 1}).degree == 64
+
+
+def _stack_reduced(terms):
+    """The normal form as a rewrite stack, kept here as the reference for
+    the order in which `Symbol` lists its terms."""
+    out = {}
+    stack = list(terms.items())
+    while stack:
+        (a, b, c), coeff = stack.pop()
+        if coeff == 0:
+            continue
+        if a <= 1:
+            v = out.get((a, b, c), 0j) + coeff
+            if v == 0:
+                out.pop((a, b, c), None)
+            else:
+                out[(a, b, c)] = v
+        elif a <= 3:
+            stack.append(((a - 2, b, c), coeff))
+            stack.append(((a - 2, b + 2, c), -coeff))
+            stack.append(((a - 2, b, c + 2), -coeff))
+        else:
+            j = a // 2
+            for q in range(j + 1):
+                for r in range(j - q + 1):
+                    n = math.comb(j, q) * math.comb(j - q, r)
+                    stack.append(((a % 2, b + 2 * q, c + 2 * r),
+                                  coeff * (-n if (q + r) % 2 else n)))
+    return out
+
+
+def test_normal_form_of_products_matches_the_rewrite_stack(rng):
+    # the raw product of two normal forms (x1-exponent <= 2), as `__mul__`
+    # forms it: the same values, bit for bit, in the same order, since the
+    # order of `terms` sets the summation order of later products
+    def bits(terms):
+        return [(e, v.real.hex(), v.imag.hex()) for e, v in terms.items()]
+
+    for k in range(600):
+        degree = 1 + k % 12
+        if k % 3:
+            f, g = (random_symbol(rng, degree, 2 + k % 9, real=False) for _ in "fg")
+        else:
+            f, g = (sy.Symbol({e: complex(*rng.standard_normal(2))
+                               for e in random_symbol(rng, degree, 12).terms})
+                    for _ in "fg")
+        raw = {}
+        for (a1, b1, c1), v1 in f.terms.items():
+            for (a2, b2, c2), v2 in g.terms.items():
+                e = (a1 + a2, b1 + b2, c1 + c2)
+                raw[e] = raw.get(e, 0j) + v1 * v2
+        assert bits(sy.Symbol(raw).terms) == bits(_stack_reduced(raw))
+        assert bits((f * g).terms) == bits(_stack_reduced(raw))
+    # a raw x1^a, a >= 4, keeps its coefficients; its terms are listed in
+    # another order
+    for a in range(4, 20):
+        f = sy.Symbol({(a, 1, 2): 0.3 - 1.7j})
+        assert f.terms == _stack_reduced({(a, 1, 2): 0.3 - 1.7j})
 
 
 # -- Poisson bracket ----------------------------------------------------------
