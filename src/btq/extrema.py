@@ -33,16 +33,17 @@ MAX_STEPS = 40  # ascent steps, each one stencil of every start
 STEP_TOL = 1e-9  # the ascent stops when every step is shorter
 _H = 1e-5  # stencil spacing in the chart
 # the 9 stencil offsets (a, b), centre first, and the weights reading f_a,
-# f_b, f_aa, f_bb, f_ab at the centre; Python floats, as array arithmetic at
-# import adds 0.25 MB of peak RSS to processes that never divide an array
+# f_b, f_aa, f_bb, f_ab at the centre.  Built from flat lists of Python
+# floats: array arithmetic at import adds 0.25 MB of peak RSS to processes
+# that never divide an array, and a nested list adds 0.1 MB
 _A = np.array([0, _H, -_H, 0, 0, _H, _H, -_H, -_H])
 _B = np.array([0, 0, 0, _H, -_H, _H, -_H, _H, -_H])
 _G, _C, _X = 0.5 / _H, 1.0 / (_H * _H), 0.25 / (_H * _H)
-_D = np.array([[0, _G, -_G, 0, 0, 0, 0, 0, 0],
-               [0, 0, 0, _G, -_G, 0, 0, 0, 0],
-               [-2 * _C, _C, _C, 0, 0, 0, 0, 0, 0],
-               [-2 * _C, 0, 0, _C, _C, 0, 0, 0, 0],
-               [0, 0, 0, 0, 0, _X, -_X, -_X, _X]])
+_D = np.array([0, _G, -_G, 0, 0, 0, 0, 0, 0,
+               0, 0, 0, _G, -_G, 0, 0, 0, 0,
+               -2 * _C, _C, _C, 0, 0, 0, 0, 0, 0,
+               -2 * _C, 0, 0, _C, _C, 0, 0, 0, 0,
+               0, 0, 0, 0, 0, _X, -_X, -_X, _X]).reshape(5, 9)
 
 
 def _unit(p):
@@ -68,9 +69,7 @@ def _step(v, r):
     a11, a22 = haa - mu, hbb - mu
     det = a11 * a22 - hab * hab
     det = np.where(det > 0.0, det, np.inf)  # no concave model: no step
-    sa, sb = (hab * gb - a22 * ga) / det, (hab * ga - a11 * gb) / det
-    k = r / np.maximum(np.hypot(sa, sb), r)  # roundoff past the radius
-    return sa * k, sb * k
+    return (hab * gb - a22 * ga) / det, (hab * ga - a11 * gb) / det
 
 
 def grid_extrema(f):
@@ -110,14 +109,13 @@ def grid_extrema(f):
         move = norm >= STEP_TOL
         if not move.any():
             break
-        sa, sb = np.where(move, sa, 0.0), np.where(move, sb, 0.0)
         # the frame carried to the trial point: e1 projected, e2 = xt x e1t
         xt = _unit(x + sa * e1 + sb * e2)
         e1t = _unit(e1 - (e1 * xt).sum(0) * xt)
         e2t = xt[[1, 2, 0]] * e1t[[2, 0, 1]] - xt[[2, 0, 1]] * e1t[[1, 2, 0]]
         vt = _stencil(f, sign, xt, e1t, e2t)
         gain = move & (vt[:, 0] > v[:, 0])
-        # a gain doubles the radius (to at most 1); a failed step quarters it
+        # a gain doubles the radius (at most 1); a failure cuts it to norm / 4
         r = np.where(gain, np.minimum(2.0 * r, 1.0), np.where(move, 0.25 * norm, r))
         x, e1, e2 = (np.where(gain, t, s) for t, s in ((xt, x), (e1t, e1), (e2t, e2)))
         v = np.where(gain[:, None], vt, v)

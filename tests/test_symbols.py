@@ -734,6 +734,31 @@ def test_grid_extrema_reaches_the_scalar_refinement_at_high_degree():
     assert _reaches_the_scalar_refinement(pole)[1] == 1.0  # the pole's maximum, found
 
 
+def test_grid_extrema_ascent_converges_in_few_steps(monkeypatch):
+    # Newton steps near a regular extremum: the 69 symbols take at most 12
+    # steps each (a median of 5), far below MAX_STEPS; an ascent that keeps
+    # stepping at the trust radius, or shrinks it too fast, takes up to 40
+    step, calls = ex._step, []
+
+    def counted(v, r):
+        calls[-1] += 1
+        return step(v, r)
+
+    monkeypatch.setattr(ex, "_step", counted)
+    for f in _extrema_symbols() + _high_degree_symbols():
+        calls.append(0)
+        sy.grid_extrema(f)
+    assert max(calls) <= 15, max(calls)
+
+
+def test_grid_extrema_counts_each_pole_once():
+    # the pole (1.0) outranks every cell near the higher, narrow maximum
+    # 1.001 at (1, 0, 0); were all 2R cells of the u = 1 row candidates, all
+    # 4 starts of the maximum would be the pole
+    f = sy.parse("x3^8 + 1.001*x1^8")
+    assert abs(sy.grid_extrema(f)[1] - 1.001) <= 1e-12
+
+
 def test_grid_extrema_of_constants_takes_no_step(monkeypatch):
     # a constant's stencil is flat: no ascent, so no 0/0 step (a RuntimeWarning
     # is an error here)
@@ -774,7 +799,7 @@ def test_grid_extrema_points_attain_values():
         assert abs(sy.evaluate(f, arg_max).real - fmax) <= tol, f
         assert abs(sy.evaluate(f, arg_min).real - fmin) <= tol, f
         vals = np.real(sy.eval_ambient(f, v[:, 0], v[:, 1], v[:, 2]))
-        assert fmin - tol <= vals.min() and vals.max() <= fmax + tol, f
+        assert fmin - 1e-12 <= vals.min() and vals.max() <= fmax + 1e-12, f
 
 
 def test_symbol_json_roundtrip_sorted(rng):
