@@ -5,28 +5,22 @@ The geometric-quantization operator Q_f (compression of the prequantum
 operator -(1/m) nabla_{X_f} + i f) coincides exactly with
 i T_{f - Laplacian(f)/(2m)}.  This is an identity at every level, not an
 asymptotic statement -- defects sit at quadrature accuracy.  It also pins
-the Laplacian sign: the wrong sign misses by an O(1/m) operator.
+the Laplacian sign: the wrong sign misses by an O(1/m) operator, and `btq
+calibrate` checks the sign this way at m = 4, with the Poisson sign.
 """
 
 import numpy as np
 
 from btq import symbols as sy
-from btq.calibration import calibrate
-from btq.geometry import LAPLACE_SIGN, POISSON_CONSTANT
+from btq.calibration import LEVEL, calibrate
 from btq.lab import tuynman_run
 from btq.operators import operator_norm, prequantum, toeplitz
 
 X1, X3 = sy.X1, sy.X3
 
-(poisson_constant, laplace_sign), diag = calibrate()
-print("calibration:")
-print(f"  Tuynman defect by Laplacian sign: {diag['tuynman_defects']}")
-print(f"  commutator defects by Poisson sign (m=8 -> 32): "
-      f"{diag['commutator_defects']}")
-print(f"  selected: laplace_sign={laplace_sign}, "
-      f"poisson_constant={poisson_constant}")
-print(f"  the built-in conventions every experiment uses: "
-      f"{(poisson_constant, laplace_sign) == (POISSON_CONSTANT, LAPLACE_SIGN)}")
+print(f"calibration at m = {LEVEL} (defect with the built-in sign, the opposite one):")
+for name, (built_in, opposite) in calibrate().items():
+    print(f"  {name}: {built_in:.3e}, {opposite:.6f}")
 
 print("\nQ_x3 at level 4 (closed form i diag((m-2k)/m)):")
 print(np.round(prequantum(X3, 4).mat.imag, 12))

@@ -10,7 +10,8 @@ class UnderResolvedRuleError(ValueError):
 
 
 class CalibrationError(RuntimeError):
-    """Neither sign choice met the calibration tolerance."""
+    """A sign convention failed its exact identity: the built-in sign misses
+    it, or the opposite sign meets it."""
 
 
 class InsufficientDataError(ValueError):

@@ -30,7 +30,10 @@ def _real_values(f, u, phi):
 # coarse rows from degree 12 up; below, 8 per degree and at least 24
 GRID_RESOLUTION = 96
 MAX_STEPS = 40  # ascent steps, each one stencil of every start
-STEP_TOL = 1e-9  # the ascent stops when every step is shorter
+STEP_TOL = 1e-9  # a start stops when its step is shorter,
+GAIN_TOL = 1e-15  # or after a step whose predicted gain of f / coeff_l1 is less
+TIE_TOL = 1e-12  # values within TIE_TOL * coeff_l1 of the best tie
+TIE_COORD = 1e-6  # coordinates within TIE_COORD count as equal in the tie order
 _H = 1e-5  # stencil spacing in the chart
 # the 9 stencil offsets (a, b), centre first, and the weights reading f_a,
 # f_b, f_aa, f_bb, f_ab at the centre.  Built from flat lists of Python
@@ -62,14 +65,27 @@ def _step(v, r):
     """Safeguarded Newton step (a, b) up the quadratic model read from the
     stencil values v (n, 9).  Where the model's largest curvature lies above
     -|g|/r, the Hessian is shifted down to it (Levenberg-Marquardt), which
-    bounds the step by the trust radius r."""
+    bounds the step by the trust radius r.  Returns the step s and the gain
+    g.s + s.H.s/2 = (g.s + mu |s|^2)/2 that the unshifted model predicts."""
     ga, gb, haa, hbb, hab = (_D * v[:, None, :]).sum(-1).T
     lam = 0.5 * (haa + hbb) + np.hypot(0.5 * (haa - hbb), hab)
     mu = np.maximum(0.0, lam + np.hypot(ga, gb) / r)
     a11, a22 = haa - mu, hbb - mu
     det = a11 * a22 - hab * hab
     det = np.where(det > 0.0, det, np.inf)  # no concave model: no step
-    return (hab * gb - a22 * ga) / det, (hab * ga - a11 * gb) / det
+    sa, sb = (hab * gb - a22 * ga) / det, (hab * ga - a11 * gb) / det
+    return sa, sb, 0.5 * (ga * sa + gb * sb + mu * (sa * sa + sb * sb))
+
+
+def _first(points):
+    """Index of the point (x1, x2, x3) that comes first in the tie order: the
+    largest x3, then the largest x1, then the largest x2, coordinates within
+    TIE_COORD counting as equal, and the largest (x3, x1, x2) of what is left."""
+    keys = {i: (x3, x1, x2) for i, (x1, x2, x3) in enumerate(points)}
+    for c in range(3):
+        top = max(k[c] for k in keys.values())
+        keys = {i: k for i, k in keys.items() if k[c] >= top - TIE_COORD}
+    return max(keys, key=keys.get)
 
 
 def grid_extrema(f):
@@ -80,8 +96,13 @@ def grid_extrema(f):
     best cells of each sign, all 8 starts climb together by safeguarded
     Newton steps (`_step`) in the pole-free chart normalise(x0 + a e1 + b e2)
     of each start, one 9-point stencil per step; a start moves only on a
-    strict gain, and the ascent stops when every step is below STEP_TOL or
-    after MAX_STEPS.  A search, not a certificate: an extremum outside the
+    strict gain, and stops when its step is below STEP_TOL or after a step
+    whose predicted gain of f / coeff_l1 is below GAIN_TOL (extrema of high
+    order, where steps shrink only linearly); the ascent ends after
+    MAX_STEPS.  Each value is the best a start of its sign reached; its
+    point is, of the starts within TIE_TOL * coeff_l1 of that value, the
+    first in the tie order of `_first`, so it does not depend on the order
+    of the starts.  A search, not a certificate: an extremum outside the
     basins of the starts is missed.
     """
     if not f.is_real:
@@ -102,11 +123,12 @@ def grid_extrema(f):
     x = np.array([rho * cos, rho * sin, cu])
     e1, e2 = np.array([cu * cos, cu * sin, -rho]), np.array([-sin, cos, np.zeros(8)])
     v = _stencil(f, sign, x, e1, e2)
-    r, scale = np.full(8, math.pi / res), f.coeff_l1()
+    r, scale, done = np.full(8, math.pi / res), f.coeff_l1(), np.zeros(8, bool)
     for _ in range(MAX_STEPS if f.degree else 0):
-        sa, sb = _step(v / scale, r)  # scale-free: no overflow or underflow
+        sa, sb, predicted = _step(v / scale, r)  # scale-free: no overflow or underflow
         norm = np.hypot(sa, sb)
-        move = norm >= STEP_TOL
+        move = (norm >= STEP_TOL) & ~done
+        done |= predicted < GAIN_TOL  # this step is the start's last
         if not move.any():
             break
         # the frame carried to the trial point: e1 projected, e2 = xt x e1t
@@ -119,11 +141,14 @@ def grid_extrema(f):
         r = np.where(gain, np.minimum(2.0 * r, 1.0), np.where(move, 0.25 * norm, r))
         x, e1, e2 = (np.where(gain, t, s) for t, s in ((xt, x), (e1t, e1), (e2t, e2)))
         v = np.where(gain[:, None], vt, v)
-    best = v[:, 0]
-    k = [lo + int(np.argmax(best[lo:lo + 4])) for lo in (0, 4)]
-    fmax, fmin = (sign[i] * best[i] for i in k)
-    arg_max, arg_min = (SpherePoint.from_ambient(*map(float, x[:, i])) for i in k)
-    return float(fmin), float(fmax), arg_min, arg_max
+    out = []
+    for lo in (0, 4):
+        best = v[lo:lo + 4, 0]
+        tied = lo + np.flatnonzero(best >= best.max() - TIE_TOL * scale)
+        point = x[:, tied[_first(x[:, tied].T.tolist())]]
+        out += [float(sign[lo] * best.max()), SpherePoint.from_ambient(*map(float, point))]
+    fmax, arg_max, fmin, arg_min = out
+    return fmin, fmax, arg_min, arg_max
 
 
 def sup_norm(f):
@@ -132,8 +157,11 @@ def sup_norm(f):
 
 
 def sup_norm_argmax(f):
-    """(sup |f|, maximizer SpherePoint) for a real symbol."""
+    """(sup |f|, maximizer SpherePoint) for a real symbol.  When |fmin| and
+    |fmax| tie within TIE_TOL * coeff_l1, the maximizer is the point of the
+    two that comes first in the tie order of `grid_extrema`."""
     fmin, fmax, arg_min, arg_max = grid_extrema(f)
-    if abs(fmin) > abs(fmax):
-        return abs(fmin), arg_min
-    return abs(fmax), arg_max
+    sup = max(abs(fmin), abs(fmax))
+    points = [p for val, p in ((fmax, arg_max), (fmin, arg_min))
+              if abs(val) >= sup - TIE_TOL * f.coeff_l1()]
+    return sup, points[_first([p.ambient() for p in points])]

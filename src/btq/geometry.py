@@ -21,7 +21,8 @@ import numpy as np
 
 TOTAL_AREA = 2.0 * math.pi
 # the c in {x_i, x_j} = c eps_ijk x_k and the sign of the Laplacian are fixed
-# by the prequantum condition c(L) = omega/2pi; `btq calibrate` checks both
+# by the prequantum condition c(L) = omega/2pi; `btq calibrate` checks each
+# by an identity exact at every level, which the opposite sign misses
 POISSON_CONSTANT = 2.0
 LAPLACE_SIGN = 1
 # the metric g(X,Y) = omega(X, IY) scales the ambient-identity Laplacian by 2

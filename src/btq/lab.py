@@ -215,10 +215,11 @@ def tuynman_run(f, levels):
     """Exact identity Q_f = i T_{f - Lap f/(2m)}: defects at quadrature scale.
 
     Q_f and i T_g come from their own rules (degrees deg f + 2 and deg f),
-    so the defect is the roundoff of two exact quadratures.  Checks defect
-    <= 1e-8 (1 + ||Q_f||) per level; no rate fit (the relation is exact, not
-    asymptotic).  ||Q_f|| is the norm of -i Q_f, as a Hermitian operator
-    when that passes the hermiticity check (real f), else as a general one.
+    so the defect is the roundoff of two exact quadratures.  Checks that the
+    largest entry of Q_f - i T_g is <= 1e-8 (1 + ||Q_f||) per level; no rate
+    fit (the relation is exact, not asymptotic).  ||Q_f|| is the norm of
+    -i Q_f, as a Hermitian operator when that passes the hermiticity check
+    (real f), else as a general one.
     """
     report = ConvergenceReport("tuynman", f)
     for m in levels:

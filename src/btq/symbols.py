@@ -357,7 +357,8 @@ def poisson_bracket(f, g):
     c = POISSON_CONSTANT.
 
     Well defined on the quotient ring because the sphere relation is a
-    Casimir of this bracket; `btq calibrate` checks the sign of c.
+    Casimir of this bracket; `btq calibrate` checks c by the spin identity
+    (m+2) i [T_x1, T_x2] = T_{x1,x2}, exact at every level.
     """
     d = [partial(f, i) for i in (1, 2, 3)]
     e = [partial(g, i) for i in (1, 2, 3)]

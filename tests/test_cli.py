@@ -8,6 +8,7 @@ import re
 import pytest
 
 from btq import calibration, cli, extrema
+from btq.errors import CalibrationError
 from btq.symbols import parse, symbol_to_json
 
 
@@ -23,8 +24,9 @@ def run(argv):
 
 def test_calibrate_is_a_check_that_writes_nothing(workdir, capsys, monkeypatch):
     assert run(["calibrate"]) == 0
-    out = capsys.readouterr().out
-    assert "poisson_constant = 2.0" in out and "laplace_sign = 1" in out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "defect at m = 4: built-in sign, opposite sign"
+    assert [line.split(":")[0] for line in out[1:]] == ["  laplace_sign", "  poisson_constant"]
     assert os.listdir(workdir) == []
     # experiments take the built-in conventions: no flag, no file
     assert run(["thm1", "--f", "x3", "--levels", "2,4"]) == 0
@@ -34,13 +36,15 @@ def test_calibrate_is_a_check_that_writes_nothing(workdir, capsys, monkeypatch):
     assert report["conventions"] == conventions
     assert list(report["conventions"]) == list(conventions)
     assert os.listdir(workdir) == []
-    # a measurement that selects another sign fails the check
-    _, diag = calibration.calibrate()
-    monkeypatch.setattr(calibration, "calibrate", lambda: ((2.0, -1), diag))
+    # a failed check prints one line, names the convention and exits 3
+    def fails():
+        raise CalibrationError("laplace_sign: defect 0.67 with the built-in sign")
+
+    monkeypatch.setattr(calibration, "calibrate", fails)
     assert run(["calibrate"]) == 3
     out, err = capsys.readouterr()
-    assert out.startswith("Tuynman defect at m = 4") and "selected" not in out
-    assert err.startswith("btq: calibration failed") and err.count("\n") == 1
+    assert out == ""
+    assert err == "btq: calibration failed: laplace_sign: defect 0.67 with the built-in sign\n"
     assert os.listdir(workdir) == []
 
 

@@ -248,6 +248,33 @@ def test_three_paths_agree(rng):
             assert cross_check(f, m) < 1e-10
 
 
+@st.composite
+def _covariance_symbols(draw):
+    """Up to 5 terms of degree <= 6, real or complex coefficients in [-3, 3]."""
+    coeff = st.floats(-3.0, 3.0, allow_nan=False)
+    real = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        a = draw(st.integers(0, 6))
+        b = draw(st.integers(0, 6 - a))
+        c = draw(st.integers(0, 6 - a - b))
+        terms[(a, b, c)] = complex(draw(coeff), 0.0 if real else draw(coeff))
+    return sy.Symbol(terms)
+
+
+@pytest.mark.parametrize("path", [op.toeplitz, op.toeplitz_exact, op.kernel_matrix],
+                         ids=lambda p: p.__name__)
+@given(g=_covariance_symbols(), m=st.integers(0, 64), i=st.integers(1, 3))
+def test_each_path_is_rotation_covariant(path, g, m, i):
+    # SU(2) equivariance: (m+2) i [T_xi, T_g] = T_{xi,g} exactly at every
+    # level.  Each path is checked alone, against itself, so an error that
+    # two paths share (and `crosscheck` cannot see) shows here
+    xi = (X1, X2, X3)[i - 1]
+    defect = (1j * (m + 2)) * op.commutator(path(xi, m), path(g, m)) \
+        - path(sy.poisson_bracket(xi, g), m)
+    assert np.max(np.abs(defect.diags)) <= 1e-12 * max(1.0, g.coeff_l1())
+
+
 def test_band_limited_paths_match_exact_at_high_level(rng):
     # the angular FFT runs on 2 deg f + 1 nodes; aliasing would show here
     symbols = [random_symbol(rng, degree=d) for d in (1, 3, 6)]

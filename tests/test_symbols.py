@@ -734,10 +734,19 @@ def test_grid_extrema_reaches_the_scalar_refinement_at_high_degree():
     assert _reaches_the_scalar_refinement(pole)[1] == 1.0  # the pole's maximum, found
 
 
+# extrema of high order, where f vanishes to more than second order across
+# the extremum (four seeded small-many symbols and a ring maximum): Newton
+# steps shrink only linearly there, and a stop on the step length alone took
+# all 40 steps
+_HIGH_ORDER = ("0.931*x3^4", "-0.923*x3^4", "0.726*x3^4", "-0.778*x3^6",
+               "-0.989*x3^10")
+
+
 def test_grid_extrema_ascent_converges_in_few_steps(monkeypatch):
     # Newton steps near a regular extremum: the 69 symbols take at most 12
     # steps each (a median of 5), far below MAX_STEPS; an ascent that keeps
-    # stepping at the trust radius, or shrinks it too fast, takes up to 40
+    # stepping at the trust radius, or shrinks it too fast, takes up to 40.
+    # The high-order extrema stop on the predicted gain, within 15 steps
     step, calls = ex._step, []
 
     def counted(v, r):
@@ -745,10 +754,49 @@ def test_grid_extrema_ascent_converges_in_few_steps(monkeypatch):
         return step(v, r)
 
     monkeypatch.setattr(ex, "_step", counted)
-    for f in _extrema_symbols() + _high_degree_symbols():
+    high_order = [sy.parse(e) for e in _HIGH_ORDER]
+    for f in _extrema_symbols() + _high_degree_symbols() + high_order:
         calls.append(0)
         sy.grid_extrema(f)
     assert max(calls) <= 15, max(calls)
+    # and each still reaches its extremum on the equator
+    for f in high_order:
+        lo, hi, _, _ = sy.grid_extrema(f)
+        assert min(abs(lo), abs(hi)) <= 1e-15
+
+
+def test_sup_norm_argmax_follows_the_tie_order():
+    # tied maximizers: the largest x3 first, then the largest x1, then x2.
+    # x3^2 peaks at both poles; x1^2 - x2^2 has |f| = 1 at (+-1, 0, 0) and
+    # (0, +-1, 0), on both signs
+    for text, point in (("x3^2", (0.0, 0.0, 1.0)), ("x1^2 - x2^2", (1.0, 0.0, 0.0))):
+        sup, x0 = sy.sup_norm_argmax(sy.parse(text))
+        assert abs(sup - 1.0) <= 1e-12
+        assert np.max(np.abs(np.subtract(x0.ambient(), point))) <= 1e-9, (text, x0.ambient())
+
+
+def test_grid_extrema_points_do_not_depend_on_the_order_of_the_starts(monkeypatch):
+    def searched():
+        out = []
+        for f in _extrema_symbols():
+            fmin, fmax, arg_min, arg_max = sy.grid_extrema(f)
+            sup, x0 = sy.sup_norm_argmax(f)
+            out.append((fmin, fmax, arg_min.ambient(), arg_max.ambient(), sup, x0.ambient()))
+        return out
+
+    before = searched()
+    argpartition, calls = np.argpartition, []
+
+    def reversed_starts(a, kth):
+        # the kth + 1 best cells, in the opposite order
+        calls.append(kth)
+        idx = argpartition(a, kth)
+        idx[:kth + 1] = idx[:kth + 1][::-1].copy()
+        return idx
+
+    monkeypatch.setattr(np, "argpartition", reversed_starts)
+    assert searched() == before
+    assert calls
 
 
 def test_grid_extrema_counts_each_pole_once():
