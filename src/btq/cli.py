@@ -135,7 +135,7 @@ def _dispatch(args):
 
     levels = _levels(args)  # refused before any rule or table is built
     f = parse(args.f)
-    g = parse(args.g) if args.experiment in ("thm2", "thm3") else None
+    g = parse(args.g) if "g" in args else None  # only thm2 and thm3 define --g
     if g is not None and f.coeff_l1() * g.coeff_l1() > COEFF_L1_BOUND:
         raise UsageError("--f and --g: the product of their coefficient l1 "
                          f"norms exceeds {COEFF_L1_BOUND:g}")

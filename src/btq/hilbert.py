@@ -16,8 +16,9 @@ level up to MAX_LEVEL and symbol degree up to 8.
 
 No table is held: a `GridTable` hands its radial factors out BLOCK nodes
 at a time (`GridTable.blocks`), the assembly in `operators` adds each
-block into the band it fills, and the Gram self-test runs when a pass over
-the blocks ends.  A pass holds O(BLOCK m) floats, never the whole table.
+block into the band it fills, and the Gram self-test runs when the pass
+ends.  Every sum adds its nodes in node order (a level-0 sum is a single
+column, which numpy adds pairwise within a block), in O(BLOCK m) floats.
 """
 
 from __future__ import annotations
@@ -102,10 +103,9 @@ def radial_factors(m, s):
     (refused above it).  Filled in place, in the one-shot formula's order,
     so the bytes equal its."""
     s = np.asarray(s, dtype=float)[:, None]
-    k = np.arange(m + 1)
-    out = np.power(s, k)
+    out = np.power(s, np.arange(m + 1))
     np.multiply(binomial_floats(m), out, out=out)
-    np.multiply(out, np.power(1.0 - s, m - k), out=out)
+    np.multiply(out, np.power(1.0 - s, np.arange(m, -1, -1)), out=out)  # m - k
     return np.sqrt(np.multiply(out, (m + 1) / TWO_PI, out=out), out=out)
 
 
@@ -135,19 +135,19 @@ class GridTable:
         self.s, self.w = rule.s_nodes, rule.s_weights
         self._gram = None
 
-    def blocks(self, size=BLOCK):
-        """Yield the rows of B, `size` nodes at a time.  The Gram diagonal
+    def blocks(self):
+        """Yield the rows of B, BLOCK nodes at a time.  The Gram diagonal
         builds up from the same blocks, each later block summed with the
         running sum as its first row: numpy's axis-0 sum adds the rows in
-        order, so the bytes are those of one full sum.  When the last block
-        is out, the self-test raises UnderResolvedRuleError if the Gram
-        identity is missed by more than GRAM_TOL."""
-        gram, terms = np.empty(self.m + 1), np.empty((size + 1, self.m + 1))
-        for lo in range(0, len(self.s), size):
-            rows = radial_factors(self.m, self.s[lo:lo + size])
+        order, so every entry adds its nodes in node order.  When the last
+        block is out, the self-test raises UnderResolvedRuleError if the
+        Gram identity is missed by more than GRAM_TOL."""
+        gram, terms = np.empty(self.m + 1), np.empty((BLOCK + 1, self.m + 1))
+        for lo in range(0, len(self.s), BLOCK):
+            rows = radial_factors(self.m, self.s[lo:lo + BLOCK])
             yield rows
             sq = terms[:len(rows) + 1]  # row 0: the running sum
-            np.multiply(self.w[lo:lo + size, None], np.square(rows, out=sq[1:]), out=sq[1:])
+            np.multiply(self.w[lo:lo + BLOCK, None], np.square(rows, out=sq[1:]), out=sq[1:])
             if lo:
                 sq[0] = gram
             np.sum(sq if lo else sq[1:], axis=0, out=gram)
@@ -236,18 +236,30 @@ def coherent_norm_sq(m, z0):
     return TWO_PI / (m + 1) * (1.0 + abs(z0) ** 2) ** m
 
 
+def _density_power(base, m, z0):
+    """float(base) ** m for a density of the state at z0, refused
+    (CapacityError) where it overflows a float, as in `coherent_state`."""
+    try:
+        return float(base) ** m
+    except OverflowError:
+        raise CapacityError(f"a density of the state at z0={z0!r} overflows "
+                            f"a float at level {m}") from None
+
+
 def coherent_density(m, z0, p):
-    """Pointwise metric density h^m(phi, phi) at p for the state at z0."""
+    """Pointwise metric density h^m(phi, phi) at p for the state at z0; a
+    CapacityError where it overflows a float."""
     if p.chart != "finite":
         raise ValueError("coherent_density needs a finite-chart point")
     z = p.z
     ratio = abs(1.0 + np.conj(z0) * z) ** 2 / (1.0 + abs(z) ** 2)
-    return float(ratio) ** m
+    return _density_power(ratio, m, z0)
 
 
 def coherent_density_reference(m, z0, p):
-    """(1+|z0|^2)^m exp(-m D(x0, p)) -- the diastasis form of the density."""
+    """(1+|z0|^2)^m exp(-m D(x0, p)) -- the diastasis form of the density; a
+    CapacityError where (1+|z0|^2)^m overflows a float."""
     d = diastasis(SpherePoint.from_z(z0), p)
     if math.isinf(d):
         return 0.0
-    return (1.0 + abs(z0) ** 2) ** m * math.exp(-m * d)
+    return _density_power(1.0 + abs(z0) ** 2, m, z0) * math.exp(-m * d)

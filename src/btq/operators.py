@@ -203,14 +203,14 @@ def _band_matrix(m, frames, w, band, *integrands):
     for |q| <= top = min(band, m), in `QuantumOperator` layout, summed over
     the integrands (samples, col); col None is a factor 1.
 
-    frames(size) yields the real frame F (nodes x (m+1)) `size` nodes at a
-    time, and each block adds its nodes to every diagonal's running sum: the
-    first block is summed alone, every later one with the running sum as
-    its row 0, so each entry adds its nodes in the order of one full sum
-    (numpy's axis-0 sum adds rows in order).  A one-entry diagonal
-    (|q| = m) is an (nodes, 1) column, which numpy sums pairwise instead,
-    so a call that has one takes all nodes in one block.  No frame is held:
-    O(BLOCK m + band m) memory, never n^2.
+    frames yields the real frame F (nodes x (m+1)) in blocks of at most
+    BLOCK nodes.  Each block is copied between zero margins of `top`
+    columns, so the factor F[:, k+q] of diagonal q is a full-row slice, and
+    adds its nodes to every diagonal's running sum: the first block is
+    summed alone, every later one with the running sum as its row 0, and
+    numpy's axis-0 sum adds rows in order, so every entry adds its nodes in
+    node order (a level-0 operator is a single column, which numpy sums
+    pairwise within a block).  No frame is held: O(BLOCK m + band m) memory.
 
     samples[i, l] is the integrand's angular factor at (s_i, phi_l) on the
     `phi_grid(band)` nodes.  The factor carries only the harmonics
@@ -221,27 +221,25 @@ def _band_matrix(m, frames, w, band, *integrands):
     wcs = [w[:, None] * (np.fft.fft(smp, axis=1) * (TWO_PI / smp.shape[1]))
            for smp, _ in integrands]
     stacks = [np.zeros((2 * top + 1, n), dtype=complex) for _ in integrands]
-    size = len(w) if top == m else BLOCK
-    # per block and diagonal: frame products in `real`, their weighted terms
-    # in rows 1.. of `acc`, the running sum in its row 0
-    real, acc = np.empty((size, n)), np.empty((size + 1, n), dtype=complex)
+    # per block: the frame between zero margins, and per diagonal the
+    # weighted terms in rows 1.. of `acc`, the running sum in its row 0
+    shifted, acc = np.zeros((BLOCK, n + 2 * top)), np.empty((BLOCK + 1, n), dtype=complex)
     lo = 0
-    for F in frames(size):
+    for F in frames:
         r = len(F)
+        shifted[:r, top:top + n] = F
+        terms = acc[:r + 1]
         for (_, col), wc, d in zip(integrands, wcs, stacks):
+            right = F if col is None else F * col
             for q in range(-top, top + 1):
-                a, b = max(q, 0), max(-q, 0)  # band q starts at row a, column b
-                row, right = d[top + q, b:n - a], F[:, b:n - a]
-                terms, prod = acc[:r + 1, :n - a - b], real[:r, :n - a - b]
-                if col is not None:
-                    right = np.multiply(right, col[b:n - a], out=prod)
-                np.multiply(F[:, a:n - b], right, out=prod)
+                np.multiply(shifted[:r, top + q:top + q + n], right, out=terms[1:])
                 # negative q wraps modulo the phi node count
-                np.multiply(wc[lo:lo + r, q, None], prod, out=terms[1:])
+                np.multiply(wc[lo:lo + r, q, None], terms[1:], out=terms[1:])
                 if lo:
-                    terms[0] = row
-                np.sum(terms if lo else terms[1:], axis=0, out=row)
+                    terms[0] = d[top + q]
+                np.sum(terms if lo else terms[1:], axis=0, out=d[top + q])
         lo += r
+        del right  # F * col is not held while the next block is built
     return sum(stacks[1:], stacks[0])
 
 
@@ -262,7 +260,7 @@ def toeplitz(f, m):
     f, an operator that fails the hermiticity check is refused."""
     table = basis_eval_grid(m, make_rule(m, f.degree))
     fv = eval_ambient(f, *_ambient_grid(table.s, f.degree))
-    diags = _band_matrix(m, table.blocks, table.w, f.degree, (fv, None))
+    diags = _band_matrix(m, table.blocks(), table.w, f.degree, (fv, None))
     t = QuantumOperator.from_diags(m, diags)
     if f.is_real and not t.hermitian:
         raise UnderResolvedRuleError(
@@ -323,13 +321,12 @@ def toeplitz_exact(f, m):
 # -- path 3: integral kernel ---------------------------------------------------
 
 
-def _raw_frame(m, s, size):
+def _raw_frame(m, s):
     """Raw monomial values |z^k| (1+|z|^2)^(-m/2) (no norms) at the radial
-    nodes s, `size` nodes at a time: path 3's frame for `_band_matrix`."""
-    k = np.arange(m + 1)
-    up, down = k / 2.0, (m - k) / 2.0
-    for lo in range(0, len(s), size):
-        sb = s[lo:lo + size, None]
+    nodes s, BLOCK nodes at a time: path 3's frame for `_band_matrix`."""
+    up, down = np.arange(m + 1) / 2.0, np.arange(m, -1, -1) / 2.0  # k/2, (m - k)/2
+    for lo in range(0, len(s), BLOCK):
+        sb = s[lo:lo + BLOCK, None]
         out = sb ** up
         out *= (1.0 - sb) ** down
         yield out
@@ -350,8 +347,8 @@ def kernel_matrix(f, m):
     r = np.sqrt(binomial_floats(m) * ((m + 1) / TWO_PI))
     rule = make_rule(m, f.degree)
     fv = eval_ambient(f, *_ambient_grid(rule.s_nodes, f.degree))
-    frames = functools.partial(_raw_frame, m, rule.s_nodes)
-    integrals = _band_matrix(m, frames, rule.s_weights, f.degree, (fv, None))
+    integrals = _band_matrix(m, _raw_frame(m, rule.s_nodes), rule.s_weights,
+                             f.degree, (fv, None))
     rows = _band_index(len(integrals) // 2, m + 1)[0]
     return QuantumOperator.from_diags(m, r[rows] * integrals * r[None, :])
 
@@ -386,7 +383,7 @@ def prequantum(f, m):
     u_dzbar_f = ((1.0 - z * z) * d1 + 1j * (1.0 + z * z) * d2 - 2.0 * z * d3) / u
     col = (1j / m) * u_dzbar_f * u / z  # pairs with k z^(k-1)
     base = 1j * (fv - np.conj(z) * u_dzbar_f)
-    diags = _band_matrix(m, table.blocks, table.w, f.degree,
+    diags = _band_matrix(m, table.blocks(), table.w, f.degree,
                          (base, None), (col, np.arange(m + 1)))
     return QuantumOperator.from_diags(m, diags)
 

@@ -404,10 +404,10 @@ def c1_candidate(f, g, ordering):
     grad f . grad g - (x . grad f)(x . grad g), the tangential gradient
     pairing.  "dzbar-dz" is (1+z zbar)^2 (dzbar f)(dz g) = skew + pairing;
     "dz-dzbar" is -(1+z zbar)^2 (dz f)(dzbar g) = skew - pairing, its
-    negated transpose.  Both satisfy C1(f,g) - C1(g,f) = -i {f,g}, so the
-    semiclassical residual experiment (thm3) selects only the sign of C1's
-    symmetric part: SELECTED_C1_ORDERING, "dz-dzbar", is the Berezin-Toeplitz
-    one, and "dzbar-dz" stays as the non-decaying regression fixture.
+    negated transpose; both satisfy C1(f,g) - C1(g,f) = -i {f,g}.  The
+    constant SELECTED_C1_ORDERING, "dz-dzbar", is the Berezin-Toeplitz one:
+    criterion 5 checks that its thm3 N=2 slope lies in [1.8, 2.2] and that
+    that of "dzbar-dz", the non-decaying regression fixture, does not.
     """
     if ordering not in C1_ORDERINGS:
         raise ValueError(f"ordering must be one of {C1_ORDERINGS}")

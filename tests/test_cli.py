@@ -148,7 +148,10 @@ def test_levels_above_max_level_refused_before_any_work(workdir, capsys,
 
 
 def test_pair_above_degree_cap_is_capacity_error(workdir, capsys):
-    # f g, {f,g} and C1 would be folded at degree 65, above what parse admits
+    # each symbol is within the degree cap of 64 and their degrees sum to 65,
+    # which the CLI's summed-degree rule refuses.  {f,g} has degree 64, so
+    # thm2's refusal is that rule alone; only thm3's f g and C1 would be
+    # folded at degree 65
     for cmd in ("thm2", "thm3"):
         assert run([cmd, "--f", "x1^33", "--g", "x2^32", "--levels", "8"]) == 3
         err = capsys.readouterr().err

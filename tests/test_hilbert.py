@@ -165,6 +165,16 @@ def test_coherent_state_refuses_levels_where_its_norm_overflows():
     assert abs(norm2 - closed) < 1e-12 * closed
 
 
+def test_coherent_densities_refuse_levels_where_they_overflow():
+    # at (1000, 3) both raised a bare OverflowError from the float power
+    # (10^1000 and 10^1000 exp(0)); now a CapacityError naming m and z0
+    p = SpherePoint.from_z(3)
+    for density in (hb.coherent_density, hb.coherent_density_reference):
+        with pytest.raises(CapacityError, match="z0=3 .* level 1000"):
+            density(1000, 3, p)
+    assert hb.coherent_density(300, 3, p) == 10.0 ** 300
+
+
 def test_coherent_density_identity(rng):
     # h^m(phi,phi)(x) = (1+|z0|^2)^m exp(-m D(x0,x))
     for m in (1, 8, 64):

@@ -13,7 +13,7 @@ from btq import operators as op
 from btq import symbols as sy
 from btq.errors import CapacityError, LevelMismatchError
 from btq.geometry import SpherePoint, make_rule
-from btq.hilbert import (TWO_PI, SectionVector, basis_eval_grid, binomial_floats,
+from btq.hilbert import (BLOCK, TWO_PI, SectionVector, basis_eval_grid, binomial_floats,
                          coefficient_inner, coherent_state, kernel_density,
                          quadrature_inner, radial_factors)
 from conftest import _fresh_env, assemble_in_subprocess, dense_hermitian, random_symbol
@@ -645,16 +645,18 @@ def _one_shot_table(m, s):
 
 
 def _one_shot_band(left, right, w, samples, band):
-    """Band sums over every node at once, as a full-table assembly writes them:
-    d[top + q, k] = sum_i w_i c_q(s_i) left[i, k+q] right[i, k]."""
+    """Band sums over every node at once, on full rows of the left frame
+    zero-padded by `top` columns each side:
+    d[top + q, k] = sum_i w_i c_q(s_i) left[i, k+q] right[i, k], with
+    left[i, k+q] = 0 off the matrix."""
     n = left.shape[1]
     top = min(band, n - 1)
     c = np.fft.fft(samples, axis=1) * (2.0 * math.pi / samples.shape[1])
+    padded = np.pad(left, ((0, 0), (top, top)))
     d = np.zeros((2 * top + 1, n), dtype=complex)
     for q in range(-top, top + 1):
-        a, b = max(q, 0), max(-q, 0)
-        prod = left[:, a:n - b] * right[:, b:n - a]
-        d[top + q, b:n - a] = np.sum((w * c[:, q])[:, None] * prod, axis=0)
+        prod = padded[:, top + q:top + q + n] * right
+        d[top + q] = np.sum((w * c[:, q])[:, None] * prod, axis=0)
     return d
 
 
@@ -669,8 +671,9 @@ def test_lean_assembly_keeps_the_bytes(rng, monkeypatch):
     band_matrix, calls = op._band_matrix, []
 
     def spy(m, frames, w, band, *integrands):
-        got = band_matrix(m, frames, w, band, *integrands)
-        frame = np.concatenate(list(frames(len(w))))
+        blocks = list(frames)
+        got = band_matrix(m, iter(blocks), w, band, *integrands)
+        frame = np.concatenate(blocks)
         refs = [_one_shot_band(frame, frame if col is None else frame * col, w, smp, band)
                 for smp, col in integrands]
         assert got.tobytes() == sum(refs[1:], refs[0]).tobytes(), (m, band)
@@ -707,6 +710,23 @@ def test_lean_assembly_keeps_the_bytes(rng, monkeypatch):
         r = np.sqrt(binomial_floats(m) * ((m + 1) / TWO_PI))
         rows = op._band_index(len(integrals) // 2, m + 1)[0]
         assert t.diags.tobytes() == (r[rows] * integrals * r[None, :]).tobytes()
+
+
+def test_frames_are_consecutive_blocks_that_cover_every_node_once():
+    # `_band_matrix` copies each block into a BLOCK-row buffer and reads its
+    # weights at the running node offset, so both frames hand out blocks of
+    # at most BLOCK nodes, in node order, every node once: 257 nodes end on
+    # a 1-node block, 41 split into 32 + 9
+    for m, d, sizes in ((513, 0, [BLOCK] * 8 + [1]), (40, 40, [BLOCK, 9])):
+        rule, k = make_rule(m, d), np.arange(m + 1)
+        s = rule.s_nodes[:, None]
+        table = _one_shot_table(m, rule.s_nodes)
+        raw = s ** (k / 2.0) * (1.0 - s) ** ((m - k) / 2.0)
+        for blocks, ref in ((basis_eval_grid(m, rule).blocks(), table),
+                            (op._raw_frame(m, rule.s_nodes), raw)):
+            blocks = list(blocks)
+            assert [len(b) for b in blocks] == sizes
+            assert np.concatenate(blocks).tobytes() == ref.tobytes()
 
 
 def test_streamed_assembly_holds_no_table():
