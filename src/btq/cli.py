@@ -18,14 +18,20 @@ defects and writes nothing; it exits 3 unless only the built-in signs hold
 them (calibration.calibrate).  All numeric output uses
 shortest round-trip decimals and files are written atomically, so runs with the
 same configuration are byte-reproducible under 1 and 2 BLAS threads alike:
-assembly makes no BLAS call, and operators.operator_norm is dense LAPACK
-eigvalsh only below operators.DENSE_NORM_ROWS rows, where its bytes do not
+assembly makes no BLAS call, and norms.operator_norm calls LAPACK eigvalsh
+only on matrices below norms.DENSE_NORM_ROWS rows, where its bytes do not
 change with the thread count.
+
+`python -m btq.cli` and the `btq` console script call `run`, which freezes
+the heap after `main` returns, so the interpreter's exit skips the garbage
+collector's passes over it; `main` itself, which tests call in process,
+never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import tempfile
@@ -192,5 +198,12 @@ def main(argv=None):
         return EXIT_USAGE
 
 
+def run(argv=None):
+    """`main`, then `gc.freeze()`: the process is about to exit."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

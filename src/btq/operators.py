@@ -1,5 +1,6 @@
 """Quantum operators at level m: Toeplitz matrices by three independent
-construction paths, geometric-quantization matrices, norms and commutators.
+construction paths, geometric-quantization matrices and commutators; the
+norms are in `norms`, and re-exported here.
 
 Each quadrature maker sizes its own radial rule from its inputs,
 `make_rule(m, deg f)` (deg f + 2 for the derivative in Q_f), and no
@@ -24,7 +25,8 @@ monomial frame at the rule's nodes, with no basis table.  Pairwise
 agreement of the three is the package's core self-test.  Operators are
 stored as their band of diagonals (`QuantumOperator`), filled directly by
 every path; only `operator_norm` builds a dense (m+1)^2 matrix, for
-LAPACK, and only below `DENSE_NORM_ROWS` = 160 rows.  Whether an
+LAPACK, and only below `DENSE_NORM_ROWS` = 160 rows (from there up, dense
+principal windows of fewer rows).  Whether an
 operator is Hermitian is read off its band when a caller asks; no path
 asserts it.
 
@@ -37,10 +39,9 @@ relation Q_f = i T_{f - Laplacian(f)/(2m)} is the exactness check.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LevelMismatchError, UnderResolvedRuleError
 from .geometry import make_rule, phi_grid
@@ -49,10 +50,6 @@ from .hilbert import (BLOCK, TWO_PI, SectionVector, basis_eval_grid,
 from .symbols import eval_ambient, laplace_beltrami, partial
 
 _HERM_TOL = 1e-12
-# below this many rows the norm is dense LAPACK eigvalsh, whose bytes measured
-# the same under 1, 2, 4 and 8 OpenBLAS threads up to 163 rows, not from 164;
-# from here up it is `_band_radius`, which makes no BLAS call, at any band
-DENSE_NORM_ROWS = 160
 
 
 @functools.lru_cache(maxsize=64)
@@ -396,67 +393,13 @@ def tuynman_rhs(f, m):
     return toeplitz(g, m) * 1j
 
 
-# -- norms and commutators -----------------------------------------------------
-
-
-def _band_inertia(diags, shifts, pivmin):
-    """Eigenvalues below each shift of the Hermitian band (its lower triangle):
-    the negative pivots of a banded LDL^H of A - sigma I (Sylvester), for all
-    shifts at once by elementwise steps on views of a store of rows
-    A[r, r-b .. r].  A pivot below pivmin in size becomes -pivmin (dstebz)."""
-    b, n, ns = len(diags) // 2, diags.shape[1], len(shifts)
-    store = np.zeros((n + b, b + 1, ns), dtype=complex)  # b zero rows past the end
-    for j in range(b + 1):
-        store[b - j:n, j] = diags[2 * b - j, :n - b + j, None]
-    store[:n, b] -= shifts
-    flat, (step, entry, shift) = store.reshape(-1, ns), store.strides
-    piv = flat[b::b + 1][:n].real
-    # below[k][i] = A[k+1+i, k]; window[k][i, j] = A[k+1+i, k+1+j] for i >= j,
-    # while i < j lands on columns <= k, which no later step reads
-    below = as_strided(flat[2 * b:], (n, b, ns), (step, b * entry, shift))
-    window = as_strided(flat[2 * b + 1:], (n, b, b, ns), (step, b * entry, entry, shift))
-    for k in range(n):
-        p = piv[k]
-        np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
-        c = below[k]
-        window[k] -= c[:, None] * (c.conj() / p)
-    return np.count_nonzero(piv < 0, axis=0)
-
-
-def _band_radius(d):
-    """Spectral radius of the Hermitian band d (its lower triangle is read) by
-    multisection on `_band_inertia`, with no BLAS call.  Each sweep puts 8
-    shifts in the brackets of lambda_min and lambda_max, from +-(Gershgorin
-    bound g) until both are 4 eps g wide."""
-    b = len(d) // 2
-    # column sums of the Hermitian matrix the lower triangle defines
-    g = float(np.max(np.abs(np.concatenate([_band_adjoint(d)[:b], d[b:]])).sum(axis=0)))
-    pivmin = np.finfo(float).eps * g  # g = 0 skips the loop: the zero operator
-    lo, hi = np.full(2, -g - pivmin), np.full(2, g + pivmin)
-    while np.any(hi - lo > 4 * pivmin):
-        shifts = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, 9) / 9)
-        # lambda_min < sigma iff the count is >= 1, lambda_max iff it is >= n
-        passed = _band_inertia(d, shifts.ravel(), pivmin).reshape(2, -1) >= [[1], [len(d[0])]]
-        hi = np.minimum(hi, np.min(np.where(passed, shifts, np.inf), axis=1))
-        lo = np.maximum(lo, np.max(np.where(passed, -np.inf, shifts), axis=1))
-    return float(np.max(np.abs(lo + hi))) / 2
-
-
-def operator_norm(op):
-    """Largest singular value: the spectral radius of A if `op.hermitian`, else
-    the root of that of A^H A, formed once as a band product.  Below
-    DENSE_NORM_ROWS rows the radius is dense LAPACK eigvalsh, from there up
-    `_band_radius`, with no dense matrix.  Neither depends on the BLAS thread
-    count."""
-    hermitian = op.hermitian
-    d = op.diags if hermitian else _band_product(_band_adjoint(op.diags), op.diags)
-    if op.m + 1 < DENSE_NORM_ROWS:
-        radius = float(np.max(np.abs(np.linalg.eigvalsh(_dense(d)))))
-    else:
-        radius = _band_radius(d)
-    return radius if hermitian else math.sqrt(radius)
+# -- commutators --------------------------------------------------------------
 
 
 def commutator(a, b):
     """[A, B] = AB - BA (anti-Hermitian for Hermitian inputs)."""
     return a @ b - b @ a
+
+
+# last: `norms` imports the band helpers from here
+from .norms import DENSE_NORM_ROWS, _band_inertia, _band_radius, operator_norm  # noqa: E402,F401

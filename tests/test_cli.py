@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -202,6 +203,35 @@ def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("btq: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm2", "--f=(0.5-1e249)", "--g=x2^27", "--levels", "14,26,30,36"],
+    ["thm3", "--f=x3^53", "--g=((x1*0)-3.7^8)^46", "--levels", "49,53,108"],
+], ids=["thm2", "thm3"])
+def test_norms_of_huge_entries_do_not_overflow(workdir, capsys, argv):
+    # residuals near 1e234 and 1e194: A^H A of them overflowed to inf, and
+    # LAPACK raised; a power-of-two scale keeps the norm in range
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    rows = json.loads(out)["rows"]
+    assert [r["m"] for r in rows] == [int(m) for m in argv[-1].split(",")]
+    assert all(1e150 < r["measured"] < 1e300 for r in rows)
+
+
+def test_main_leaves_the_heap_unfrozen_and_run_freezes_it(workdir, capsys):
+    # tests call `main` in process, so only `run`, the process's entry
+    # point, may freeze the heap
+    assert gc.get_freeze_count() == 0
+    assert run(["thm1", "--f", "x3", "--levels", "2,4"]) == 0
+    assert gc.get_freeze_count() == 0
+    try:
+        assert cli.run(["thm1", "--f", "x3", "--levels", "2,4"]) == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out.count('"experiment"') == 2
 
 
 def test_csv_json_contain_identical_numbers(workdir):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
+from btq import norms
 from btq import operators as op
 from btq import symbols as sy
 from btq.errors import CapacityError, LevelMismatchError
@@ -800,7 +802,7 @@ def _special_norm_cases(m):
 
 def test_banded_norm_matches_the_dense_norm(rng, monkeypatch):
     # with the cutover at 0 rows, operator_norm takes `_band_radius` at every size
-    monkeypatch.setattr(op, "DENSE_NORM_ROWS", 0)
+    monkeypatch.setattr(norms, "DENSE_NORM_ROWS", 0)
     for m in (0, 1, 2, 7, 64):
         cases = _lab_norm_cases(rng, m, range(1, 7)) + _special_norm_cases(m)
         assert m == 0 or any(not x.hermitian for x in cases)  # both branches
@@ -821,6 +823,47 @@ def test_band_inertia_counts_through_exact_zero_pivots():
         assert counts.tolist() == [n // 2, 0, n, n, 0]
 
 
+def _one_store_inertia(diags, shifts, pivmin):
+    """`_band_inertia` with one store of all n + b rows: the reference for
+    its chunked store."""
+    b, n, ns = len(diags) // 2, diags.shape[1], len(shifts)
+    store = np.zeros((n + b, b + 1, ns), dtype=complex)
+    for j in range(b + 1):
+        store[b - j:n, j] = diags[2 * b - j, :n - b + j, None]
+    store[:n, b] -= shifts
+    flat, (step, entry, shift) = store.reshape(-1, ns), store.strides
+    piv = flat[b::b + 1][:n].real
+    below = as_strided(flat[2 * b:], (n, b, ns), (step, b * entry, shift))
+    window = as_strided(flat[2 * b + 1:], (n, b, b, ns), (step, b * entry, entry, shift))
+    for k in range(n):
+        p = piv[k]
+        np.copyto(p, -pivmin, where=np.abs(p) < pivmin)
+        c = below[k]
+        window[k] -= c[:, None] * (c.conj() / p)
+    return piv.copy(), np.count_nonzero(piv < 0, axis=0)
+
+
+def test_band_inertia_chunks_count_as_one_store(rng):
+    # a random Hermitian band and one whose only entries are ones on the b-th
+    # diagonals: b decoupled chains with an exact zero pivot every second
+    # row at the shift 0; sizes across and inside one chunk of 64 pivots
+    for b in (1, 4, 8):
+        for n in (2, 64, 1001):
+            inside = op._band_index(b, n)[1]
+            d = np.where(inside, rng.standard_normal((2 * b + 1, n))
+                         + 1j * rng.standard_normal((2 * b + 1, n)), 0)
+            chains = np.zeros((2 * b + 1, n), complex)
+            chains[0, b:] = chains[-1, :n - b] = 1.0
+            for x in ((d + op._band_adjoint(d)) / 2, chains):
+                g = max(1.0, float(np.max(np.abs(x).sum(axis=0))))
+                shifts = np.concatenate([[0.0], np.linspace(-g, g, 23)])
+                pivmin = np.finfo(float).eps * g
+                pivots, want = _one_store_inertia(x, shifts, pivmin)
+                assert x is not chains or n <= b or np.any(pivots == -pivmin)
+                got = op._band_inertia(x, shifts, pivmin)
+                assert got.tolist() == want.tolist(), (b, n)
+
+
 def test_operator_norm_at_high_level_is_the_band_norm(rng):
     m = 1000
     cases = _lab_norm_cases(rng, m, (4,))
@@ -831,7 +874,9 @@ def test_operator_norm_at_high_level_is_the_band_norm(rng):
 
 def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
     # a Hermitian and a general operator cut over at DENSE_NORM_ROWS rows,
-    # whatever the band; at four times that, the memory bound below holds
+    # whatever the band: from there up, LAPACK, `_dense` and `.mat` see only
+    # matrices of fewer rows (`_band_radius`'s principal windows); at four
+    # times that, the memory bound below holds
     m = op.DENSE_NORM_ROWS - 1
     f = sy.parse(CRITERION10)
 
@@ -844,15 +889,27 @@ def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
     assert [(x.band, x.hermitian) for x in cases] == [(4, True), (4, False), (16, True),
                                                       (4, True), (4, False)]
     refs = [_dense_norm(x) for x in cases]
+    rows = []  # the row count of every matrix the three spies see
+
+    def spy(fn, size):
+        def seen(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            rows.append(size(args, out))
+            return out
+        return seen
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dense matrix or LAPACK call above the cutover")
+        raise AssertionError("LAPACK 2-norm in an operator norm")
 
-    monkeypatch.setattr(op.QuantumOperator, "mat", property(refuse))
-    monkeypatch.setattr(op, "_dense", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    mat = op.QuantumOperator.mat.fget
+    monkeypatch.setattr(op.QuantumOperator, "mat",
+                        property(spy(mat, lambda args, out: len(out))))
+    monkeypatch.setattr(norms, "_dense", spy(norms._dense, lambda args, out: len(out)))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        spy(np.linalg.eigvalsh, lambda args, out: len(args[0])))
     monkeypatch.setattr(np.linalg, "norm", refuse)
     for x, ref in zip(cases, refs):
+        rows.clear()
         tracemalloc.start()
         try:
             got = op.operator_norm(x)
@@ -860,10 +917,54 @@ def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
         finally:
             tracemalloc.stop()
         assert abs(got - ref) <= 1e-12 * ref
+        assert rows and max(rows) < op.DENSE_NORM_ROWS, rows
         # a quarter of one dense complex matrix; half for A^H A, of twice the
-        # band (at the cutover the 16-shift Sturm store of either is larger)
+        # band (at the cutover the first sweep's Sturm store of either is larger)
         if x.m > m:
             assert peak < (x.m + 1) ** 2 * 16 / (4 if x.hermitian else 2), peak
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The shift count of each `_band_inertia` call: one per Sturm sweep."""
+    seen = []
+    inertia = norms._band_inertia
+
+    def counted(*args):
+        seen.append(len(args[1]))
+        return inertia(*args)
+
+    monkeypatch.setattr(norms, "_band_inertia", counted)
+    return seen
+
+
+def test_criterion10_q_norm_takes_at_most_two_sweeps(sweeps):
+    # -i Q_f of the criterion-10 symbol: its extreme eigenvectors localise
+    # where f is extreme, so the window's estimate ends the multisection in
+    # one or two Sturm sweeps (17 from the Gershgorin bounds alone)
+    f = sy.parse(CRITERION10)
+    for m in (256, 512, 1000):
+        x = -1j * op.prequantum(f, m)
+        assert x.hermitian
+        sweeps.clear()
+        op.operator_norm(x)
+        assert 1 <= len(sweeps) <= 2, (m, sweeps)
+
+
+def test_band_norm_where_the_window_cannot_localise(sweeps):
+    # x1: a symmetric spectrum, so both ends stay live; -0.557 x2^6: its top
+    # end is the great circle x2 = 0, not a point; and a general A^H A, whose
+    # bottom end is not localised either.  In the last two the other end's
+    # |lambda| is certainly larger after the first sweep, so the end the
+    # window misses is dropped rather than narrowed
+    cases = [op.toeplitz(X1, 300), op.toeplitz(sy.parse("-0.557*x2^6"), 170),
+             op.toeplitz(X1 * X3, 300) @ op.toeplitz(X1 * X2, 300)]
+    assert [x.hermitian for x in cases] == [True, True, False]
+    for x in cases:
+        ref = _dense_norm(x)
+        sweeps.clear()
+        assert abs(op.operator_norm(x) - ref) <= 1e-12 * ref, (x.m, x.band)
+        assert x is cases[0] or len(sweeps) <= 2, sweeps
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import tokenize
 from pathlib import Path
 
-from btq import extrema, symbols
+from btq import extrema, norms, operators, symbols
 from conftest import _fresh_env
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "btq"
@@ -43,6 +43,21 @@ def test_symbols_re_exports_the_sup_norm_search():
     # imports first
     check = "import btq.extrema, btq.symbols as s; assert s.grid_extrema is btq.extrema.grid_extrema"
     for first in ("btq.extrema", "btq.symbols", "btq.cli"):
+        proc = subprocess.run([sys.executable, "-c", f"import {first}; {check}"],
+                              env=_fresh_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, (first, proc.stderr)
+
+
+def test_operators_re_exports_the_norms():
+    # the norms live in `norms`; `operators` binds the same objects, so
+    # `operators.operator_norm` callers and wrappers reach the one function.
+    # Patch constants in `norms`: a patch of the `operators` binding reaches
+    # no norm
+    for name in ("operator_norm", "_band_radius", "_band_inertia", "DENSE_NORM_ROWS"):
+        assert getattr(operators, name) is getattr(norms, name)
+    check = ("import btq.norms, btq.operators as o; "
+             "assert o.operator_norm is btq.norms.operator_norm")
+    for first in ("btq.norms", "btq.operators", "btq.cli"):
         proc = subprocess.run([sys.executable, "-c", f"import {first}; {check}"],
                               env=_fresh_env(), capture_output=True, text=True)
         assert proc.returncode == 0, (first, proc.stderr)
