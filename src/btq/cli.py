@@ -19,7 +19,7 @@ them (calibration.calibrate).  All numeric output uses
 shortest round-trip decimals and files are written atomically, so runs with the
 same configuration are byte-reproducible under 1 and 2 BLAS threads alike:
 assembly makes no BLAS call, and norms.operator_norm calls LAPACK eigvalsh
-only on matrices below norms.DENSE_NORM_ROWS rows, where its bytes do not
+only on matrices of at most norms.WINDOW_ROWS rows, where its bytes do not
 change with the thread count.
 
 `python -m btq.cli` and the `btq` console script call `run`, which freezes

@@ -1,42 +1,80 @@
-"""Operator norms: the largest singular value of a banded operator.
+"""Band algebra and operator norms.
+
+An operator at level m is kept as its band, the zero-padded stack
+diags[band + q, k] = A[k+q, k] (`operators.QuantumOperator`): `_band_index`
+places a stack in the dense matrix, `_band_adjoint` and `_band_product`
+form A^H and A B on stacks, and `_dense` materialises the matrix.
 
 `operator_norm` norms a Hermitian band itself and any other operator by the
-root of the spectral radius of A^H A, formed once as a band product.  Below
-DENSE_NORM_ROWS rows the band becomes a dense matrix for LAPACK `eigvalsh`;
-from there up `_band_radius` certifies the radius by Sturm counts
-(`_band_inertia`), started from `eigvalsh` of a principal window of
-WINDOW_ROWS rows at each end of the spectrum.  So LAPACK only ever sees
-fewer than DENSE_NORM_ROWS rows, where its bytes measured the same under 1,
-2, 4 and 8 OpenBLAS threads.
-
-`operators` re-exports every name here from its last line, after the band
-helpers this module imports; the package imports `operators` before this
-module, whichever of the two a caller names first.
+root of the spectral radius of A^H A, formed once as a band product.
+`_band_radius` takes LAPACK `eigvalsh` of a principal window of WINDOW_ROWS
+rows at each end of the spectrum: a band of no more rows is its own window,
+whose eigenvalues are the answer; a longer one has the radius certified by
+Sturm counts (`_band_inertia`) started from the windows' extreme
+eigenvalues.  So LAPACK only ever sees at most WINDOW_ROWS rows, where its
+bytes measured the same under 1, 2, 4 and 8 OpenBLAS threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .operators import _band_adjoint, _band_product, _dense
-
-# below this many rows the norm is dense LAPACK eigvalsh, whose bytes measured
-# the same under 1, 2, 4 and 8 OpenBLAS threads up to 163 rows, not from 164;
-# from here up it is `_band_radius`, which calls LAPACK on windows only
-DENSE_NORM_ROWS = 160
-# rows of `_band_radius`'s principal windows: a size below 164 of its own, so
-# a lower DENSE_NORM_ROWS leaves the windows as they are
+# rows of `_band_radius`'s principal windows, the largest matrix LAPACK sees:
+# eigvalsh bytes measured the same under 1, 2, 4 and 8 OpenBLAS threads up to
+# 163 rows, not from 164
 WINDOW_ROWS = 159
 # a band whose largest entry lies in [2^-SAFE_EXP, 2^SAFE_EXP] is normed as it
-# is; any other is first scaled by a power of two, exactly, so that A^H A,
+# is; any other is first scaled by powers of two, exactly, so that A^H A,
 # the Gershgorin sums and the windows stay inside the float range
 SAFE_EXP = 256
 CHUNK = 64  # pivots per `_band_inertia` store
 SHIFTS = 16  # shifts per multisection sweep, split over the ends still narrowed
 FIRST_STEPS = 19  # pivmin 8^j for j < 19 reaches 4 g, past both Gershgorin bounds
+
+
+@functools.lru_cache(maxsize=64)
+def _band_index(band, n):
+    """Per stack entry (band + q, k): row k + q (clipped), in-matrix mask,
+    and flat index in the dense matrix (n^2 outside it).  Read-only."""
+    rows = np.arange(-band, band + 1)[:, None] + np.arange(n)[None, :]
+    inside = (rows >= 0) & (rows < n)
+    flat = np.where(inside, rows * n + np.arange(n), n * n)
+    out = (np.clip(rows, 0, n - 1), inside, flat)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _band_adjoint(diags):
+    """Stack of A^H: (A^H)[k+q, k] = conj(A[k, k+q])."""
+    rows, inside, _ = _band_index(len(diags) // 2, diags.shape[1])
+    return np.where(inside, np.take_along_axis(diags[::-1], rows, axis=1).conj(), 0)
+
+
+def _dense(diags):
+    """The dense matrix of a diagonal stack."""
+    n = diags.shape[1]
+    out = np.zeros(n * n + 1, dtype=complex)  # the padding lands in the last slot
+    out[_band_index(len(diags) // 2, n)[2]] = diags
+    return out[:-1].reshape(n, n)
+
+
+def _band_product(a, b):
+    """Stack of A B, one pass per diagonal p of A: (AB)[k+p+r, k] gains
+    A[k+r+p, k+r] B[k+r, k] for every diagonal r of B.  O(n b1 b2) work."""
+    b1, b2, n = len(a) // 2, len(b) // 2, a.shape[1]
+    out = np.zeros((2 * (b1 + b2) + 1, n), dtype=complex)
+    padded = np.pad(a, ((0, 0), (b2, b2)))
+    for i in range(2 * b1 + 1):
+        # shifted[r + b2, k] = A[k+r+p, k+r] with p = i - b1 (zero off the matrix)
+        shifted = sliding_window_view(padded[i], n)
+        out[i:i + 2 * b2 + 1] += shifted * b
+    top = min(b1 + b2, n - 1)
+    return out[b1 + b2 - top:b1 + b2 + top + 1]
 
 
 def _band_inertia(diags, shifts, pivmin):
@@ -78,7 +116,8 @@ def _band_inertia(diags, shifts, pivmin):
 
 
 def _band_radius(d):
-    """Spectral radius of the Hermitian band d (its lower triangle is read),
+    """Spectral radius of the Hermitian band d (its lower triangle is read):
+    max |eigvalsh| of d itself if it has at most WINDOW_ROWS rows, else
     certified by multisection on `_band_inertia`.
 
     The brackets of lambda_min and lambda_max start at +-(Gershgorin bound g).
@@ -92,6 +131,8 @@ def _band_radius(d):
     live end gets its shifts.  Brackets move only on Sturm counts, so the
     window sets the cost, not the result's bound."""
     b, n = len(d) // 2, d.shape[1]
+    if n <= WINDOW_ROWS:  # the band is its own window
+        return float(np.max(np.abs(np.linalg.eigvalsh(_dense(d)))))
     # column sums of the Hermitian matrix the lower triangle defines
     mags = np.abs(np.concatenate([_band_adjoint(d)[:b], d[b:]]))
     sums = mags.sum(axis=0)
@@ -101,9 +142,9 @@ def _band_radius(d):
     pivmin = np.finfo(float).eps * g
     off = sums - mags[b]
     rows = (int(np.argmin(d[b].real - off)), int(np.argmax(d[b].real + off)))
-    starts = [min(max(r - WINDOW_ROWS // 2, 0), max(n - WINDOW_ROWS, 0)) for r in rows]
-    # eigvalsh of each principal window (all rows, if fewer), lower triangle
-    eigs = {s: np.linalg.eigvalsh(_dense(d[:, s:s + WINDOW_ROWS])) for s in starts}
+    starts = [min(max(r - WINDOW_ROWS // 2, 0), n - WINDOW_ROWS) for r in rows]
+    # eigvalsh of each distinct principal window, lower triangle
+    eigs = {s: np.linalg.eigvalsh(_dense(d[:, s:s + WINDOW_ROWS])) for s in set(starts)}
     lo, hi = np.full(2, -g - pivmin), np.full(2, g + pivmin)
     steps = pivmin * 8.0 ** np.arange(FIRST_STEPS)
     ends = (eigs[starts[0]][0], eigs[starts[1]][-1])
@@ -130,20 +171,18 @@ def _band_radius(d):
 
 def operator_norm(op):
     """Largest singular value: the spectral radius of A if `op.hermitian`, else
-    the root of that of A^H A, formed once as a band product.  Below
-    DENSE_NORM_ROWS rows the radius is dense LAPACK eigvalsh, from there up
-    `_band_radius`, with LAPACK on windows below that size only.  Neither
-    depends on the BLAS thread count.  A band whose largest entry lies
-    outside [2^-SAFE_EXP, 2^SAFE_EXP] is normed scaled by a power of two,
-    and the norm scaled back, so no intermediate overflows or underflows."""
+    the root of that of A^H A, formed once as a band product; `_band_radius`
+    takes it at every size, by LAPACK on at most WINDOW_ROWS rows, so it does
+    not depend on the BLAS thread count.  A band whose largest entry lies
+    outside [2^-SAFE_EXP, 2^SAFE_EXP] is normed scaled by 2^-exp, as two
+    factors that stay finite down to subnormal entries, and the norm scaled
+    back, so no intermediate overflows or underflows."""
     hermitian, a = op.hermitian, op.diags
     top, exp = float(np.max(np.abs(a))), 0
     if top and not 2.0 ** -SAFE_EXP <= top <= 2.0 ** SAFE_EXP:
         exp = math.frexp(top)[1]
-        a = a * math.ldexp(1.0, -exp)
+        half = exp // 2
+        a = a * math.ldexp(1.0, -half) * math.ldexp(1.0, half - exp)
     d = a if hermitian else _band_product(_band_adjoint(a), a)
-    if op.m + 1 < DENSE_NORM_ROWS:
-        radius = float(np.max(np.abs(np.linalg.eigvalsh(_dense(d)))))
-    else:
-        radius = _band_radius(d)
+    radius = _band_radius(d)
     return math.ldexp(radius if hermitian else math.sqrt(radius), exp)

@@ -1,6 +1,6 @@
 """Quantum operators at level m: Toeplitz matrices by three independent
-construction paths, geometric-quantization matrices and commutators; the
-norms are in `norms`, and re-exported here.
+construction paths, geometric-quantization matrices and commutators, on
+the band algebra of `norms`, whose `operator_norm` is re-exported here.
 
 Each quadrature maker sizes its own radial rule from its inputs,
 `make_rule(m, deg f)` (deg f + 2 for the derivative in Q_f), and no
@@ -24,11 +24,10 @@ expanding (1 + z conj(zeta))^m binomially and re-projecting on the raw
 monomial frame at the rule's nodes, with no basis table.  Pairwise
 agreement of the three is the package's core self-test.  Operators are
 stored as their band of diagonals (`QuantumOperator`), filled directly by
-every path; only `operator_norm` builds a dense (m+1)^2 matrix, for
-LAPACK, and only below `DENSE_NORM_ROWS` = 160 rows (from there up, dense
-principal windows of fewer rows).  Whether an
-operator is Hermitian is read off its band when a caller asks; no path
-asserts it.
+every path; `operator_norm` hands LAPACK dense principal windows of at
+most `norms.WINDOW_ROWS` rows, never the whole matrix of a longer band.
+Whether an operator is Hermitian is read off its band when a caller asks;
+no path asserts it.
 
 The geometric-quantization operator is Q_f = Pi(-(1/m) nabla_{X_f} + i f)Pi
 with the Hamiltonian field of the area form; the 1/m is the level-m scaling
@@ -38,59 +37,17 @@ relation Q_f = i T_{f - Laplacian(f)/(2m)} is the exactness check.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LevelMismatchError, UnderResolvedRuleError
 from .geometry import make_rule, phi_grid
 from .hilbert import (BLOCK, TWO_PI, SectionVector, basis_eval_grid,
                       binomial_floats, binomial_row)
+from .norms import (_band_adjoint, _band_index, _band_inertia,  # noqa: F401
+                    _band_product, _band_radius, _dense, operator_norm)
 from .symbols import eval_ambient, laplace_beltrami, partial
 
 _HERM_TOL = 1e-12
-
-
-@functools.lru_cache(maxsize=64)
-def _band_index(band, n):
-    """Per stack entry (band + q, k): row k + q (clipped), in-matrix mask,
-    and flat index in the dense matrix (n^2 outside it).  Read-only."""
-    rows = np.arange(-band, band + 1)[:, None] + np.arange(n)[None, :]
-    inside = (rows >= 0) & (rows < n)
-    flat = np.where(inside, rows * n + np.arange(n), n * n)
-    out = (np.clip(rows, 0, n - 1), inside, flat)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
-def _band_adjoint(diags):
-    """Stack of A^H: (A^H)[k+q, k] = conj(A[k, k+q])."""
-    rows, inside, _ = _band_index(len(diags) // 2, diags.shape[1])
-    return np.where(inside, np.take_along_axis(diags[::-1], rows, axis=1).conj(), 0)
-
-
-def _dense(diags):
-    """The dense matrix of a diagonal stack."""
-    n = diags.shape[1]
-    out = np.zeros(n * n + 1, dtype=complex)  # the padding lands in the last slot
-    out[_band_index(len(diags) // 2, n)[2]] = diags
-    return out[:-1].reshape(n, n)
-
-
-def _band_product(a, b):
-    """Stack of A B, one pass per diagonal p of A: (AB)[k+p+r, k] gains
-    A[k+r+p, k+r] B[k+r, k] for every diagonal r of B.  O(n b1 b2) work."""
-    b1, b2, n = len(a) // 2, len(b) // 2, a.shape[1]
-    out = np.zeros((2 * (b1 + b2) + 1, n), dtype=complex)
-    padded = np.pad(a, ((0, 0), (b2, b2)))
-    for i in range(2 * b1 + 1):
-        # shifted[r + b2, k] = A[k+r+p, k+r] with p = i - b1 (zero off the matrix)
-        shifted = sliding_window_view(padded[i], n)
-        out[i:i + 2 * b2 + 1] += shifted * b
-    top = min(b1 + b2, n - 1)
-    return out[b1 + b2 - top:b1 + b2 + top + 1]
 
 
 class QuantumOperator:
@@ -399,7 +356,3 @@ def tuynman_rhs(f, m):
 def commutator(a, b):
     """[A, B] = AB - BA (anti-Hermitian for Hermitian inputs)."""
     return a @ b - b @ a
-
-
-# last: `norms` imports the band helpers from here
-from .norms import DENSE_NORM_ROWS, _band_inertia, _band_radius, operator_norm  # noqa: E402,F401

@@ -205,19 +205,25 @@ def test_under_resolved_rule_exit3_without_traceback(workdir, capsys,
     assert err.startswith("btq: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["thm2", "--f=(0.5-1e249)", "--g=x2^27", "--levels", "14,26,30,36"],
-    ["thm3", "--f=x3^53", "--g=((x1*0)-3.7^8)^46", "--levels", "49,53,108"],
-], ids=["thm2", "thm3"])
-def test_norms_of_huge_entries_do_not_overflow(workdir, capsys, argv):
+@pytest.mark.parametrize("argv, lo, hi", [
+    (["thm2", "--f=(0.5-1e249)", "--g=x2^27", "--levels", "14,26,30,36"], 1e150, 1e300),
+    (["thm3", "--f=x3^53", "--g=((x1*0)-3.7^8)^46", "--levels", "49,53,108"], 1e150, 1e300),
+    (["thm1", "--f", "1e-310", "--levels", "1,2,3"], -1e-300, 1e-300),
+    (["coherent", "--f", "1e-320*x3", "--levels", "2,4,8"], -1e-300, 1e-300),
+    (["thm2", "--f", "x1", "--g", "8.02e-320", "--levels", "20,21,38"], -1e-300, 1e-300),
+    (["tuynman", "--f", "0.61e-310", "--levels", "29,34,36"], -1e-300, 1e-300),
+], ids=["thm2", "thm3", "thm1-subnormal", "coherent-subnormal", "thm2-subnormal",
+        "tuynman-subnormal"])
+def test_norms_of_huge_entries_do_not_overflow(workdir, capsys, argv, lo, hi):
     # residuals near 1e234 and 1e194: A^H A of them overflowed to inf, and
-    # LAPACK raised; a power-of-two scale keeps the norm in range
+    # LAPACK raised; a power-of-two scale keeps the norm in range.  Subnormal
+    # entries need a scale above 2^1023, which overflowed as one factor
     assert run(argv) == 0
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     rows = json.loads(out)["rows"]
     assert [r["m"] for r in rows] == [int(m) for m in argv[-1].split(",")]
-    assert all(1e150 < r["measured"] < 1e300 for r in rows)
+    assert all(lo < r["measured"] < hi for r in rows)
 
 
 def test_main_leaves_the_heap_unfrozen_and_run_freezes_it(workdir, capsys):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from btq import lab
+from btq import lab, norms
 from btq import operators as op
 from btq import symbols as sy
 from btq.errors import InsufficientDataError
@@ -265,8 +265,8 @@ def test_tuynman_run_norm_matches_svd(rng):
 
 def test_tuynman_and_crosscheck_rows_match_dense_reference():
     # dense arithmetic, inline: defects of full matrices, the norm of the
-    # Hermitian -i Q_f by eigvalsh on the dense array; from DENSE_NORM_ROWS
-    # rows (m = 300) the report's norm is the band norm, within 1e-12
+    # Hermitian -i Q_f by eigvalsh on the dense array; past WINDOW_ROWS rows
+    # (m = 300) the report's norm is the band norm, within 1e-12
     f = sy.parse("x1*x2*x3^2 + 0.25*x1^2*x2^2 - x3 + 0.125")
     for m in (64, 300):
         q = op.prequantum(f, m).mat
@@ -278,7 +278,7 @@ def test_tuynman_and_crosscheck_rows_match_dense_reference():
         assert rep.rows[0].measured == defect
         detail, got = rep.checks[0].detail.split(" |Q|=")
         assert detail == f"defect={defect!r}"
-        if m + 1 < op.DENSE_NORM_ROWS:
+        if m + 1 <= norms.WINDOW_ROWS:
             assert float(got) == qnorm
         else:
             assert abs(float(got) - qnorm) <= 1e-12 * qnorm

@@ -301,19 +301,29 @@ def _sphere_mean(f):
 
 def test_trace_is_level_times_sphere_mean(rng):
     # the kernel diagonal is the constant (m+1)/2pi, so tr T_f = (m+1) mean(f)
-    # exactly; each path must meet it without reference to the other two
-    symbols = [sy.parse("(1+x1+x2+x3)^6"), sy.parse(CRITERION10)]
-    symbols += [random_symbol(rng, degree=d, nterms=6, real=real)
-                for d in (2, 4, 6) for real in (True, False)]
+    # exactly; each path must meet it without reference to the other two.
+    # The bound n^2 eps |f|_1 (n = m + 1) is first order in eps: n diagonal
+    # entries of size at most sup|f| <= |f|_1, each allowed n eps |f|_1 of
+    # rounding, its own and its share of the sum's (numpy's pairwise sum adds
+    # about log2(n) eps per entry).  Measured: at most 4.4 n eps |f|_1 (x3^2,
+    # m = 1000).  Every fixed symbol's mean is large enough that a path whose
+    # output is scaled by 1 + 1e-9 fails
+    eps = np.finfo(float).eps
+    fixed = [sy.parse(e) for e in ("x3^2", CRITERION10, "0.3 + x1^2*x3^4 - x2^6",
+                                   "(1+x1+x2+x3)^6")]
+    symbols = fixed + [random_symbol(rng, degree=d, nterms=6, real=real)
+                       for d in (2, 4, 6) for real in (True, False)]
     for f in symbols:
         mean = _sphere_mean(f)
-        cases = [(m, path) for m in (1, 7, 64, 300)
+        cases = [(m, path) for m in (1, 5, 33, 200, 1000)
                  for path in (op.toeplitz, op.toeplitz_exact, op.kernel_matrix)]
         # above the float binomial cap only the exact path runs
         for m, path in cases + [(2048, op.toeplitz_exact)]:
-            t = path(f, m)
+            t, n = path(f, m), m + 1
+            bound = n * n * eps * f.coeff_l1()
+            assert f not in fixed or 2 * bound < 1e-9 * abs(n * mean)
             trace = complex(np.sum(t.diags[t.band]))
-            assert abs(trace - (m + 1) * mean) <= 1e-13 * (m + 1) * f.coeff_l1()
+            assert abs(trace - n * mean) <= bound, (m, path.__name__)
 
 
 # -- structure ------------------------------------------------------------------
@@ -455,9 +465,13 @@ def test_prequantum_matches_tuynman_rhs_up_to_degree_6(rng):
 
 def test_operator_norm_examples():
     assert op.operator_norm(op.identity(5)) == 1.0
-    for m in (2, 8, 64):
-        t = op.toeplitz_exact(X3, m)
-        assert abs(op.operator_norm(t) - m / (m + 2)) < 1e-12
+    # |T_{c x3}| = c m/(m+2); a subnormal c needs a scale past 2^1023, made of
+    # two factors, and m = 200 takes the Sturm path, not one window
+    for c in (1.0, 1e-310, 1e249):
+        for m in (2, 8, 64, 200):
+            want = c * m / (m + 2)
+            t = op.toeplitz_exact(sy.parse(f"{c!r}*x3"), m)
+            assert abs(op.operator_norm(t) - want) <= 1e-12 * want, (c, m)
     zero = op.QuantumOperator(3, np.zeros((4, 4)))
     assert op.operator_norm(zero) == 0.0
 
@@ -751,14 +765,14 @@ def test_streamed_assembly_holds_no_table():
 
 
 def test_operator_norm_is_the_dense_eigvalsh():
-    # dense up to 159 rows (m = 158), the last size below DENSE_NORM_ROWS;
-    # the band norm from it up, within the bound of the banded-norm tests
+    # dense up to 159 rows (m = 158), where one window is the whole band;
+    # the band norm past it, within the bound of the banded-norm tests
     f = sy.parse(CRITERION10)
     for m in (1, 64, 158, 300):
         t = op.toeplitz(f, m)
         ref = float(np.max(np.abs(np.linalg.eigvalsh(t.mat))))
         if m < 300:
-            assert m + 1 < op.DENSE_NORM_ROWS
+            assert m + 1 <= norms.WINDOW_ROWS
             assert op.operator_norm(t) == ref
         else:
             assert abs(op.operator_norm(t) - ref) <= 1e-12 * ref
@@ -801,8 +815,9 @@ def _special_norm_cases(m):
 
 
 def test_banded_norm_matches_the_dense_norm(rng, monkeypatch):
-    # with the cutover at 0 rows, operator_norm takes `_band_radius` at every size
-    monkeypatch.setattr(norms, "DENSE_NORM_ROWS", 0)
+    # with windows of one row, `_band_radius` takes the Sturm path from 2 rows
+    # up, its windows covering none of the band
+    monkeypatch.setattr(norms, "WINDOW_ROWS", 1)
     for m in (0, 1, 2, 7, 64):
         cases = _lab_norm_cases(rng, m, range(1, 7)) + _special_norm_cases(m)
         assert m == 0 or any(not x.hermitian for x in cases)  # both branches
@@ -873,11 +888,11 @@ def test_operator_norm_at_high_level_is_the_band_norm(rng):
 
 
 def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
-    # a Hermitian and a general operator cut over at DENSE_NORM_ROWS rows,
-    # whatever the band: from there up, LAPACK, `_dense` and `.mat` see only
-    # matrices of fewer rows (`_band_radius`'s principal windows); at four
-    # times that, the memory bound below holds
-    m = op.DENSE_NORM_ROWS - 1
+    # a Hermitian and a general operator past WINDOW_ROWS rows, whatever the
+    # band: LAPACK, `_dense` and `.mat` see only `_band_radius`'s principal
+    # windows of WINDOW_ROWS rows, not the whole band; at four times that
+    # size, the memory bound below holds
+    m = norms.WINDOW_ROWS
     f = sy.parse(CRITERION10)
 
     def band4(m):
@@ -917,9 +932,10 @@ def test_operator_norm_reads_only_the_band_from_the_cutover(monkeypatch):
         finally:
             tracemalloc.stop()
         assert abs(got - ref) <= 1e-12 * ref
-        assert rows and max(rows) < op.DENSE_NORM_ROWS, rows
+        assert rows and max(rows) <= norms.WINDOW_ROWS, rows
         # a quarter of one dense complex matrix; half for A^H A, of twice the
-        # band (at the cutover the first sweep's Sturm store of either is larger)
+        # band (at WINDOW_ROWS + 1 rows the first sweep's Sturm store of either
+        # is larger)
         if x.m > m:
             assert peak < (x.m + 1) ** 2 * 16 / (4 if x.hermitian else 2), peak
 
@@ -989,7 +1005,7 @@ def _reports_under_one_and_two_threads(args):
     ["thm1", "--f", CRITERION10, "--levels", "150,200,250"],
 ], ids=["thm3", "tuynman", "thm1"])
 def test_report_bit_identical_across_threads(args):
-    # dense norms stay below DENSE_NORM_ROWS rows, where eigvalsh gives the
+    # LAPACK sees at most WINDOW_ROWS rows, where eigvalsh gives the
     # same bytes under 1 and 2 threads; a general operator's is eigvalsh of
     # A^H A (the LAPACK 2-norm differed from 68 rows, eigvalsh from 164)
     runs = _reports_under_one_and_two_threads(args)
@@ -999,9 +1015,9 @@ def test_report_bit_identical_across_threads(args):
 _DENSE_NORMS = """
 import hashlib
 import numpy as np
-from btq import operators as op
+from btq import norms, operators as op
 rng, digest = np.random.default_rng(46), hashlib.sha256()
-for n in range(op.DENSE_NORM_ROWS - 10, op.DENSE_NORM_ROWS):
+for n in range(norms.WINDOW_ROWS - 9, norms.WINDOW_ROWS + 1):
     for band in range(13):
         inside = op._band_index(band, n)[1]
         d = np.where(inside, rng.standard_normal((2 * band + 1, n))
@@ -1015,9 +1031,9 @@ print(digest.hexdigest())
 
 
 def test_dense_norms_below_the_cutover_bit_identical_across_threads():
-    # every size with a dense norm close to DENSE_NORM_ROWS, Hermitian and
-    # general, bands 0-12: a BLAS build whose eigvalsh switches to threaded
-    # kernels below the cutover fails here
+    # the 10 sizes up to WINDOW_ROWS, where one window is the whole band,
+    # Hermitian and general, bands 0-12: a BLAS build whose eigvalsh switches
+    # to threaded kernels at or below that size fails here
     runs = [subprocess.run([sys.executable, "-c", _DENSE_NORMS],
                            env=_fresh_env(OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n)),
                            capture_output=True, check=True).stdout
@@ -1026,7 +1042,7 @@ def test_dense_norms_below_the_cutover_bit_identical_across_threads():
 
 
 def test_thm1_report_bit_identical_across_threads():
-    # a band-4 norm at m = 1000 is past the cutover and makes no BLAS call,
+    # a band-4 norm at m = 1000 hands LAPACK only windows of WINDOW_ROWS rows,
     # so it reports the same bytes under any thread count (dense eigvalsh did not)
     runs = _reports_under_one_and_two_threads(
         ["thm1", "--f", CRITERION10, "--levels", "1000", "--max-level", "1020"])

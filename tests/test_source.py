@@ -49,12 +49,14 @@ def test_symbols_re_exports_the_sup_norm_search():
 
 
 def test_operators_re_exports_the_norms():
-    # the norms live in `norms`; `operators` binds the same objects, so
-    # `operators.operator_norm` callers and wrappers reach the one function.
-    # Patch constants in `norms`: a patch of the `operators` binding reaches
-    # no norm
-    for name in ("operator_norm", "_band_radius", "_band_inertia", "DENSE_NORM_ROWS"):
+    # the band algebra and the norms live in `norms`, which imports nothing
+    # from btq; `operators` binds the same objects, so `operators.operator_norm`
+    # callers and wrappers reach the one function.  Patch constants in `norms`:
+    # `operators` binds none
+    for name in ("operator_norm", "_band_radius", "_band_inertia", "_band_index",
+                 "_band_adjoint", "_band_product", "_dense"):
         assert getattr(operators, name) is getattr(norms, name)
+    assert not hasattr(operators, "WINDOW_ROWS")
     check = ("import btq.norms, btq.operators as o; "
              "assert o.operator_norm is btq.norms.operator_norm")
     for first in ("btq.norms", "btq.operators", "btq.cli"):
