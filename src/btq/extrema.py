@@ -1,12 +1,10 @@
 """Sup norms of real symbols by a grid and a Newton ascent: `grid_extrema`
 and the two sup-norm readings of it.
 
-The search reads Re f on a (u = x3, phi) grid sized by the degree through
-`symbols.eval_ambient`, then climbs from the best cells of each sign by
-safeguarded Newton steps on finite-difference stencils, read through the
-same evaluator.  `symbols` re-exports every name here from its last line,
-after `eval_ambient`; the package imports `symbols` before this module,
-whichever of the two a caller names first.
+The search reads Re f on a (u = x3, phi) grid sized by the degree by
+calling the symbol, f(x1, x2, x3), then climbs from the best cells of each
+sign by safeguarded Newton steps on finite-difference stencils, read by the
+same calls.  `symbols` binds every name here.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import math
 import numpy as np
 
 from .geometry import SpherePoint
-from .symbols import eval_ambient
 
 
 def _real_values(f, u, phi):
@@ -24,7 +21,7 @@ def _real_values(f, u, phi):
     u[:, None], phi[None, :]).  rho comes from u and cos, sin from phi, each
     on its own shape, so every point gets the bits of flat arrays."""
     rho = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    return eval_ambient(f, rho * np.cos(phi), rho * np.sin(phi), u).real
+    return f(rho * np.cos(phi), rho * np.sin(phi), u).real
 
 
 # coarse rows from degree 12 up; below, 8 per degree and at least 24
@@ -58,7 +55,7 @@ def _stencil(f, sign, x, e1, e2):
     """sign*Re f on normalise(x + a e1 + b e2) over the 9 stencil offsets of
     each start (columns of the (3, n) arrays x, e1, e2): (n, 9) values."""
     p = _unit(x[:, :, None] + _A * e1[:, :, None] + _B * e2[:, :, None])
-    return sign[:, None] * eval_ambient(f, p[0], p[1], p[2]).real
+    return sign[:, None] * f(p[0], p[1], p[2]).real
 
 
 def _step(v, r):

@@ -220,7 +220,7 @@ def coherent_state(m, z0):
     density is (1+|z0|^2)^m exp(-m D(x0, .)), so it grows with the level;
     a state whose ||phi||^2 would overflow a float is a CapacityError,
     raised before it is built.  `lab.coherent_run` uses the bounded multiple
-    (1+|z0|^2)^(-m/2) phi = sum_k R_k(s0) e^{-i k phi0} e_k instead."""
+    (m+1)/(2 pi) (1+|z0|^2)^(-m/2) phi = sum_k R_k(s0) e^{-i k phi0} e_k."""
     z0 = complex(z0)
     _coherent_fits(m, z0)
     pref = math.sqrt(TWO_PI / (m + 1))

@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError
-# make_rule and basis_eval_grid go unused: benchmark/selftest.py expects the bindings
-from .geometry import LAPLACE_SCALE, LAPLACE_SIGN, POISSON_CONSTANT, TOTAL_AREA, make_rule
-from .hilbert import SectionVector, basis_eval_grid, radial_factors
+from .geometry import (LAPLACE_SCALE, LAPLACE_SIGN, POISSON_CONSTANT, TOTAL_AREA,  # noqa: F401
+                       make_rule)
+from .hilbert import SectionVector, basis_eval_grid, radial_factors  # noqa: F401
 from .operators import (commutator, kernel_matrix, operator_norm, prequantum,
                         toeplitz, toeplitz_exact, tuynman_rhs)
 from .symbols import (SELECTED_C1_ORDERING, Symbol, c1_candidate, evaluate,

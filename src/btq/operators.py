@@ -43,9 +43,9 @@ from .errors import LevelMismatchError, UnderResolvedRuleError
 from .geometry import make_rule, phi_grid
 from .hilbert import (BLOCK, TWO_PI, SectionVector, basis_eval_grid,
                       binomial_floats, binomial_row)
-from .norms import (_band_adjoint, _band_index, _band_inertia,  # noqa: F401
-                    _band_product, _band_radius, _dense, operator_norm)
-from .symbols import eval_ambient, laplace_beltrami, partial
+from .norms import (_band_adjoint, _band_index, _band_product, _dense,  # noqa: F401
+                    operator_norm)
+from .symbols import laplace_beltrami, partial
 
 _HERM_TOL = 1e-12
 
@@ -213,7 +213,7 @@ def toeplitz(f, m):
     """T_f at level m by exact quadrature: (T_f)_jk = <e_j, f e_k>.  For real
     f, an operator that fails the hermiticity check is refused."""
     table = basis_eval_grid(m, make_rule(m, f.degree))
-    fv = eval_ambient(f, *_ambient_grid(table.s, f.degree))
+    fv = f(*_ambient_grid(table.s, f.degree))
     diags = _band_matrix(m, table.blocks(), table.w, f.degree, (fv, None))
     t = QuantumOperator.from_diags(m, diags)
     if f.is_real and not t.hermitian:
@@ -300,7 +300,7 @@ def kernel_matrix(f, m):
     # re-expressed in the orthonormal basis (||z^k||^2 = 2 pi/((m+1) C(m,k)))
     r = np.sqrt(binomial_floats(m) * ((m + 1) / TWO_PI))
     rule = make_rule(m, f.degree)
-    fv = eval_ambient(f, *_ambient_grid(rule.s_nodes, f.degree))
+    fv = f(*_ambient_grid(rule.s_nodes, f.degree))
     integrals = _band_matrix(m, _raw_frame(m, rule.s_nodes), rule.s_weights,
                              f.degree, (fv, None))
     rows = _band_index(len(integrals) // 2, m + 1)[0]
@@ -332,8 +332,8 @@ def prequantum(f, m):
     s = table.s[:, None]
     z = np.sqrt(s / (1.0 - s)) * np.exp(1j * phi_grid(f.degree))[None, :]
     u = 1.0 / (1.0 - s)
-    fv = eval_ambient(f, *x)
-    d1, d2, d3 = (eval_ambient(partial(f, i), *x) for i in (1, 2, 3))
+    fv = f(*x)
+    d1, d2, d3 = (partial(f, i)(*x) for i in (1, 2, 3))
     u_dzbar_f = ((1.0 - z * z) * d1 + 1j * (1.0 + z * z) * d2 - 2.0 * z * d3) / u
     col = (1j / m) * u_dzbar_f * u / z  # pairs with k z^(k-1)
     base = 1j * (fv - np.conj(z) * u_dzbar_f)

@@ -1,6 +1,7 @@
 """Polynomial observables on the sphere: product, Poisson bracket, Laplacian,
-evaluation, and the first star-product bidifferential operator.  The
-sup-norm search lives in `extrema` and is re-exported here.
+evaluation, and the first star-product bidifferential operator.  A Symbol
+is callable: f(x1, x2, x3) is `eval_ambient`.  The sup-norm search lives in
+`extrema`, which reads a symbol only through such calls, and is bound here.
 
 A Symbol is a polynomial in the ambient coordinates (x1, x2, x3) taken
 modulo the sphere relation x1^2 + x2^2 + x3^2 = 1.  Normal form eliminates
@@ -19,6 +20,7 @@ import re
 import numpy as np
 
 from .errors import CapacityError, SymbolSyntaxError, UnknownIdentifierError
+from .extrema import grid_extrema, sup_norm, sup_norm_argmax  # noqa: F401
 from .geometry import LAPLACE_SCALE, LAPLACE_SIGN, POISSON_CONSTANT
 
 _REAL_TOL = 1e-13
@@ -316,9 +318,10 @@ COEFF_L1_BOUND = 1e250
 
 
 def _bounded(f):
-    """f, unless its coefficient l1 norm is above COEFF_L1_BOUND or not
-    finite (an overflow, or nan from one): then a SymbolSyntaxError."""
-    l1 = f.coeff_l1()
+    """f, unless a coefficient is not finite or their l1 norm is above
+    COEFF_L1_BOUND: then a SymbolSyntaxError.  abs() reads no non-finite one:
+    of a complex nan, CPython 3.11 can raise an earlier overflow's error."""
+    l1 = f.coeff_l1() if np.isfinite(list(f.terms.values())).all() else math.inf
     if not l1 <= COEFF_L1_BOUND:
         raise SymbolSyntaxError(
             f"coefficient l1 norm {l1:.3g} exceeds {COEFF_L1_BOUND:g}", 0)
@@ -449,9 +452,12 @@ def eval_ambient(f, x1, x2, x3):
     return out if np.shape(out) == shape else np.broadcast_to(out, shape)
 
 
+Symbol.__call__ = eval_ambient
+
+
 def evaluate(f, p):
     """Exact evaluation at a SpherePoint (chart independent)."""
-    return complex(eval_ambient(f, *p.ambient()))
+    return complex(f(*p.ambient()))
 
 
 # -- serialization -------------------------------------------------------------
@@ -480,7 +486,3 @@ def symbol_from_json(obj):
             raise SymbolSyntaxError(f"exponents {e!r} repeat an earlier term", i)
         terms[tuple(e)] = complex(t["re"], t["im"])
     return _bounded(Symbol(terms))
-
-
-# last: `extrema` imports eval_ambient from here
-from .extrema import grid_extrema, sup_norm, sup_norm_argmax  # noqa: E402,F401

@@ -14,6 +14,9 @@ from btq.symbols import Symbol, X3
 # database; hypothesis still caches the literals it mines from local source
 # files, so that cache goes to the temp directory, not the checkout
 settings.register_profile("btq", derandomize=True, database=None, deadline=None)
+# the same with more examples, for one property run on its own:
+# pytest tests/test_cli.py -k contract --hypothesis-profile btq-long
+settings.register_profile("btq-long", settings.get_profile("btq"), max_examples=500)
 settings.load_profile("btq")
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
                       os.path.join(tempfile.gettempdir(), "btq-hypothesis"))

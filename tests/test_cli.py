@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -5,11 +6,14 @@ import json
 import os
 import pathlib
 import re
+import tempfile
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from btq import calibration, cli, extrema
-from btq.errors import CalibrationError
+from btq.errors import CalibrationError, CapacityError, SymbolParseError
 from btq.symbols import parse, symbol_to_json
 
 
@@ -88,6 +92,12 @@ def test_non_finite_coefficient_exit2(workdir, capsys):
         assert run([*argv, "--levels", "8"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("btq: expression error") and err.count("\n") == 1
+    # a nan coefficient after an overflowing literal: once an OverflowError
+    # from abs(), which read the overflow's stale errno
+    for expr in ("1e400-1e400", "1e400^64", "1e400*x3-1e400*x3", "x1*1e999 - x1*1e999"):
+        assert run(["thm1", f"--f={expr}", "--levels", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("btq: expression error") and err.count("\n") == 1
     # two symbols under the bound whose products would overflow
     for cmd in ("thm2", "thm3"):
         assert run([cmd, "--f", "1e200*x1", "--g", "1e200*x2", "--levels", "8"]) == 2
@@ -354,3 +364,88 @@ def test_console_script_installed(workdir):
                           cwd=workdir)
     assert proc.returncode == 0
     assert os.listdir(workdir) == []
+
+
+# -- the contract, as a property ------------------------------------------------
+#
+# exit 0, 1, 2 or 3; on a btq 2 or 3, nothing on stdout and one `btq:` line on
+# stderr; no exception; no file but --out.  Admitted levels stay <= 40 and
+# crosscheck degrees <= 12, so a hundred examples run in a few seconds
+
+_EXTREME = ["1e125", "9.99e249", "1e250", "2e250", "1e400", "1e999", "1e-400",
+            "1e-320", "4.9e-324", "0.1e-330"]
+_POWERS = st.one_of(st.integers(0, 4).map(str), st.integers(60, 70).map(str),
+                    st.sampled_from(["0064", "065", "9" * 40, "1" + "0" * 30]))
+
+
+def _expressions():
+    plain = st.sampled_from(["x1", "x2", "x3", "0", "3", "0.125", ".5", "7."])
+    well_formed = st.recursive(plain | plain | st.sampled_from(_EXTREME), lambda e: st.one_of(
+        st.tuples(e, st.sampled_from("+-*"), e).map("".join),
+        st.tuples(e, _POWERS).map(lambda t: f"({t[0]})^{t[1]}"),
+        e.map(lambda a: f"-({a})"),
+        e.map(lambda a: f"({a})-({a})")), max_leaves=4)  # cancels: inf - inf is nan
+    nested = st.tuples(st.integers(90, 101), well_formed).map(
+        lambda t: "(" * t[0] + t[1] + ")" * t[0])
+    malformed = st.text("x123e.()+-*^ ", max_size=10)
+    return st.one_of(well_formed, well_formed, well_formed, nested, malformed)
+
+
+@st.composite
+def _level_options(draw):
+    """--levels, and maybe a --max-level (at most 40) with levels above it."""
+    cap = None if draw(st.integers(0, 4)) else draw(st.integers(-2, 40))
+    tokens = st.integers(-3, 40).map(str) | st.sampled_from(
+        ["1021", "99999", "1" + "0" * 30, "9" * 5000, "abc", "", " ", "4.5", "0x10"])
+    if cap is not None:
+        tokens |= st.integers(cap + 1, 199).map(str)
+    admitted = st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted)
+    levels = draw(admitted.map(lambda ls: list(map(str, ls))) if draw(st.integers(0, 4))
+                  else st.lists(tokens, max_size=4))
+    argv = ["--levels=" + ",".join(levels)]
+    return argv if cap is None else [*argv, f"--max-level={cap}"]
+
+
+def _degree(text):
+    try:
+        return parse(text).degree
+    except (SymbolParseError, CapacityError):  # refused: costs nothing to run
+        return 0
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from(["thm1", "thm2", "thm3", "tuynman", "coherent",
+                                "crosscheck", "calibrate"]))
+    if cmd == "calibrate":
+        return [cmd]
+    f = draw(_expressions())
+    argv = [cmd, f"--f={f}"]
+    if cmd in ("thm2", "thm3"):
+        argv.append(f"--g={draw(_expressions())}")
+    if cmd == "crosscheck":  # toeplitz_exact's cost climbs steeply with degree
+        assume(_degree(f) <= 12)
+    if cmd == "thm3":
+        argv += draw(st.sampled_from([[], [], ["--order=1"], ["--order=3"]]))
+    formats = [[], [], ["--format=csv"], ["--format=json"], ["--format=xml"]]
+    outs = [[], [], ["--out=r.out"], ["--out=no/r.out"]]
+    return [*argv, *draw(_level_options()), *draw(st.sampled_from(formats)),
+            *draw(st.sampled_from(outs))]
+
+
+@given(_argvs())
+def test_cli_contract_holds_on_any_input(argv):
+    stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+        left = os.listdir(d)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code in (2, 3) and not err.startswith("usage:"):  # argparse's own errors
+        assert not out and err.startswith("btq: ") and err.count("\n") == 1, (argv, err)
+    assert set(left) <= {"r.out"}, (argv, left)

@@ -150,6 +150,18 @@ def test_coherent_state_norm_identity(rng):
         assert abs(norm2 - closed) < 1e-12 * closed
 
 
+def test_coherent_state_is_a_multiple_of_the_radial_factor_state():
+    # coherent_run's state R_k(s0) e^{-i k phi0}, s0 = |z0|^2/(1+|z0|^2), is
+    # (m+1)/(2 pi) (1+|z0|^2)^(-m/2) times phi: 1.2732395 phi at m = 7 and z0
+    # = 0.6 - 0.3j, where the docstring once dropped the (m+1)/(2 pi)
+    for m, z0 in ((0, 0.5j), (7, 0.6 - 0.3j), (40, 2 + 1j), (40, 0j)):
+        s0, phi0 = abs(z0) ** 2 / (1 + abs(z0) ** 2), np.angle(z0)
+        state = hb.radial_factors(m, [s0])[0] * np.exp(-1j * np.arange(m + 1) * phi0)
+        scale = (m + 1) / TWO_PI * (1 + abs(z0) ** 2) ** (-m / 2)
+        assert np.allclose(state, scale * hb.coherent_state(m, z0).coeffs,
+                           rtol=1e-13, atol=0), (m, z0)
+
+
 def test_coherent_state_refuses_levels_where_its_norm_overflows():
     # at (1000, 3) the coefficients were inf and at (600, 3) <phi, phi> was,
     # with only a RuntimeWarning; coherent_norm_sq raised a bare OverflowError

@@ -247,6 +247,19 @@ def test_tuynman_run_mixed_symbol(rng):
     assert rep.passed
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 17: the normal form of x1^d cancels digits")
+@pytest.mark.parametrize("d", [50, 56, 64])
+def test_high_powers_of_x1_keep_their_exact_identities(d):
+    # x2^d and x3^d pass both; x1^d is rewritten through x1^2 = 1 - x2^2 - x3^2
+    # into coefficients of l1 norm 1.9e15 at d = 64, and its sup norm (1) comes
+    # back as 0.99999982 there.  Leave crosscheck out: its 1e-10 coeff_max
+    # tolerance (item 18) admits the disagreement
+    f = X1 ** d
+    assert lab.tuynman_run(f, [8, 16, 33]).passed
+    assert abs(sy.sup_norm(f) - 1.0) <= 1e-13
+
+
 def test_tuynman_run_norm_matches_svd(rng):
     # real f: -i Q_f passes the hermiticity check and is normed by eigvalsh;
     # complex f: it does not, and is normed by eigvalsh of its A^H A; the

@@ -834,7 +834,7 @@ def test_band_inertia_counts_through_exact_zero_pivots():
         assert x.hermitian and x.band == 1
         lam = 2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
         shifts = np.array([0.0, -2.5, 2.5, lam[0] + 1e-9, lam[-1] - 1e-9])
-        counts = op._band_inertia(x.diags, shifts, np.finfo(float).eps * 2)
+        counts = norms._band_inertia(x.diags, shifts, np.finfo(float).eps * 2)
         assert counts.tolist() == [n // 2, 0, n, n, 0]
 
 
@@ -864,18 +864,18 @@ def test_band_inertia_chunks_count_as_one_store(rng):
     # row at the shift 0; sizes across and inside one chunk of 64 pivots
     for b in (1, 4, 8):
         for n in (2, 64, 1001):
-            inside = op._band_index(b, n)[1]
+            inside = norms._band_index(b, n)[1]
             d = np.where(inside, rng.standard_normal((2 * b + 1, n))
                          + 1j * rng.standard_normal((2 * b + 1, n)), 0)
             chains = np.zeros((2 * b + 1, n), complex)
             chains[0, b:] = chains[-1, :n - b] = 1.0
-            for x in ((d + op._band_adjoint(d)) / 2, chains):
+            for x in ((d + norms._band_adjoint(d)) / 2, chains):
                 g = max(1.0, float(np.max(np.abs(x).sum(axis=0))))
                 shifts = np.concatenate([[0.0], np.linspace(-g, g, 23)])
                 pivmin = np.finfo(float).eps * g
                 pivots, want = _one_store_inertia(x, shifts, pivmin)
                 assert x is not chains or n <= b or np.any(pivots == -pivmin)
-                got = op._band_inertia(x, shifts, pivmin)
+                got = norms._band_inertia(x, shifts, pivmin)
                 assert got.tolist() == want.tolist(), (b, n)
 
 

@@ -1,5 +1,7 @@
 """Properties of the package source itself, not of its numbers."""
 
+import ast
+import graphlib
 import subprocess
 import sys
 import tokenize
@@ -38,9 +40,10 @@ def test_symbols_re_exports_the_sup_norm_search():
     for name in ("grid_extrema", "sup_norm", "sup_norm_argmax"):
         assert getattr(symbols, name) is getattr(extrema, name)
     assert not hasattr(symbols, "GRID_RESOLUTION")
-    # `extrema` imports `eval_ambient` from `symbols`, which binds the search
-    # at its end: the same object whichever module a fresh interpreter
-    # imports first
+    assert symbols.Symbol.__call__ is symbols.eval_ambient  # how `extrema` reads f
+    # `symbols` imports the search at its top, and `extrema` imports nothing
+    # from `symbols` (it calls the symbols it is given): the same object
+    # whichever module a fresh interpreter imports first
     check = "import btq.extrema, btq.symbols as s; assert s.grid_extrema is btq.extrema.grid_extrema"
     for first in ("btq.extrema", "btq.symbols", "btq.cli"):
         proc = subprocess.run([sys.executable, "-c", f"import {first}; {check}"],
@@ -51,15 +54,62 @@ def test_symbols_re_exports_the_sup_norm_search():
 def test_operators_re_exports_the_norms():
     # the band algebra and the norms live in `norms`, which imports nothing
     # from btq; `operators` binds the same objects, so `operators.operator_norm`
-    # callers and wrappers reach the one function.  Patch constants in `norms`:
-    # `operators` binds none
-    for name in ("operator_norm", "_band_radius", "_band_inertia", "_band_index",
-                 "_band_adjoint", "_band_product", "_dense"):
+    # callers and wrappers reach the one function.  It binds the band algebra
+    # it calls and nothing else: read the Sturm count, the band radius and
+    # the constants in `norms`
+    for name in ("operator_norm", "_band_index", "_band_adjoint", "_band_product", "_dense"):
         assert getattr(operators, name) is getattr(norms, name)
-    assert not hasattr(operators, "WINDOW_ROWS")
+    for name in ("_band_radius", "_band_inertia", "WINDOW_ROWS"):
+        assert not hasattr(operators, name)
     check = ("import btq.norms, btq.operators as o; "
              "assert o.operator_norm is btq.norms.operator_norm")
     for first in ("btq.norms", "btq.operators", "btq.cli"):
         proc = subprocess.run([sys.executable, "-c", f"import {first}; {check}"],
                               env=_fresh_env(), capture_output=True, text=True)
         assert proc.returncode == 0, (first, proc.stderr)
+
+
+# The names a module imports and never reads: each is a binding kept for the
+# benchmark tracer, which wraps a function in every `btq` namespace that binds
+# it (`benchmark/tracing.py` WRAPPED), and whose selftest expects these
+# (`benchmark/selftest.py`).  `symbols` and `operators` are also the documented
+# homes of the sup-norm search and of `operator_norm`.
+PASS_THROUGH = {("lab", "make_rule"), ("lab", "basis_eval_grid"),
+                ("operators", "operator_norm"), ("symbols", "grid_extrema"),
+                ("symbols", "sup_norm"), ("symbols", "sup_norm_argmax")}
+
+
+def _modules():
+    """{module name: parsed source} for every module but the package's."""
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+
+
+def test_intra_package_imports_form_no_cycle():
+    graph = {}
+    for name, tree in _modules().items():
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:  # from . / from .x
+                graph[name] |= {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):  # none by absolute name
+                names = [node.module] if isinstance(node, ast.ImportFrom) \
+                    else [a.name for a in node.names]
+                assert not any(n.split(".")[0] == "btq" for n in names), name
+    assert set().union(*graph.values()) <= set(graph)
+    assert graph["extrema"] == {"geometry"} and "extrema" in graph["symbols"]
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_imported_but_unused_names_are_the_tracers_pass_throughs():
+    unused = set()
+    for name, tree in _modules().items():
+        bound, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        unused |= {(name, b) for b in bound - read}
+    assert unused == PASS_THROUGH
